@@ -6,7 +6,7 @@ as a hint) plus single-prompt and chain-of-thought baselines over
 benchmark datasets, grades the answers, and classifies failures.
 """
 
-from .consistency import Vote, VoteSet, aggregate, run_sc
+from .consistency import Vote, VoteSet, aggregate
 from .datasets import (
     DATASET_SPECS,
     DatasetSpec,
@@ -131,6 +131,5 @@ __all__ = [
     "render_last_letter_prompt",
     "run_experiment",
     "run_problem",
-    "run_sc",
     "sample_and_analyze",
 ]

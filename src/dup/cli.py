@@ -19,19 +19,13 @@ from .runner import (
     load_problems,
     load_transcript,
     run_experiment,
-    select_problems,
     stored_config,
 )
+from .store import encode, write
 
 log = logging.getLogger(__name__)
 
 __all__ = ["main", "build_parser"]
-
-_METHODS = {
-    "dup": MethodVariant.DUP,
-    "dup-s": MethodVariant.DUP_S,
-    "cot": MethodVariant.ZERO_SHOT_COT,
-}
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 ERROR_ANALYSIS_JSON = "error_analysis.json"
@@ -67,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="answer kind for datasets the loader does not already know",
     )
-    run.add_argument("--method", choices=sorted(_METHODS), default="dup")
+    run.add_argument("--method", choices=("cot", "dup", "dup-s"), default="dup")
     run.add_argument(
         "--stages",
         default="1,2,3",
@@ -141,7 +135,7 @@ def _config_from_args(args) -> RunConfig:
         temperature = 0.7 if args.n_samples > 1 else 0.0
     return RunConfig(
         dataset=args.dataset,
-        method=_METHODS[args.method],
+        method=MethodVariant(args.method),
         stages=StageConfig.from_string(args.stages),
         model=args.model,
         extractor_model=args.extractor_model,
@@ -188,7 +182,7 @@ def cmd_compare(args) -> int:
     candidates = [load_report(path) for path in args.candidate]
     table = compare_report_sets(baselines, candidates)
     if args.json:
-        print(json.dumps(table.to_dict(), sort_keys=True, indent=2))
+        print(json.dumps(encode(table), sort_keys=True, indent=2))
     else:
         print(table.to_table(), end="")
     return 0
@@ -203,7 +197,7 @@ def cmd_analyze_errors(args) -> int:
     if args.cache_dir:
         config.cache_dir = args.cache_dir
     gateway = build_run_gateway(config)
-    problems = select_problems(load_problems(config), config.max_problems, config.seed)
+    problems = load_problems(config)
     transcripts = {}
     for problem in problems:
         transcript = load_transcript(args.out_dir, problem.id)
@@ -228,9 +222,7 @@ def cmd_analyze_errors(args) -> int:
         max_tokens=config.max_tokens,
     )
     out_path = Path(args.out_dir) / ERROR_ANALYSIS_JSON
-    out_path.write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write(out_path, report)
     print(report.to_table(), end="")
     print(f"analysis written to {out_path}")
     return 0

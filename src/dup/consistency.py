@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .exceptions import InvalidInputError
 from .grading import NormalizedAnswer, grade
 
-__all__ = ["Vote", "VoteSet", "aggregate", "run_sc"]
+__all__ = ["Vote", "VoteSet", "aggregate"]
 
 
 @dataclass(frozen=True)
@@ -16,12 +16,6 @@ class Vote:
 
     sample_index: int
     answer: NormalizedAnswer | None
-
-    def to_dict(self) -> dict:
-        return {
-            "sample_index": self.sample_index,
-            "answer": self.answer.to_dict() if self.answer else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -69,20 +63,3 @@ def aggregate(votes: VoteSet) -> NormalizedAnswer | None:
     # max() already keeps the earliest index on ties, which is exactly the
     # first-occurrence rule because groups are created in encounter order.
     return groups[best][0]
-
-
-def run_sc(problem, config, gateway):
-    """Run one problem with self-consistency sampling of the answer stage.
-
-    The core-question and information stages run once at temperature 0 and
-    are shared across all samples; each sampled reasoning path goes through
-    answer extraction independently. Returns (VoteSet, aggregated answer).
-    """
-    if config.n_samples < 1:
-        raise InvalidInputError("n_samples must be >= 1")
-    if config.n_samples > 1 and config.temperature <= 0:
-        raise InvalidInputError("sampling more than one path requires temperature > 0")
-    from .runner import run_problem  # deferred: runner builds on this module
-
-    transcript = run_problem(problem, config, gateway)
-    return transcript.vote_set(), transcript.predicted

@@ -12,12 +12,11 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Any
 
 from .exceptions import DatasetFormatError, InvalidInputError
-from .grading import NormalizedAnswer
+from .grading import _YES_NO_MAP, NormalizedAnswer, _parse_number_token
 from .prompts import AnswerType
 
 log = logging.getLogger(__name__)
@@ -123,17 +122,6 @@ class Problem:
             if len(set(letters)) != len(letters):
                 raise InvalidInputError("option letters must be distinct")
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "dataset": self.dataset,
-            "question": self.question,
-            "gold_raw": self.gold_raw,
-            "gold": self.gold.to_dict(),
-            "answer_type": self.answer_type.value,
-            "options": [list(pair) for pair in self.options] if self.options else None,
-        }
-
 
 def canonical_dataset_id(name: str) -> str:
     return re.sub(r"[\s\-]+", "_", name.strip().lower())
@@ -154,15 +142,9 @@ def parse_gold_answer(raw: str, answer_type: AnswerType) -> NormalizedAnswer:
         if GOLD_DELIMITER in text:
             text = text.rsplit(GOLD_DELIMITER, 1)[1].strip()
             text = text.split()[0] if text.split() else ""
-        token = text.replace(",", "").rstrip(".")
-        try:
-            if "/" in token:
-                numerator, denominator = token.split("/", 1)
-                value = Decimal(numerator) / Decimal(denominator)
-            else:
-                value = Decimal(token)
-        except (InvalidOperation, ValueError, ZeroDivisionError) as exc:
-            raise DatasetFormatError(f"gold is not a number: {raw!r}") from exc
+        value = _parse_number_token(text.replace(",", "").rstrip("."))
+        if value is None:
+            raise DatasetFormatError(f"gold is not a number: {raw!r}")
         return NormalizedAnswer(kind=AnswerType.NUMBER, number=value)
     if answer_type is AnswerType.OPTION:
         letters = re.findall(r"[A-Ea-e]", text)
@@ -171,10 +153,9 @@ def parse_gold_answer(raw: str, answer_type: AnswerType) -> NormalizedAnswer:
         return NormalizedAnswer(kind=AnswerType.OPTION, option=letters[0].upper())
     if answer_type is AnswerType.YES_NO:
         lowered = text.lower().strip(".")
-        mapping = {"yes": "yes", "true": "yes", "no": "no", "false": "no"}
-        if lowered not in mapping:
+        if lowered not in _YES_NO_MAP:
             raise DatasetFormatError(f"gold is not yes/no: {raw!r}")
-        return NormalizedAnswer(kind=AnswerType.YES_NO, yes_no=mapping[lowered])
+        return NormalizedAnswer(kind=AnswerType.YES_NO, yes_no=_YES_NO_MAP[lowered])
     value = text.lower()
     if not value:
         raise DatasetFormatError("empty string gold")
@@ -233,8 +214,8 @@ def _read_records(path: Path) -> list[tuple[int, dict]]:
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"invalid JSON array in {path}: {exc}") from exc
         return [(i + 1, item) for i, item in enumerate(items)]
-    # A wrapper object can be compact enough to parse as one JSONL line, so
-    # check for it before the line-delimited pass.
+    # A wrapper object {"examples": [...]} can be compact enough to parse as
+    # one JSONL line, so check for it before the line-delimited pass.
     try:
         whole = json.loads(stripped)
     except json.JSONDecodeError:
@@ -244,28 +225,18 @@ def _read_records(path: Path) -> list[tuple[int, dict]]:
             if isinstance(whole.get(key), list):
                 return [(i + 1, item) for i, item in enumerate(whole[key])]
     records: list[tuple[int, dict]] = []
-    bad_line: tuple[int, json.JSONDecodeError] | None = None
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             records.append((line_no, json.loads(line)))
         except json.JSONDecodeError as exc:
-            bad_line = (line_no, exc)
-            break
-    if bad_line is None:
-        return records
-    # Not line-delimited: maybe a single wrapper object {"examples": [...]}.
-    try:
-        obj = json.loads(stripped)
-    except json.JSONDecodeError:
-        line_no, exc = bad_line
-        raise DatasetFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-    if isinstance(obj, dict):
-        for key in _WRAPPER_KEYS:
-            if isinstance(obj.get(key), list):
-                return [(i + 1, item) for i, item in enumerate(obj[key])]
-    raise DatasetFormatError(f"{path}: JSON object has no recognizable record list")
+            if isinstance(whole, dict):
+                raise DatasetFormatError(
+                    f"{path}: JSON object has no recognizable record list"
+                ) from exc
+            raise DatasetFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+    return records
 
 
 def load_dataset(

@@ -119,16 +119,6 @@ class ErrorReport:
         if self.total_failures > self.sample_size:
             raise InvalidInputError("total_failures cannot exceed sample_size")
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "method": self.method,
-            "counts": {category.value: count for category, count in self.counts.items()},
-            "total_failures": self.total_failures,
-            "sample_size": self.sample_size,
-            "details": self.details,
-        }
-
     def to_table(self) -> str:
         """Aligned text table: one row per category plus totals."""
         labels = {

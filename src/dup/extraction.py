@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .gateway import ChatRequest, Gateway, build_messages
+from .gateway import ChatRequest, ChatResponse, Gateway, build_messages
 from .grading import NormalizedAnswer, extract_rule_based, normalize
 from .prompts import AnswerType, render_answer_extraction_prompt
 
@@ -19,11 +19,8 @@ class ExtractionOutcome:
     answer: NormalizedAnswer | None
     source: str  # "llm" | "rule_fallback" | "none"
     prompt: str
-    response_text: str | None
+    response: ChatResponse
     duration_s: float
-    cached: bool
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
 
 
 def extract_answer(
@@ -62,11 +59,8 @@ def extract_answer(
         answer=answer,
         source=source,
         prompt=prompt,
-        response_text=response.content,
+        response=response,
         duration_s=duration,
-        cached=response.cached,
-        prompt_tokens=response.prompt_tokens,
-        completion_tokens=response.completion_tokens,
     )
 
 

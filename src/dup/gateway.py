@@ -27,6 +27,7 @@ from .exceptions import (
     RetriesExhaustedError,
     TransientBackendError,
 )
+from .store import decode, encode, read, write
 
 log = logging.getLogger(__name__)
 
@@ -92,11 +93,6 @@ class ChatRequest:
         if self.temperature == 0 and self.sample_index != 0:
             raise InvalidInputError("greedy decoding admits only sample_index 0")
 
-    @classmethod
-    def user(cls, model: str, content: str, **kwargs) -> "ChatRequest":
-        """Single user-role message request, the default shape for every stage."""
-        return cls(model=model, messages=(ChatMessage("user", content),), **kwargs)
-
 
 def build_messages(prompt: str, system_message: str | None = None) -> tuple[ChatMessage, ...]:
     """User-role-only by default; a system message is prepended when configured."""
@@ -116,14 +112,6 @@ class ChatResponse:
     def __post_init__(self):
         if self.finish_reason == "stop" and not self.content:
             raise InvalidInputError("finish_reason 'stop' requires non-empty content")
-
-    def to_dict(self) -> dict:
-        return {
-            "content": self.content,
-            "finish_reason": self.finish_reason,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-        }
 
 
 @dataclass
@@ -238,10 +226,6 @@ class MockBackend:
             completion_tokens=_estimate_tokens(content),
         )
 
-    def reset_calls(self) -> None:
-        with self._lock:
-            self.calls = 0
-
 
 class HttpBackend:
     """Generic chat-completions endpoint speaking the common JSON shape."""
@@ -322,7 +306,11 @@ class Gateway:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        """Send a request, retrying transient failures with backoff + jitter."""
+        """Send a request, retrying transient failures with backoff + jitter.
+
+        A reply that is not a valid ChatResponse (say, empty content with
+        finish_reason "stop") raises MalformedResponseError and is not retried.
+        """
         last_exc: TransientBackendError | None = None
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
@@ -340,6 +328,8 @@ class Gateway:
                         self.max_retries + 1,
                         exc,
                     )
+                except InvalidInputError as exc:
+                    raise MalformedResponseError(f"invalid completion: {exc}") from exc
         assert last_exc is not None
         raise RetriesExhaustedError(
             f"gave up after {self.max_retries + 1} attempts: {last_exc}",
@@ -353,19 +343,10 @@ class Gateway:
     def _read_cache(self, digest: str) -> ChatResponse | None:
         path = self._cache_path(digest)
         try:
-            with open(path, encoding="utf-8") as handle:
-                entry = json.load(handle)
-            saved = entry["response"]
-            return ChatResponse(
-                content=saved["content"],
-                finish_reason=saved.get("finish_reason", "stop"),
-                prompt_tokens=int(saved.get("prompt_tokens", 0)),
-                completion_tokens=int(saved.get("completion_tokens", 0)),
-                cached=True,
-            )
+            return decode(ChatResponse, {**read(path)["response"], "cached": True})
         except FileNotFoundError:
             return None
-        except (ValueError, KeyError, TypeError, InvalidInputError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             log.warning("evicting corrupt cache entry %s: %s", path.name, exc)
             try:
                 path.unlink()
@@ -374,14 +355,10 @@ class Gateway:
             return None
 
     def _write_cache(self, digest: str, request: ChatRequest, response: ChatResponse) -> None:
-        path = self._cache_path(digest)
-        payload = {
-            "request": _canonical_request_payload(request),
-            "response": response.to_dict(),
-        }
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=2), encoding="utf-8")
-        os.replace(tmp, path)
+        saved = encode(response)
+        del saved["cached"]  # a property of the read, not of the completion
+        entry = {"request": _canonical_request_payload(request), "response": saved}
+        write(self._cache_path(digest), entry)
 
     def complete_cached(self, request: ChatRequest) -> ChatResponse:
         """Serve from the cache when possible; otherwise complete and persist.

@@ -91,21 +91,6 @@ class NormalizedAnswer:
     def of_string(cls, value: str) -> "NormalizedAnswer":
         return cls(kind=AnswerType.STRING, string=value)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind.value, "value": str(self.value)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NormalizedAnswer":
-        kind = AnswerType(data["kind"])
-        value = data["value"]
-        if kind is AnswerType.NUMBER:
-            return cls.of_number(value)
-        if kind is AnswerType.OPTION:
-            return cls.of_option(value)
-        if kind is AnswerType.YES_NO:
-            return cls.of_yes_no(value)
-        return cls.of_string(value)
-
 
 @dataclass(frozen=True)
 class GradedResult:
@@ -119,14 +104,6 @@ class GradedResult:
     def __post_init__(self):
         if self.predicted is None and (self.correct or self.extraction_source != "none"):
             raise ValueError("absent prediction must grade incorrect with extraction_source='none'")
-
-    def to_dict(self) -> dict:
-        return {
-            "problem_id": self.problem_id,
-            "predicted": self.predicted.to_dict() if self.predicted else None,
-            "correct": self.correct,
-            "extraction_source": self.extraction_source,
-        }
 
 
 def _parse_number_token(token: str) -> Decimal | None:

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from .exceptions import DupError, RunComparisonError
+from .store import decode, encode, read, write, write_text
 
 log = logging.getLogger(__name__)
 
@@ -49,31 +49,10 @@ class Report:
     total: int
     correct: int
     accuracy: float
-    accuracy_raw: float
     per_problem: list[dict]
     usage: dict
     started_at: str = ""
     finished_at: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "method": self.method,
-            "model": self.model,
-            "config": self.config,
-            "total": self.total,
-            "correct": self.correct,
-            "accuracy": self.accuracy,
-            "accuracy_raw": self.accuracy_raw,
-            "per_problem": self.per_problem,
-            "usage": self.usage,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        return cls(**data)
 
     def to_table(self) -> str:
         lines = [
@@ -119,7 +98,7 @@ def build_report(config, problems, transcripts: dict) -> Report:
             {
                 "problem_id": problem.id,
                 "correct": bool(graded.correct) if graded else False,
-                "predicted": transcript.predicted.to_dict() if transcript.predicted else None,
+                "predicted": encode(transcript.predicted),
                 "extraction_source": graded.extraction_source if graded else "none",
                 "errors": list(transcript.errors),
             }
@@ -131,13 +110,12 @@ def build_report(config, problems, transcripts: dict) -> Report:
     total = len(problems)
     return Report(
         dataset=config.dataset,
-        method=config.method.value if hasattr(config.method, "value") else str(config.method),
+        method=encode(config.method),
         model=config.model,
-        config=config.to_dict(),
+        config=encode(config),
         total=total,
         correct=correct,
         accuracy=round_accuracy(correct, total),
-        accuracy_raw=(correct / total) if total else 0.0,
         per_problem=per_problem,
         usage={
             "calls": calls,
@@ -154,10 +132,8 @@ def write_report(report: Report, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / REPORT_JSON
-    path.write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    (out_dir / REPORT_TEXT).write_text(report.to_table(), encoding="utf-8")
+    write(path, report)
+    write_text(out_dir / REPORT_TEXT, report.to_table())
     return path
 
 
@@ -166,10 +142,9 @@ def load_report(path: str | Path) -> Report:
     if path.is_dir():
         path = path / REPORT_JSON
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        return decode(Report, read(path))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise DupError(f"cannot read report at {path}: {exc}") from exc
-    return Report.from_dict(data)
 
 
 def recount(out_dir: str | Path) -> Report:
@@ -179,11 +154,11 @@ def recount(out_dir: str | Path) -> Report:
     from what is on disk.
     """
     from .grading import GradedResult, grade
-    from .runner import load_problems, load_transcript, select_problems, stored_config
+    from .runner import load_problems, load_transcript, stored_config
 
     out_dir = Path(out_dir)
     config = stored_config(out_dir)
-    problems = select_problems(load_problems(config), config.max_problems, config.seed)
+    problems = load_problems(config)
     transcripts = {}
     for problem in problems:
         transcript = load_transcript(out_dir, problem.id)
@@ -210,25 +185,11 @@ class DeltaRow:
     candidate_accuracy: float
     delta: float
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "baseline_accuracy": self.baseline_accuracy,
-            "candidate_accuracy": self.candidate_accuracy,
-            "delta": self.delta,
-        }
-
 
 @dataclass
 class DeltaTable:
     rows: list[DeltaRow] = field(default_factory=list)
     average_delta: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [row.to_dict() for row in self.rows],
-            "average_delta": self.average_delta,
-        }
 
     def to_table(self) -> str:
         header = f"{'dataset':<16} {'baseline':>9} {'candidate':>9} {'delta':>7}"

@@ -10,11 +10,8 @@ context it needs, which keeps calls cache-friendly.
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import random
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -25,7 +22,14 @@ from .consistency import Vote, VoteSet, aggregate
 from .datasets import canonical_dataset_id, load_dataset, load_from_manifest, load_manifest
 from .exceptions import DupError, GatewayError, InvalidInputError
 from .extraction import STAGE_EXTRACTION, dup_s_answer_segment, extract_answer
-from .gateway import ChatRequest, Gateway, ProviderConfig, build_gateway, build_messages
+from .gateway import (
+    ChatRequest,
+    ChatResponse,
+    Gateway,
+    ProviderConfig,
+    build_gateway,
+    build_messages,
+)
 from .grading import GradedResult, NormalizedAnswer, grade
 from .prompts import (
     MethodVariant,
@@ -36,6 +40,9 @@ from .prompts import (
     render_info_extraction_prompt,
     render_last_letter_prompt,
 )
+from .store import decode, encode, read
+# Transcript and config writes go through this name; bench/tracing.py wraps it.
+from .store import write as _write_json_atomic
 
 log = logging.getLogger(__name__)
 
@@ -89,13 +96,6 @@ class StageConfig:
             enabled.add(int(token))
         return cls(1 in enabled, 2 in enabled, 3 in enabled)
 
-    def to_dict(self) -> dict:
-        return {"stage1": self.stage1, "stage2": self.stage2, "stage3": self.stage3}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StageConfig":
-        return cls(bool(data["stage1"]), bool(data["stage2"]), bool(data["stage3"]))
-
 
 @dataclass
 class RunConfig:
@@ -141,38 +141,6 @@ class RunConfig:
         if self.workers < 1:
             raise InvalidInputError("workers must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "method": self.method.value,
-            "stages": self.stages.to_dict(),
-            "model": self.model,
-            "extractor_model": self.extractor_model,
-            "temperature": self.temperature,
-            "n_samples": self.n_samples,
-            "max_problems": self.max_problems,
-            "seed": self.seed,
-            "cache_dir": self.cache_dir,
-            "out_dir": self.out_dir,
-            "dataset_path": self.dataset_path,
-            "manifest": self.manifest,
-            "answer_type": self.answer_type,
-            "max_tokens": self.max_tokens,
-            "system_message": self.system_message,
-            "workers": self.workers,
-            "last_letter_simplified": self.last_letter_simplified,
-            "backend": self.backend,
-            "base_url": self.base_url,
-            "mock_script": self.mock_script,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
-        data["method"] = MethodVariant(data.get("method", "dup"))
-        data["stages"] = StageConfig.from_dict(data.get("stages", StageConfig().to_dict()))
-        return cls(**data)
-
 
 @dataclass
 class StageRecord:
@@ -189,23 +157,28 @@ class StageRecord:
     completion_tokens: int = 0
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "prompt": self.prompt,
-            "response": self.response,
-            "artifact": self.artifact,
-            "sample_index": self.sample_index,
-            "duration_s": round(self.duration_s, 6),
-            "cached": self.cached,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "error": self.error,
-        }
-
     @classmethod
-    def from_dict(cls, data: dict) -> "StageRecord":
-        return cls(**data)
+    def of_response(
+        cls,
+        stage: str,
+        prompt: str,
+        response: ChatResponse,
+        artifact: str | None,
+        sample_index: int,
+        duration_s: float,
+    ) -> "StageRecord":
+        """Record of a completed exchange; durations are kept to the microsecond."""
+        return cls(
+            stage=stage,
+            prompt=prompt,
+            response=response.content,
+            artifact=artifact,
+            sample_index=sample_index,
+            duration_s=round(duration_s, 6),
+            cached=response.cached,
+            prompt_tokens=response.prompt_tokens,
+            completion_tokens=response.completion_tokens,
+        )
 
 
 @dataclass
@@ -235,56 +208,6 @@ class Transcript:
             if record.stage == STAGE_ANSWER and record.response is not None:
                 return record.response
         return None
-
-    def to_dict(self) -> dict:
-        return {
-            "problem_id": self.problem_id,
-            "dataset": self.dataset,
-            "method": self.method,
-            "stages": self.stages,
-            "records": [record.to_dict() for record in self.records],
-            "votes": [vote.to_dict() for vote in self.votes],
-            "predicted": self.predicted.to_dict() if self.predicted else None,
-            "graded": self.graded.to_dict() if self.graded else None,
-            "errors": self.errors,
-            "completed": self.completed,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Transcript":
-        predicted = data.get("predicted")
-        graded = data.get("graded")
-        return cls(
-            problem_id=data["problem_id"],
-            dataset=data["dataset"],
-            method=data["method"],
-            stages=data["stages"],
-            records=[StageRecord.from_dict(r) for r in data.get("records", [])],
-            votes=[
-                Vote(
-                    sample_index=v["sample_index"],
-                    answer=NormalizedAnswer.from_dict(v["answer"]) if v.get("answer") else None,
-                )
-                for v in data.get("votes", [])
-            ],
-            predicted=NormalizedAnswer.from_dict(predicted) if predicted else None,
-            graded=GradedResult(
-                problem_id=graded["problem_id"],
-                predicted=NormalizedAnswer.from_dict(graded["predicted"])
-                if graded.get("predicted")
-                else None,
-                correct=graded["correct"],
-                extraction_source=graded["extraction_source"],
-            )
-            if graded
-            else None,
-            errors=data.get("errors", []),
-            completed=data.get("completed", False),
-            started_at=data.get("started_at", ""),
-            finished_at=data.get("finished_at"),
-        )
 
 
 def resolve_method(config: RunConfig, dataset: str) -> MethodVariant:
@@ -328,16 +251,13 @@ def _call(
         transcript.errors.append(f"{stage}: {exc}")
         raise
     transcript.records.append(
-        StageRecord(
-            stage=stage,
-            prompt=prompt,
-            response=response.content,
-            artifact=response.content.strip(),
-            sample_index=sample_index,
-            duration_s=time.perf_counter() - start,
-            cached=response.cached,
-            prompt_tokens=response.prompt_tokens,
-            completion_tokens=response.completion_tokens,
+        StageRecord.of_response(
+            stage,
+            prompt,
+            response,
+            response.content.strip(),
+            sample_index,
+            time.perf_counter() - start,
         )
     )
     return response.content
@@ -387,7 +307,7 @@ def run_problem(problem, config: RunConfig, gateway: Gateway) -> Transcript:
         problem_id=problem.id,
         dataset=problem.dataset,
         method=method.value,
-        stages=config.stages.to_dict(),
+        stages=encode(config.stages),
     )
     try:
         answer_prompt = _answer_prompts(problem, config, method, gateway, transcript)
@@ -420,16 +340,13 @@ def run_problem(problem, config: RunConfig, gateway: Gateway) -> Transcript:
                 system_message=config.system_message,
             )
             transcript.records.append(
-                StageRecord(
-                    stage=STAGE_EXTRACTION,
-                    prompt=outcome.prompt,
-                    response=outcome.response_text,
-                    artifact=str(outcome.answer.value) if outcome.answer else None,
-                    sample_index=i,
-                    duration_s=outcome.duration_s,
-                    cached=outcome.cached,
-                    prompt_tokens=outcome.prompt_tokens,
-                    completion_tokens=outcome.completion_tokens,
+                StageRecord.of_response(
+                    STAGE_EXTRACTION,
+                    outcome.prompt,
+                    outcome.response,
+                    str(outcome.answer.value) if outcome.answer else None,
+                    i,
+                    outcome.duration_s,
                 )
             )
             votes.append(Vote(sample_index=i, answer=outcome.answer))
@@ -472,23 +389,32 @@ def select_problems(problems: list, max_problems: int | None, seed: int) -> list
 
 
 def load_problems(config: RunConfig) -> list:
-    """Resolve the dataset source: explicit path first, then the manifest."""
+    """The problems a run covers, in run order.
+
+    The dataset comes from the explicit path first, then the manifest, and
+    is subsampled per `select_problems`. Raises DupError when two selected
+    problems would share a transcript file, since one would overwrite the
+    other and the report would count the survivor twice.
+    """
     if config.dataset_path:
         answer_type = None
         if config.answer_type:
             from .prompts import AnswerType
 
             answer_type = AnswerType(config.answer_type)
-        return load_dataset(config.dataset_path, config.dataset, answer_type=answer_type)
-    if config.manifest:
-        return load_from_manifest(load_manifest(config.manifest), config.dataset)
-    raise DupError("config needs dataset_path or manifest to locate the dataset file")
-
-
-def _write_json_atomic(path: Path, payload: dict) -> None:
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+        problems = load_dataset(config.dataset_path, config.dataset, answer_type=answer_type)
+    elif config.manifest:
+        problems = load_from_manifest(load_manifest(config.manifest), config.dataset)
+    else:
+        raise DupError("config needs dataset_path or manifest to locate the dataset file")
+    selected = select_problems(problems, config.max_problems, config.seed)
+    ids_by_path: dict[Path, list[str]] = {}
+    for problem in selected:
+        ids_by_path.setdefault(transcript_path("", problem.id), []).append(problem.id)
+    clashes = [", ".join(map(repr, ids)) for ids in ids_by_path.values() if len(ids) > 1]
+    if clashes:
+        raise DupError(f"problem ids share a transcript file: {'; '.join(clashes)}")
+    return selected
 
 
 def transcript_path(out_dir: str | Path, problem_id: str) -> Path:
@@ -499,11 +425,11 @@ def transcript_path(out_dir: str | Path, problem_id: str) -> Path:
 def load_transcript(out_dir: str | Path, problem_id: str) -> Transcript | None:
     path = transcript_path(out_dir, problem_id)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+        data = read(path)
+    except (OSError, ValueError):
         return None
     try:
-        transcript = Transcript.from_dict(data)
+        transcript = decode(Transcript, data)
     except (KeyError, TypeError, ValueError):
         log.warning("ignoring unreadable transcript %s", path)
         return None
@@ -514,26 +440,23 @@ def load_transcript(out_dir: str | Path, problem_id: str) -> Transcript | None:
 
 def _persist_config(config: RunConfig, out_dir: Path) -> None:
     path = out_dir / _CONFIG_FILE
-    current = config.to_dict()
     if path.exists():
-        stored = json.loads(path.read_text(encoding="utf-8"))
-        if stored != current:
+        if read(path) != encode(config):
             raise DupError(
                 f"{path} holds a different run configuration; use a fresh --out-dir "
                 "or resume with the stored settings"
             )
         return
-    _write_json_atomic(path, current)
+    _write_json_atomic(path, config)
 
 
 def stored_config(out_dir: str | Path) -> RunConfig:
     """Load the configuration persisted by a previous run (for resume)."""
     path = Path(out_dir) / _CONFIG_FILE
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        return decode(RunConfig, read(path))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise DupError(f"cannot read stored config at {path}: {exc}") from exc
-    return RunConfig.from_dict(data)
 
 
 def build_run_gateway(config: RunConfig) -> Gateway:
@@ -557,8 +480,7 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     from .reporting import build_report, write_report
 
     config.validate()
-    problems = load_problems(config)
-    selected = select_problems(problems, config.max_problems, config.seed)
+    selected = load_problems(config)
     out_dir = Path(config.out_dir)
     (out_dir / _TRANSCRIPT_DIR).mkdir(parents=True, exist_ok=True)
     _persist_config(config, out_dir)
@@ -580,7 +502,7 @@ def run_experiment(config: RunConfig, gateway: Gateway):
 
     def _run_one(problem):
         transcript = run_problem(problem, config, gateway)
-        _write_json_atomic(transcript_path(out_dir, problem.id), transcript.to_dict())
+        _write_json_atomic(transcript_path(out_dir, problem.id), transcript)
         return transcript
 
     if config.workers == 1 or len(todo) <= 1:

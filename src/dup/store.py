@@ -1,0 +1,153 @@
+"""The on-disk format of everything a run persists.
+
+Run configs, transcripts, reports, error analyses and cache entries are
+dataclasses, or plain JSON values holding them. `encode` turns them into
+JSON values: a dataclass becomes a dict of its fields, an Enum its value,
+a tuple a list, and a NormalizedAnswer keeps its {"kind", "value"} shape.
+`decode` rebuilds a dataclass from such a dict, driven by the field type
+hints, which are resolved once per class. Missing keys take the field's
+default and unknown keys are ignored, so files written by older versions
+still load.
+
+Every file is one compact, key-sorted JSON document ending in a newline,
+written to a temp file in the target directory and renamed over the
+target, so readers never see a partial file.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import json
+import os
+import threading
+import types
+import typing
+from enum import Enum, EnumMeta
+from pathlib import Path
+from typing import Any, Callable
+
+from .grading import NormalizedAnswer
+from .prompts import AnswerType
+
+__all__ = ["encode", "decode", "dumps", "read", "write", "write_text"]
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+_ANSWER_OF = {
+    AnswerType.NUMBER: NormalizedAnswer.of_number,
+    AnswerType.OPTION: NormalizedAnswer.of_option,
+    AnswerType.YES_NO: NormalizedAnswer.of_yes_no,
+    AnswerType.STRING: NormalizedAnswer.of_string,
+}
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def encode(obj: Any) -> Any:
+    """The JSON value that stands for `obj` on disk."""
+    cls = type(obj)
+    if cls in _SCALARS:
+        return obj
+    if cls is NormalizedAnswer:
+        return {"kind": obj.kind.value, "value": str(obj.value)}
+    if dataclasses.is_dataclass(cls):
+        return {name: encode(getattr(obj, name)) for name in _field_names(cls)}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (list, tuple)):
+        return [encode(item) for item in obj]
+    if isinstance(obj, dict):
+        return {encode(key): encode(value) for key, value in obj.items()}
+    raise TypeError(f"cannot store a {cls.__name__}")
+
+
+def _decode_answer(data: dict) -> NormalizedAnswer:
+    return _ANSWER_OF[AnswerType(data["kind"])](data["value"])
+
+
+_Decoder = Callable[[Any], Any]
+
+
+def _optional(inner: _Decoder) -> _Decoder:
+    return lambda value: None if value is None else inner(value)
+
+
+def _list_of(item: _Decoder) -> _Decoder:
+    return lambda value: [item(x) for x in value]
+
+
+def _dataclass_decoder(cls: type) -> _Decoder:
+    hints = typing.get_type_hints(cls)
+    fields = [(f.name, _decoder(hints[f.name])) for f in dataclasses.fields(cls) if f.init]
+
+    def decode_fields(data: dict):
+        if not isinstance(data, dict):
+            raise TypeError(f"{cls.__name__} must be stored as an object")
+        kwargs = {}
+        for name, fn in fields:
+            if name in data:
+                value = data[name]
+                kwargs[name] = value if fn is None else fn(value)
+        return cls(**kwargs)
+
+    return decode_fields
+
+
+@functools.cache
+def _decoder(hint: Any) -> _Decoder | None:
+    """A function rebuilding a value of type `hint`.
+
+    None means the stored JSON value is used as it is: scalars, plain
+    dicts and lists, and unions of several such shapes.
+    """
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        present = [a for a in typing.get_args(hint) if a is not type(None)]
+        inner = _decoder(present[0]) if len(present) == 1 else None
+        return None if inner is None else _optional(inner)
+    if origin is list:
+        item = _decoder(typing.get_args(hint)[0])
+        return None if item is None else _list_of(item)
+    if hint is NormalizedAnswer:
+        return _decode_answer
+    if dataclasses.is_dataclass(hint):
+        return _dataclass_decoder(hint)
+    if isinstance(hint, EnumMeta):
+        return hint
+    return None
+
+
+def decode(cls: type, data: Any) -> Any:
+    """Rebuild a `cls` from the JSON value `encode` made of one.
+
+    Raises TypeError, ValueError or KeyError when `data` does not fit.
+    """
+    return _decoder(cls)(data)
+
+
+def dumps(obj: Any) -> str:
+    """The stored text of `obj`: compact, key-sorted JSON and a newline."""
+    return json.dumps(encode(obj), sort_keys=True) + "\n"
+
+
+def read(path: str | Path) -> Any:
+    """Parse one stored file; raises OSError or ValueError."""
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Replace `path` with `text` atomically (temp file, then rename)."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
+def write(path: str | Path, obj: Any) -> None:
+    """Store `obj` at `path` in the one file format, atomically."""
+    write_text(path, dumps(obj))

@@ -1,4 +1,4 @@
-"""Vote aggregation semantics and the sampled-paths runner entry point."""
+"""Vote aggregation semantics and self-consistency runs through run_problem."""
 
 from decimal import Decimal
 
@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dup.consistency import Vote, VoteSet, aggregate, run_sc
+from dup.consistency import Vote, VoteSet, aggregate
 from dup.exceptions import InvalidInputError
 from dup.gateway import Gateway, MockBackend
 from dup.grading import NormalizedAnswer
-from dup.runner import RunConfig
+from dup.runner import RunConfig, run_problem
 
 from oracles import oracle_majority
 
@@ -87,10 +87,10 @@ class TestRunSc:
     def test_preconditions(self):
         config = RunConfig(dataset="d", n_samples=0)
         with pytest.raises(InvalidInputError):
-            run_sc(object(), config, object())
+            run_problem(object(), config, object())
         config = RunConfig(dataset="d", n_samples=3, temperature=0.0)
         with pytest.raises(InvalidInputError):
-            run_sc(object(), config, object())
+            run_problem(object(), config, object())
 
     def test_returns_votes_and_majority(self, synthetic_problems):
         problem = synthetic_problems[0]  # gold 18
@@ -106,8 +106,8 @@ class TestRunSc:
             script["by_tag"][f"extraction:{problem.id}#{i}"] = value
         gateway = Gateway(backend=MockBackend(script))
         config = RunConfig(dataset="synth10", temperature=0.7, n_samples=5)
-        vote_set, majority = run_sc(problem, config, gateway)
-        assert len(vote_set) == 5
-        assert majority == NormalizedAnswer.of_number(18)
+        transcript = run_problem(problem, config, gateway)
+        assert len(transcript.vote_set()) == 5
+        assert transcript.predicted == NormalizedAnswer.of_number(18)
         # Understanding stages ran once, answer and extraction ran per sample.
         assert gateway.backend.calls == 2 + 5 + 5

@@ -13,6 +13,7 @@ from dup.exceptions import InvalidInputError
 from dup.gateway import Gateway, MockBackend
 from dup.grading import GradedResult, NormalizedAnswer
 from dup.runner import RunConfig, run_problem
+from dup.store import encode
 
 
 class TestParseCategory:
@@ -172,9 +173,9 @@ class TestErrorReport:
         assert "Step-missing Error (SE)" in table
         assert "Total failures" in table
 
-    def test_to_dict_uses_category_values(self):
+    def test_stored_counts_use_category_values(self):
         report = ErrorReport(dataset="d", method="m", sample_size=0)
-        data = report.to_dict()
+        data = encode(report)
         assert set(data["counts"]) == {
             "semantic_misunderstanding",
             "calculation_error",

@@ -23,7 +23,7 @@ def test_llm_reply_wins():
     )
     assert outcome.source == "llm"
     assert outcome.answer == NormalizedAnswer.of_number(18)
-    assert outcome.response_text == "18"
+    assert outcome.response.content == "18"
     assert outcome.prompt.endswith("\n" + REASONING)
 
 

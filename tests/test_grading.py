@@ -16,6 +16,7 @@ from dup.grading import (
     normalize,
 )
 from dup.prompts import AnswerType
+from dup.store import decode, dumps
 
 from conftest import DATA_DIR
 from oracles import oracle_extract
@@ -114,7 +115,7 @@ def test_normalized_answer_round_trip():
         NormalizedAnswer.of_yes_no("no"),
         NormalizedAnswer.of_string("ab"),
     ):
-        assert NormalizedAnswer.from_dict(answer.to_dict()) == answer
+        assert decode(NormalizedAnswer, json.loads(dumps(answer))) == answer
 
 
 def test_graded_result_requires_consistent_absence():

@@ -19,6 +19,7 @@ from dup.reporting import (
     write_report,
 )
 from dup.runner import run_experiment, transcript_path
+from dup.store import encode
 
 from conftest import make_run_config
 from test_runner import correct_script
@@ -64,7 +65,6 @@ class TestReportContents:
         assert report.total == 10
         assert report.correct == 10
         assert report.accuracy == 100.0
-        assert report.accuracy_raw == 1.0
         assert report.usage["calls"] == 40
         assert report.usage["cached_calls"] == 0
         assert report.usage["prompt_tokens"] > 0
@@ -82,13 +82,13 @@ class TestReportContents:
         script = correct_script(synthetic_problems)
         config, report = run_synth(tmp_path, script)
         loaded = load_report(config.out_dir)
-        assert loaded.to_dict() == report.to_dict()
+        assert loaded == report
 
     def test_deterministic_modulo_timestamps(self, tmp_path, synthetic_problems):
         script = correct_script(synthetic_problems)
         _, first = run_synth(tmp_path / "a", script)
         _, second = run_synth(tmp_path / "b", script)
-        a, b = first.to_dict(), second.to_dict()
+        a, b = encode(first), encode(second)
         for key in ("started_at", "finished_at"):
             a.pop(key), b.pop(key)
         a["config"].pop("out_dir"), b["config"].pop("out_dir")
@@ -106,7 +106,6 @@ class TestCompare:
             total=len(ids),
             correct=0,
             accuracy=accuracy,
-            accuracy_raw=accuracy / 100,
             per_problem=[{"problem_id": i} for i in ids],
             usage={},
         )

@@ -1,6 +1,7 @@
 """Pipeline orchestration: call shapes, ablation, resume, containment."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from dup.runner import (
     RunConfig,
     StageConfig,
     Transcript,
+    load_problems,
     load_transcript,
     resolve_method,
     run_experiment,
@@ -25,8 +27,9 @@ from dup.runner import (
     select_problems,
     transcript_path,
 )
+from dup.store import decode, dumps
 
-from conftest import SYNTH_DATASET, make_run_config
+from conftest import SYNTH_DATASET, SYNTH_IDS, make_run_config
 
 
 def correct_script(problems):
@@ -212,8 +215,55 @@ class TestFailureContainment:
         assert row["correct"] is False
         assert row["errors"]
 
+    def test_empty_reply_is_contained(self, tmp_path):
+        config = make_run_config(tmp_path, {"default": ""})
+        gateway = Gateway(backend=MockBackend({"default": ""}), max_retries=3)
+        report = run_experiment(config, gateway)
+        assert report.total == 10 and report.correct == 0
+        assert gateway.backend.calls == 10  # one unretried send per problem
+        for problem_id in SYNTH_IDS:
+            transcript = load_transcript(config.out_dir, problem_id)
+            assert transcript is not None and not transcript.graded.correct
+            assert "core_question: invalid completion" in transcript.errors[0]
+
 
 class TestSelection:
+    def test_duplicate_ids_rejected(self, tmp_path):
+        path = tmp_path / "svamp.json"
+        path.write_text(
+            json.dumps(
+                [
+                    {"ID": "a", "Body": "Ann has 2 pens.", "Question": "How many?", "Answer": 2},
+                    {"ID": "a", "Body": "Bo has 3 pens.", "Question": "How many?", "Answer": 3},
+                ]
+            ),
+            encoding="utf-8",
+        )
+        config = make_run_config(
+            tmp_path, {"default": "The answer is 2"}, dataset="svamp", dataset_path=str(path)
+        )
+        with pytest.raises(DupError, match="'a', 'a'"):
+            run_experiment(config, Gateway(backend=MockBackend({"default": "The answer is 2"})))
+        assert not (tmp_path / "out").exists()
+
+    def test_ids_sharing_a_transcript_file_rejected(self, tmp_path):
+        path = tmp_path / "custom.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps({"qid": qid, "question": "Q?", "answer": "yes"}) + "\n"
+                for qid in ("a/b", "c", "a_b")
+            ),
+            encoding="utf-8",
+        )
+        assert transcript_path("o", "a/b") == transcript_path("o", "a_b")
+        config = make_run_config(
+            tmp_path, {}, dataset="strategyqa", dataset_path=str(path), answer_type=None
+        )
+        with pytest.raises(DupError, match="'a/b', 'a_b'"):
+            load_problems(config)
+        # Only selected problems must map to distinct files.
+        assert len(load_problems(replace(config, max_problems=1))) == 1
+
     def test_no_limit_keeps_file_order(self, synthetic_problems):
         assert select_problems(synthetic_problems, None, seed=1) == synthetic_problems
         assert select_problems(synthetic_problems, 99, seed=1) == synthetic_problems
@@ -267,7 +317,7 @@ class TestRunConfig:
             mock_script="script.json",
             backend="mock",
         )
-        assert RunConfig.from_dict(config.to_dict()) == config
+        assert decode(RunConfig, json.loads(dumps(config))) == config
 
 
 class TestPersistenceAndResume:
@@ -346,7 +396,8 @@ class TestTranscript:
         transcript = run_problem(
             problem, RunConfig(dataset="synth10"), Gateway(backend=MockBackend(script))
         )
-        restored = Transcript.from_dict(transcript.to_dict())
+        restored = decode(Transcript, json.loads(dumps(transcript)))
+        assert restored == transcript
         assert restored.problem_id == transcript.problem_id
         assert restored.predicted == transcript.predicted
         assert restored.graded == transcript.graded
@@ -373,6 +424,6 @@ class TestTranscript:
             script["by_tag"][f"extraction:{problem.id}#{i}"] = value
         config = RunConfig(dataset="synth10", temperature=0.7, n_samples=3)
         transcript = run_problem(problem, config, Gateway(backend=MockBackend(script)))
-        restored = Transcript.from_dict(transcript.to_dict())
+        restored = decode(Transcript, json.loads(dumps(transcript)))
         assert len(restored.vote_set()) == 3
         assert restored.predicted == NormalizedAnswer.of_number(18)

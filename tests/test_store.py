@@ -1,0 +1,226 @@
+"""The persisted-file codec: round trips, the file format, and files written
+by the previous format (tests/data/parent_run, a trimmed copy of a run over
+synthetic_number.jsonl with mock_dup.json and a cache directory)."""
+
+import dataclasses
+import json
+import shutil
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from dup.gateway import ChatRequest, Gateway, MockBackend, build_messages, cache_key
+from dup.grading import GradedResult, NormalizedAnswer
+from dup.consistency import Vote
+from dup.prompts import MethodVariant, render_core_question_prompt
+from dup.reporting import Report, compare_runs, load_report
+from dup.runner import (
+    RunConfig,
+    StageConfig,
+    StageRecord,
+    Transcript,
+    build_run_gateway,
+    load_transcript,
+    run_experiment,
+    stored_config,
+)
+from dup.store import decode, dumps
+
+from conftest import DATA_DIR, make_run_config
+
+PARENT_RUN = DATA_DIR / "parent_run"
+
+texts = st.text(max_size=12)
+opt_texts = st.none() | texts
+ints = st.integers(min_value=-(10**9), max_value=10**9)
+floats = st.floats(allow_nan=False, allow_infinity=False)
+json_values = st.recursive(
+    st.none() | st.booleans() | ints | floats | texts,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(texts, inner, max_size=3),
+    max_leaves=8,
+)
+json_objects = st.dictionaries(texts, json_values, max_size=4)
+
+answers = st.one_of(
+    st.decimals(allow_nan=False, allow_infinity=False).map(NormalizedAnswer.of_number),
+    st.sampled_from("ABCDE").map(NormalizedAnswer.of_option),
+    st.sampled_from(["yes", "no"]).map(NormalizedAnswer.of_yes_no),
+    texts.map(NormalizedAnswer.of_string),
+)
+
+RUN_CONFIG_FIELDS = dict(
+    dataset=texts,
+    method=st.sampled_from(MethodVariant),
+    stages=st.builds(StageConfig, st.booleans(), st.booleans(), st.booleans()),
+    model=texts,
+    extractor_model=opt_texts,
+    temperature=floats,
+    n_samples=ints,
+    max_problems=st.none() | ints,
+    seed=ints,
+    cache_dir=opt_texts,
+    out_dir=texts,
+    dataset_path=opt_texts,
+    manifest=opt_texts,
+    answer_type=opt_texts,
+    max_tokens=ints,
+    system_message=opt_texts,
+    workers=ints,
+    last_letter_simplified=st.none() | st.booleans(),
+    backend=texts,
+    base_url=opt_texts,
+    mock_script=st.none() | texts | json_objects,
+)
+
+records = st.builds(
+    StageRecord,
+    stage=texts,
+    prompt=texts,
+    response=opt_texts,
+    artifact=opt_texts,
+    sample_index=ints,
+    duration_s=floats,
+    cached=st.booleans(),
+    prompt_tokens=ints,
+    completion_tokens=ints,
+    error=opt_texts,
+)
+graded = st.builds(
+    GradedResult,
+    problem_id=texts,
+    predicted=answers,
+    correct=st.booleans(),
+    extraction_source=st.sampled_from(["llm", "rule_fallback"]),
+) | st.builds(
+    GradedResult,
+    problem_id=texts,
+    predicted=st.none(),
+    correct=st.just(False),
+    extraction_source=st.just("none"),
+)
+transcripts = st.builds(
+    Transcript,
+    problem_id=texts,
+    dataset=texts,
+    method=texts,
+    stages=st.dictionaries(texts, st.booleans(), max_size=3),
+    records=st.lists(records, max_size=4),
+    votes=st.lists(st.builds(Vote, sample_index=ints, answer=st.none() | answers), max_size=3),
+    predicted=st.none() | answers,
+    graded=st.none() | graded,
+    errors=st.lists(texts, max_size=2),
+    completed=st.booleans(),
+    started_at=texts,
+    finished_at=opt_texts,
+)
+reports = st.builds(
+    Report,
+    dataset=texts,
+    method=texts,
+    model=texts,
+    config=json_objects,
+    total=ints,
+    correct=ints,
+    accuracy=floats,
+    per_problem=st.lists(json_objects, max_size=3),
+    usage=st.dictionaries(texts, ints, max_size=4),
+    started_at=texts,
+    finished_at=texts,
+)
+
+
+def round_trip(cls, obj):
+    return decode(cls, json.loads(dumps(obj)))
+
+
+class TestRoundTrip:
+    def test_run_config_strategy_covers_every_field(self):
+        assert set(RUN_CONFIG_FIELDS) == {f.name for f in dataclasses.fields(RunConfig)}
+
+    @given(st.builds(RunConfig, **RUN_CONFIG_FIELDS))
+    def test_run_config(self, config):
+        assert round_trip(RunConfig, config) == config
+
+    @given(transcripts)
+    def test_transcript(self, transcript):
+        assert round_trip(Transcript, transcript) == transcript
+
+    @given(reports)
+    def test_report(self, report):
+        assert round_trip(Report, report) == report
+
+    def test_missing_fields_take_defaults_and_unknown_keys_are_ignored(self):
+        assert decode(RunConfig, {"dataset": "d", "retired_option": 1}) == RunConfig(dataset="d")
+
+
+class TestFileFormat:
+    def test_every_run_file_is_compact_sorted_json(self, tmp_path):
+        config = make_run_config(
+            tmp_path, DATA_DIR / "mock_dup.json", cache_dir=str(tmp_path / "cache")
+        )
+        run_experiment(config, build_run_gateway(config))
+        files = [
+            tmp_path / "out" / "config.json",
+            tmp_path / "out" / "report.json",
+            *(tmp_path / "out" / "transcripts").iterdir(),
+            *(tmp_path / "cache").iterdir(),
+        ]
+        assert len(files) == 2 + 10 + 40
+        for path in files:
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", path.name
+        leftovers = [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+        assert leftovers == []
+
+
+class TestParentFormat:
+    def test_stored_config(self):
+        assert stored_config(PARENT_RUN) == RunConfig(
+            dataset="synth10",
+            dataset_path="tests/data/synthetic_number.jsonl",
+            answer_type="number",
+            backend="mock",
+            mock_script="tests/data/mock_dup.json",
+            cache_dir="cache",
+            out_dir="out",
+            workers=1,
+        )
+
+    def test_load_transcript(self):
+        transcript = load_transcript(PARENT_RUN, "synth10-00001")
+        assert transcript is not None
+        assert [r.stage for r in transcript.records] == [
+            "core_question",
+            "solving_info",
+            "answer",
+            "extraction",
+        ]
+        assert transcript.predicted == NormalizedAnswer.of_number(18)
+        assert transcript.graded.correct and transcript.graded.extraction_source == "llm"
+        # Re-encoding reproduces the stored content exactly.
+        stored = json.loads((PARENT_RUN / "transcripts" / "synth10-00001.json").read_text())
+        assert json.loads(dumps(transcript)) == stored
+
+    def test_load_report_and_compare_with_a_new_run(self, tmp_path):
+        parent = load_report(PARENT_RUN)
+        assert (parent.total, parent.correct, parent.accuracy) == (10, 7, 70.0)
+        config = make_run_config(tmp_path, DATA_DIR / "mock_dup.json")
+        report = run_experiment(config, build_run_gateway(config))
+        assert compare_runs(parent, report).delta == 0.0
+        assert report.per_problem == parent.per_problem
+        assert report.usage == parent.usage
+        stored = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        parent_keys = json.loads((PARENT_RUN / "report.json").read_text(encoding="utf-8"))
+        assert set(parent_keys) - set(stored) == {"accuracy_raw"}
+
+    def test_cache_entry_is_served(self, tmp_path, synthetic_problems):
+        shutil.copytree(PARENT_RUN / "cache", tmp_path / "cache")
+        prompt = render_core_question_prompt(synthetic_problems[0].question)
+        request = ChatRequest(model="gpt-3.5-turbo", messages=build_messages(prompt))
+        assert (tmp_path / "cache" / cache_key(request)).exists()
+        backend = MockBackend({"default": "fresh"})
+        response = Gateway(backend=backend, cache_dir=tmp_path / "cache").complete_cached(request)
+        assert backend.calls == 0
+        assert response.cached
+        assert response.content == "How many are there at the end?"
+        assert (response.prompt_tokens, response.completion_tokens) == (28, 7)
