@@ -85,7 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-problems", type=int, default=None)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out-dir", required=True)
-    run.add_argument("--concurrency", type=int, default=4)
+    run.add_argument(
+        "--concurrency",
+        type=int,
+        default=4,
+        help="problems in flight; each runs its self-consistency samples concurrently",
+    )
     run.add_argument("--max-tokens", type=int, default=1024)
     run.add_argument("--system-message", default=None)
     run.add_argument(

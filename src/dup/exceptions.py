@@ -30,11 +30,17 @@ class RetriesExhaustedError(GatewayError):
 
 
 class TransientBackendError(GatewayError):
-    """A retryable failure (timeout, 429, 5xx). Internal to the retry loop."""
+    """A retryable failure (timeout, 429, 5xx). Internal to the retry loop.
 
-    def __init__(self, message: str, status: int | None = None):
+    `retry_after_s` is the wait the provider asked for, if it named one.
+    """
+
+    def __init__(
+        self, message: str, status: int | None = None, retry_after_s: float | None = None
+    ):
         super().__init__(message)
         self.status = status
+        self.retry_after_s = retry_after_s
 
 
 class MalformedResponseError(GatewayError):

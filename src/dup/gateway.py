@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import threading
@@ -227,6 +228,15 @@ class MockBackend:
         )
 
 
+def _retry_after_s(value: str | None) -> float | None:
+    """Seconds from a numeric Retry-After header; None when absent or not a number."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None  # absent, or the HTTP-date form, which is not honoured
+    return seconds if 0 <= seconds < math.inf else None
+
+
 class HttpBackend:
     """Generic chat-completions endpoint speaking the common JSON shape."""
 
@@ -236,8 +246,14 @@ class HttpBackend:
     def __init__(self, config: ProviderConfig, session=None):
         if session is None:
             import requests
+            from requests.adapters import HTTPAdapter
 
             session = requests.Session()
+            # One pooled connection per permitted in-flight request; the
+            # default pool keeps 10 and drops the connections beyond it.
+            adapter = HTTPAdapter(pool_maxsize=config.max_concurrency)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
         self.session = session
         self.base_url = (config.base_url or "").rstrip("/")
         self.timeout_s = config.timeout_s
@@ -262,7 +278,11 @@ class HttpBackend:
         if status in self.AUTH_STATUSES:
             raise AuthenticationError(f"authentication rejected (HTTP {status})")
         if status in self.RETRYABLE_STATUSES:
-            raise TransientBackendError(f"retryable HTTP {status}", status=status)
+            raise TransientBackendError(
+                f"retryable HTTP {status}",
+                status=status,
+                retry_after_s=_retry_after_s(response.headers.get("Retry-After")),
+            )
         if status != 200:
             raise MalformedResponseError(f"unexpected HTTP {status}: {response.text[:200]}")
         try:
@@ -308,6 +328,7 @@ class Gateway:
     def complete(self, request: ChatRequest) -> ChatResponse:
         """Send a request, retrying transient failures with backoff + jitter.
 
+        A retry waits at least as long as the failed attempt's Retry-After.
         A reply that is not a valid ChatResponse (say, empty content with
         finish_reason "stop") raises MalformedResponseError and is not retried.
         """
@@ -316,7 +337,7 @@ class Gateway:
             if attempt > 0:
                 delay = self.retry_base_delay_s * (2 ** (attempt - 1))
                 delay += self._rng.uniform(0, self.retry_base_delay_s)
-                time.sleep(delay)
+                time.sleep(max(delay, last_exc.retry_after_s or 0.0))
             with self._permit:
                 try:
                     return self.backend.send(request)

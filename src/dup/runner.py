@@ -33,6 +33,7 @@ from .gateway import (
 from .grading import GradedResult, NormalizedAnswer, grade
 from .prompts import (
     MethodVariant,
+    render_answer_extraction_prompt,
     render_core_question_prompt,
     render_cot_prompt,
     render_dup_s_prompt,
@@ -221,36 +222,58 @@ def resolve_method(config: RunConfig, dataset: str) -> MethodVariant:
     return config.method
 
 
+def _record_error(
+    sink: Transcript | _Sample,
+    stage: str,
+    prompt: str,
+    sample_index: int,
+    start: float,
+    exc: GatewayError,
+) -> None:
+    """Append the record of a failed exchange, with the time it took, and its error line."""
+    sink.records.append(
+        StageRecord(
+            stage=stage,
+            prompt=prompt,
+            sample_index=sample_index,
+            duration_s=round(time.perf_counter() - start, 6),
+            error=str(exc),
+        )
+    )
+    sink.errors.append(f"{stage}: {exc}")
+
+
 def _call(
     gateway: Gateway,
-    transcript: Transcript,
+    sink: Transcript | _Sample,
     stage: str,
     prompt: str,
     model: str,
     config: RunConfig,
+    tag: str,
     temperature: float = 0.0,
     sample_index: int = 0,
-    tag_suffix: str = "",
 ) -> str:
-    """Issue one stage completion and append its record; returns the content."""
+    """Issue one stage completion and append its record to `sink.records`.
+
+    `sink` is the transcript or one sample chain; a failure is also listed
+    in `sink.errors` and re-raised. Returns the content.
+    """
     request = ChatRequest(
         model=model,
         messages=build_messages(prompt, config.system_message),
         temperature=temperature,
         max_tokens=config.max_tokens,
         sample_index=sample_index,
-        tag=f"{stage}:{transcript.problem_id}{tag_suffix}",
+        tag=tag,
     )
     start = time.perf_counter()
     try:
         response = gateway.complete_cached(request)
     except GatewayError as exc:
-        transcript.records.append(
-            StageRecord(stage=stage, prompt=prompt, sample_index=sample_index, error=str(exc))
-        )
-        transcript.errors.append(f"{stage}: {exc}")
+        _record_error(sink, stage, prompt, sample_index, start, exc)
         raise
-    transcript.records.append(
+    sink.records.append(
         StageRecord.of_response(
             stage,
             prompt,
@@ -280,13 +303,15 @@ def _answer_prompts(
     info = ""
     if config.stages.stage1:
         prompt = render_core_question_prompt(question)
-        core = _call(gateway, transcript, STAGE_CORE, prompt, extractor, config).strip()
+        tag = f"{STAGE_CORE}:{problem.id}"
+        core = _call(gateway, transcript, STAGE_CORE, prompt, extractor, config, tag).strip()
     if config.stages.stage2:
         # Without stage 1 there is no extracted core question; the original
         # question stands in so stage 2 can still run alone.
         core_ref = core if config.stages.stage1 else question
         prompt = render_info_extraction_prompt(question, core_ref)
-        info = _call(gateway, transcript, STAGE_INFO, prompt, extractor, config).strip()
+        tag = f"{STAGE_INFO}:{problem.id}"
+        info = _call(gateway, transcript, STAGE_INFO, prompt, extractor, config, tag).strip()
     return render_final_answer_prompt(
         question,
         core_question=core,
@@ -295,11 +320,101 @@ def _answer_prompts(
     )
 
 
+@dataclass
+class _Sample:
+    """What one answer -> extraction chain produced; `vote` stays None if it failed."""
+
+    records: list[StageRecord] = field(default_factory=list)
+    errors: list[str] = field(default_factory=list)
+    vote: Vote | None = None
+    source: str = "none"
+
+
+def _run_sample(
+    problem,
+    config: RunConfig,
+    method: MethodVariant,
+    gateway: Gateway,
+    answer_prompt: str,
+    index: int,
+) -> _Sample:
+    """Sample one reasoning path and extract its answer; gateway errors end the chain."""
+    sample = _Sample()
+    suffix = f"#{index}" if config.n_samples > 1 else ""
+    try:
+        reasoning = _call(
+            gateway,
+            sample,
+            STAGE_ANSWER,
+            answer_prompt,
+            config.model,
+            config,
+            f"{STAGE_ANSWER}:{problem.id}{suffix}",
+            temperature=config.temperature,
+            sample_index=index,
+        )
+    except GatewayError:
+        return sample
+    extraction_input = (
+        dup_s_answer_segment(reasoning) if method is MethodVariant.DUP_S else reasoning
+    )
+    start = time.perf_counter()
+    try:
+        outcome = extract_answer(
+            extraction_input,
+            problem.answer_type,
+            gateway,
+            model=config.model,
+            max_tokens=config.max_tokens,
+            tag=f"{STAGE_EXTRACTION}:{problem.id}{suffix}",
+            gold=problem.gold,
+            system_message=config.system_message,
+        )
+    except GatewayError as exc:
+        # The prompt is rendered again only to record what was sent.
+        prompt = render_answer_extraction_prompt(extraction_input, problem.answer_type)
+        _record_error(sample, STAGE_EXTRACTION, prompt, index, start, exc)
+        return sample
+    sample.records.append(
+        StageRecord.of_response(
+            STAGE_EXTRACTION,
+            outcome.prompt,
+            outcome.response,
+            str(outcome.answer.value) if outcome.answer else None,
+            index,
+            outcome.duration_s,
+        )
+    )
+    sample.vote = Vote(sample_index=index, answer=outcome.answer)
+    sample.source = outcome.source
+    return sample
+
+
+def _run_samples(
+    problem, config: RunConfig, method: MethodVariant, gateway: Gateway, answer_prompt: str
+) -> list[_Sample]:
+    """Every sample chain, in sample order.
+
+    Several samples run concurrently on a pool of their own, so they never
+    wait on a slot of the problem pool their problem already holds.
+    """
+    if config.n_samples == 1:
+        return [_run_sample(problem, config, method, gateway, answer_prompt, 0)]
+    with ThreadPoolExecutor(max_workers=config.n_samples) as pool:
+        futures = [
+            pool.submit(_run_sample, problem, config, method, gateway, answer_prompt, i)
+            for i in range(config.n_samples)
+        ]
+        return [future.result() for future in futures]
+
+
 def run_problem(problem, config: RunConfig, gateway: Gateway) -> Transcript:
     """Run the full pipeline for one problem and grade the outcome.
 
     Gateway failures at any stage are contained: the transcript records the
-    error, the problem grades incorrect, and the caller moves on.
+    error, the problem grades incorrect, and the caller moves on. Sample
+    chains run concurrently, so when one fails the others' calls may
+    already have been sent; every chain's records are kept, in sample order.
     """
     config.validate()
     method = resolve_method(config, problem.dataset)
@@ -309,71 +424,33 @@ def run_problem(problem, config: RunConfig, gateway: Gateway) -> Transcript:
         method=method.value,
         stages=encode(config.stages),
     )
+    predicted = None
+    source = "none"
     try:
         answer_prompt = _answer_prompts(problem, config, method, gateway, transcript)
-        votes: list[Vote] = []
-        sources: list[str] = []
-        for i in range(config.n_samples):
-            suffix = f"#{i}" if config.n_samples > 1 else ""
-            reasoning = _call(
-                gateway,
-                transcript,
-                STAGE_ANSWER,
-                answer_prompt,
-                config.model,
-                config,
-                temperature=config.temperature,
-                sample_index=i,
-                tag_suffix=suffix,
-            )
-            extraction_input = (
-                dup_s_answer_segment(reasoning) if method is MethodVariant.DUP_S else reasoning
-            )
-            outcome = extract_answer(
-                extraction_input,
-                problem.answer_type,
-                gateway,
-                model=config.model,
-                max_tokens=config.max_tokens,
-                tag=f"{STAGE_EXTRACTION}:{problem.id}{suffix}",
-                gold=problem.gold,
-                system_message=config.system_message,
-            )
-            transcript.records.append(
-                StageRecord.of_response(
-                    STAGE_EXTRACTION,
-                    outcome.prompt,
-                    outcome.response,
-                    str(outcome.answer.value) if outcome.answer else None,
-                    i,
-                    outcome.duration_s,
-                )
-            )
-            votes.append(Vote(sample_index=i, answer=outcome.answer))
-            sources.append(outcome.source)
-        transcript.votes = votes
-        predicted = aggregate(transcript.vote_set())
-        transcript.predicted = predicted
-        if predicted is None:
-            source = "none"
-        else:
-            source = next(
-                sources[v.sample_index]
-                for v in votes
-                if v.answer is not None and grade(v.answer, predicted)
-            )
-        correct = predicted is not None and grade(predicted, problem.gold)
-        transcript.graded = GradedResult(
-            problem_id=problem.id,
-            predicted=predicted,
-            correct=correct,
-            extraction_source=source,
-        )
     except GatewayError:
-        transcript.predicted = None
-        transcript.graded = GradedResult(
-            problem_id=problem.id, predicted=None, correct=False, extraction_source="none"
-        )
+        samples = []
+    else:
+        samples = _run_samples(problem, config, method, gateway, answer_prompt)
+    for sample in samples:
+        transcript.records.extend(sample.records)
+        transcript.errors.extend(sample.errors)
+    if not transcript.errors:
+        transcript.votes = [sample.vote for sample in samples]
+        predicted = aggregate(transcript.vote_set())
+        if predicted is not None:
+            source = next(
+                sample.source
+                for sample in samples
+                if sample.vote.answer is not None and grade(sample.vote.answer, predicted)
+            )
+    transcript.predicted = predicted
+    transcript.graded = GradedResult(
+        problem_id=problem.id,
+        predicted=predicted,
+        correct=predicted is not None and grade(predicted, problem.gold),
+        extraction_source=source,
+    )
     transcript.completed = True
     transcript.finished_at = _utc_now()
     return transcript
@@ -465,7 +542,8 @@ def build_run_gateway(config: RunConfig) -> Gateway:
         backend=config.backend,
         base_url=config.base_url,
         mock_script=config.mock_script,
-        max_concurrency=config.workers,
+        # Peak independent calls: each problem in flight fans out its samples.
+        max_concurrency=config.workers * config.n_samples,
     )
     return build_gateway(provider, Path(config.cache_dir) if config.cache_dir else None)
 

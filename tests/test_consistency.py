@@ -1,6 +1,11 @@
 """Vote aggregation semantics and self-consistency runs through run_problem."""
 
+import json
+import sys
+import threading
+import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -10,8 +15,10 @@ from dup.consistency import Vote, VoteSet, aggregate
 from dup.exceptions import InvalidInputError
 from dup.gateway import Gateway, MockBackend
 from dup.grading import NormalizedAnswer
-from dup.runner import RunConfig, run_problem
+from dup.runner import RunConfig, run_experiment, run_problem
+from dup.store import read
 
+from conftest import DATA_DIR, SYNTH_IDS, make_run_config
 from oracles import oracle_majority
 
 
@@ -111,3 +118,142 @@ class TestRunSc:
         assert transcript.predicted == NormalizedAnswer.of_number(18)
         # Understanding stages ran once, answer and extraction ran per sample.
         assert gateway.backend.calls == 2 + 5 + 5
+
+
+class ReverseLatencyBackend(MockBackend):
+    """Answers later samples first: sample i of N sleeps (N - i) * 10 ms."""
+
+    def __init__(self, script, n_samples):
+        super().__init__(script)
+        self.n_samples = n_samples
+
+    def send(self, request):
+        if "#" in request.tag:
+            time.sleep((self.n_samples - int(request.tag.rsplit("#", 1)[1])) * 0.01)
+        return super().send(request)
+
+
+def sc_script(problem, values, failing=()):
+    """Core/info stages plus one answer and extraction per value; `failing` tags are left out."""
+    script = {f"core_question:{problem.id}": "core", f"solving_info:{problem.id}": "info"}
+    for i, value in enumerate(values):
+        script[f"answer:{problem.id}#{i}"] = f"Sample {i}: the answer is {value}."
+        script[f"extraction:{problem.id}#{i}"] = str(value)
+    for tag in failing:
+        del script[tag]
+    return {"by_tag": script}
+
+
+def comparable(transcript: dict) -> dict:
+    """A stored transcript without its timings, which differ between any two runs."""
+    records = [{k: v for k, v in r.items() if k != "duration_s"} for r in transcript["records"]]
+    rest = {k: v for k, v in transcript.items() if k not in ("started_at", "finished_at")}
+    return {**rest, "records": records}
+
+
+class TestFanOut:
+    def test_transcripts_equal_serial_reference(self, tmp_path):
+        # tests/data/serial_sc3 holds the transcripts that the earlier
+        # one-sample-at-a-time runner wrote for this script, with N=3.
+        script = json.loads((DATA_DIR / "mock_dup_sc3.json").read_text(encoding="utf-8"))
+        cache_dir = tmp_path / "cache"
+        config = make_run_config(
+            tmp_path, script, n_samples=3, temperature=0.7, workers=4, cache_dir=str(cache_dir)
+        )
+        gateway = Gateway(backend=ReverseLatencyBackend(script, 3), cache_dir=cache_dir)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches inside shared gateway code
+        try:
+            report = run_experiment(config, gateway)
+        finally:
+            sys.setswitchinterval(interval)
+        calls = 10 * (2 + 2 * 3)
+        assert report.usage["calls"] == gateway.backend.calls == calls
+        assert len(list(cache_dir.iterdir())) == calls
+        for problem_id in SYNTH_IDS:
+            name = f"{problem_id}.json"
+            reference = json.loads((DATA_DIR / "serial_sc3" / name).read_text(encoding="utf-8"))
+            written = read(Path(config.out_dir) / "transcripts" / name)
+            assert comparable(written) == comparable(reference), problem_id
+
+    def test_tie_breaks_to_earliest_sample(self, synthetic_problems):
+        problem = synthetic_problems[0]
+        script = sc_script(problem, [13, 12, 12, 13])
+        config = RunConfig(dataset="synth10", temperature=0.7, n_samples=4)
+        transcript = run_problem(problem, config, Gateway(backend=ReverseLatencyBackend(script, 4)))
+        assert [v.sample_index for v in transcript.votes] == [0, 1, 2, 3]
+        assert transcript.predicted == NormalizedAnswer.of_number(13)
+
+    def test_samples_are_in_flight_together(self, synthetic_problems):
+        problem = synthetic_problems[0]
+        lock = threading.Lock()
+        state = {"current": 0, "peak": 0}
+        barrier = threading.Barrier(5, timeout=5)
+
+        class BlockingBackend(MockBackend):
+            def send(self, request):
+                if request.tag.startswith("answer:"):
+                    with lock:
+                        state["current"] += 1
+                        state["peak"] = max(state["peak"], state["current"])
+                    barrier.wait()  # raises unless all five answer calls arrive
+                    with lock:
+                        state["current"] -= 1
+                return super().send(request)
+
+        script = sc_script(problem, [18] * 5)
+        config = RunConfig(dataset="synth10", temperature=0.7, n_samples=5)
+        transcript = run_problem(problem, config, Gateway(backend=BlockingBackend(script)))
+        assert state["peak"] == 5
+        assert transcript.predicted == NormalizedAnswer.of_number(18)
+
+    def test_single_sample_starts_no_thread(self, synthetic_problems):
+        problem = synthetic_problems[0]
+        counts = []
+
+        class CountingBackend(MockBackend):
+            def send(self, request):
+                counts.append(threading.active_count())
+                return super().send(request)
+
+        script = {
+            "by_tag": {
+                f"core_question:{problem.id}": "core",
+                f"solving_info:{problem.id}": "info",
+                f"answer:{problem.id}": "The answer is 18.",
+                f"extraction:{problem.id}": "18",
+            }
+        }
+        before = threading.active_count()
+        transcript = run_problem(
+            problem, RunConfig(dataset="synth10"), Gateway(backend=CountingBackend(script))
+        )
+        assert counts == [before] * 4
+        assert transcript.graded.correct
+
+    def test_failed_chains_keep_every_record_in_order(self, synthetic_problems):
+        problem = synthetic_problems[0]
+        script = sc_script(
+            problem, [18] * 5, failing=[f"answer:{problem.id}#2", f"extraction:{problem.id}#4"]
+        )
+        config = RunConfig(dataset="synth10", temperature=0.7, n_samples=5)
+        transcript = run_problem(problem, config, Gateway(backend=MockBackend(script)))
+        assert [(r.stage, r.sample_index, r.error is not None) for r in transcript.records] == [
+            ("core_question", 0, False),
+            ("solving_info", 0, False),
+            ("answer", 0, False),
+            ("extraction", 0, False),
+            ("answer", 1, False),
+            ("extraction", 1, False),
+            ("answer", 2, True),
+            ("answer", 3, False),
+            ("extraction", 3, False),
+            ("answer", 4, False),
+            ("extraction", 4, True),
+        ]
+        assert len(transcript.errors) == 2
+        assert transcript.errors[0].startswith("answer: ")
+        assert transcript.errors[1].startswith("extraction: ")
+        assert transcript.completed and transcript.votes == []
+        assert transcript.predicted is None
+        assert transcript.graded.extraction_source == "none" and not transcript.graded.correct

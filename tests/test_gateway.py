@@ -259,10 +259,11 @@ class TestConcurrencyPermit:
 
 
 class StubResponse:
-    def __init__(self, status_code, body=None, text=""):
+    def __init__(self, status_code, body=None, text="", headers=None):
         self.status_code = status_code
         self._body = body
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if self._body is None:
@@ -356,6 +357,47 @@ class TestHttpBackend:
         gateway = Gateway(backend=backend, max_retries=5)
         assert gateway.complete(request()).content == "The answer is 4."
         assert len(session.requests) == 3
+
+
+    @pytest.mark.parametrize(
+        "header, expected",
+        [
+            (None, None),
+            ("7", 7.0),
+            ("0.25", 0.25),
+            ("Wed, 21 Oct 2026 07:28:00 GMT", None),
+            ("-1", None),
+            ("inf", None),
+        ],
+    )
+    def test_retry_after_parsed_from_numeric_header(self, monkeypatch, header, expected):
+        headers = {} if header is None else {"Retry-After": header}
+        for status in (429, 503):
+            backend, _ = http_backend([StubResponse(status, headers=headers)], monkeypatch)
+            with pytest.raises(TransientBackendError) as excinfo:
+                backend.send(request())
+            assert excinfo.value.retry_after_s == expected
+
+    def test_gateway_waits_for_retry_after(self, monkeypatch, no_sleep):
+        backend, session = http_backend(
+            [
+                StubResponse(429, headers={"Retry-After": "30"}),
+                StubResponse(503, headers={"Retry-After": "0.1"}),
+                StubResponse(200, OK_BODY),
+            ],
+            monkeypatch,
+        )
+        gateway = Gateway(backend=backend, max_retries=5)
+        assert gateway.complete(request()).content == "The answer is 4."
+        assert len(session.requests) == 3
+        assert no_sleep[0] == 30.0  # longer than the 0.5-1.0 s backoff
+        assert 1.0 <= no_sleep[1] < 1.5  # the backoff is longer than 0.1 s
+
+    def test_connection_pool_sized_to_concurrency(self):
+        config = ProviderConfig(backend="http", base_url="https://api.test/v1", max_concurrency=20)
+        session = HttpBackend(config).session
+        for prefix in ("http://", "https://"):
+            assert session.get_adapter(prefix + "api.test")._pool_maxsize == 20
 
 
 class TestProviderConfig:

@@ -1,6 +1,7 @@
 """Pipeline orchestration: call shapes, ablation, resume, containment."""
 
 import json
+import time
 from dataclasses import replace
 
 import pytest
@@ -12,13 +13,16 @@ from dup.grading import NormalizedAnswer
 from dup.prompts import (
     COT_INSTRUCTION,
     LAST_LETTER_INSTRUCTION,
-    MethodVariant,
     SOLVE_INSTRUCTION,
+    AnswerType,
+    MethodVariant,
+    render_answer_extraction_prompt,
 )
 from dup.runner import (
     RunConfig,
     StageConfig,
     Transcript,
+    build_run_gateway,
     load_problems,
     load_transcript,
     resolve_method,
@@ -227,6 +231,40 @@ class TestFailureContainment:
             assert "core_question: invalid completion" in transcript.errors[0]
 
 
+    def test_extraction_error_is_recorded(self, tmp_path, dup_script):
+        del dup_script["by_tag"]["extraction:synth10-00002"]
+        config = make_run_config(tmp_path, dup_script)
+        report = run_experiment(config, Gateway(backend=MockBackend(dup_script)))
+        transcript = load_transcript(config.out_dir, "synth10-00002")
+        assert [r.stage for r in transcript.records] == [
+            "core_question", "solving_info", "answer", "extraction"
+        ]
+        failed = transcript.records[-1]
+        assert failed.error is not None and failed.response is None
+        answer = transcript.records[-2].response
+        assert failed.prompt == render_answer_extraction_prompt(answer, AnswerType.NUMBER)
+        assert transcript.errors == [f"extraction: {failed.error}"]
+        row = next(r for r in report.per_problem if r["problem_id"] == "synth10-00002")
+        assert row["errors"] and row["correct"] is False
+
+    @pytest.mark.parametrize("failing_stage", ["core_question", "extraction"])
+    def test_errored_call_records_elapsed_time(self, synthetic_problems, failing_stage):
+        problem = synthetic_problems[0]
+
+        class SlowFailure(MockBackend):
+            def send(self, request):
+                if request.tag.startswith(failing_stage):
+                    time.sleep(0.02)
+                    raise TransientBackendError("down", status=503)
+                return super().send(request)
+
+        gateway = Gateway(backend=SlowFailure(correct_script([problem])), max_retries=0)
+        transcript = run_problem(problem, RunConfig(dataset="synth10"), gateway)
+        failed = transcript.records[-1]
+        assert failed.stage == failing_stage and failed.error is not None
+        assert failed.duration_s >= 0.02
+
+
 class TestSelection:
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "svamp.json"
@@ -292,6 +330,14 @@ class TestStageConfig:
             StageConfig.from_string("1,4")
         with pytest.raises(InvalidInputError):
             StageConfig.from_string("abc")
+
+
+class TestRunGateway:
+    def test_permit_covers_every_sample_of_every_worker(self):
+        base = dict(dataset="d", backend="mock", mock_script={"default": "x"}, workers=3)
+        assert build_run_gateway(RunConfig(**base)).max_concurrency == 3
+        fanned = RunConfig(**base, n_samples=5, temperature=0.7)
+        assert build_run_gateway(fanned).max_concurrency == 15
 
 
 class TestRunConfig:
