@@ -13,6 +13,7 @@ from .exceptions import DupError
 from .prompts import MethodVariant
 from .reporting import compare_report_sets, load_report, recount
 from .runner import (
+    MAX_SAMPLE_THREADS,
     RunConfig,
     StageConfig,
     build_run_gateway,
@@ -89,7 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--concurrency",
         type=int,
         default=4,
-        help="problems in flight; each runs its self-consistency samples concurrently",
+        help=(
+            "problems in flight; with --self-consistency N, up to "
+            f"concurrency x min(N, {MAX_SAMPLE_THREADS}) requests reach the provider at once"
+        ),
     )
     run.add_argument("--max-tokens", type=int, default=1024)
     run.add_argument("--system-message", default=None)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .exceptions import GatewayError
 from .gateway import ChatRequest, ChatResponse, Gateway, build_messages
 from .grading import NormalizedAnswer, extract_rule_based, normalize
 from .prompts import AnswerType, render_answer_extraction_prompt
@@ -37,7 +38,8 @@ def extract_answer(
 
     The LLM extraction prompt runs first (greedy); only when its reply does
     not normalize is the rule-based matcher applied to the reasoning text.
-    Gateway errors propagate to the caller, which aborts the problem.
+    Gateway errors propagate to the caller, which aborts the problem; they
+    carry the extraction `prompt` and the `duration_s` the call took.
     """
     prompt = render_answer_extraction_prompt(reasoning_text, answer_type)
     request = ChatRequest(
@@ -48,7 +50,11 @@ def extract_answer(
         tag=tag,
     )
     start = time.perf_counter()
-    response = gateway.complete_cached(request)
+    try:
+        response = gateway.complete_cached(request)
+    except GatewayError as exc:
+        exc.prompt, exc.duration_s = prompt, time.perf_counter() - start
+        raise
     duration = time.perf_counter() - start
     answer = normalize(response.content, answer_type, gold)
     source = "llm"

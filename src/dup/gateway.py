@@ -51,6 +51,9 @@ DEFAULT_TEMPERATURE = 0.0  # greedy decoding unless a run asks otherwise
 DEFAULT_MAX_TOKENS = 1024
 DEFAULT_MAX_RETRIES = 5
 DEFAULT_TIMEOUT_S = 120.0
+# Longest Retry-After honoured, about 7x the longest default backoff
+# (8.5 s); a reply asking for more fails the call instead of stalling it.
+MAX_RETRY_AFTER_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -328,16 +331,25 @@ class Gateway:
     def complete(self, request: ChatRequest) -> ChatResponse:
         """Send a request, retrying transient failures with backoff + jitter.
 
-        A retry waits at least as long as the failed attempt's Retry-After.
+        A retry waits at least as long as the failed attempt's Retry-After;
+        a Retry-After above MAX_RETRY_AFTER_S raises RetriesExhaustedError
+        at once.
         A reply that is not a valid ChatResponse (say, empty content with
         finish_reason "stop") raises MalformedResponseError and is not retried.
         """
         last_exc: TransientBackendError | None = None
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
+                retry_after = last_exc.retry_after_s or 0.0
+                if retry_after > MAX_RETRY_AFTER_S:
+                    raise RetriesExhaustedError(
+                        f"provider asked to wait {retry_after:g} s, more than the "
+                        f"{MAX_RETRY_AFTER_S:g} s honoured: {last_exc}",
+                        last_status=last_exc.status,
+                    ) from last_exc
                 delay = self.retry_base_delay_s * (2 ** (attempt - 1))
                 delay += self._rng.uniform(0, self.retry_base_delay_s)
-                time.sleep(max(delay, last_exc.retry_after_s or 0.0))
+                time.sleep(max(delay, retry_after))
             with self._permit:
                 try:
                     return self.backend.send(request)

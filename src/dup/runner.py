@@ -33,7 +33,6 @@ from .gateway import (
 from .grading import GradedResult, NormalizedAnswer, grade
 from .prompts import (
     MethodVariant,
-    render_answer_extraction_prompt,
     render_core_question_prompt,
     render_cot_prompt,
     render_dup_s_prompt,
@@ -66,6 +65,10 @@ __all__ = [
 STAGE_CORE = "core_question"
 STAGE_INFO = "solving_info"
 STAGE_ANSWER = "answer"
+
+# Most sample chains of one problem in flight at once: a problem sends at
+# most this many requests together, and starts at most this many threads.
+MAX_SAMPLE_THREADS = 8
 
 _TRANSCRIPT_DIR = "transcripts"
 _CONFIG_FILE = "config.json"
@@ -227,7 +230,7 @@ def _record_error(
     stage: str,
     prompt: str,
     sample_index: int,
-    start: float,
+    duration_s: float,
     exc: GatewayError,
 ) -> None:
     """Append the record of a failed exchange, with the time it took, and its error line."""
@@ -236,7 +239,7 @@ def _record_error(
             stage=stage,
             prompt=prompt,
             sample_index=sample_index,
-            duration_s=round(time.perf_counter() - start, 6),
+            duration_s=round(duration_s, 6),
             error=str(exc),
         )
     )
@@ -271,7 +274,7 @@ def _call(
     try:
         response = gateway.complete_cached(request)
     except GatewayError as exc:
-        _record_error(sink, stage, prompt, sample_index, start, exc)
+        _record_error(sink, stage, prompt, sample_index, time.perf_counter() - start, exc)
         raise
     sink.records.append(
         StageRecord.of_response(
@@ -358,7 +361,6 @@ def _run_sample(
     extraction_input = (
         dup_s_answer_segment(reasoning) if method is MethodVariant.DUP_S else reasoning
     )
-    start = time.perf_counter()
     try:
         outcome = extract_answer(
             extraction_input,
@@ -371,9 +373,7 @@ def _run_sample(
             system_message=config.system_message,
         )
     except GatewayError as exc:
-        # The prompt is rendered again only to record what was sent.
-        prompt = render_answer_extraction_prompt(extraction_input, problem.answer_type)
-        _record_error(sample, STAGE_EXTRACTION, prompt, index, start, exc)
+        _record_error(sample, STAGE_EXTRACTION, exc.prompt, index, exc.duration_s, exc)
         return sample
     sample.records.append(
         StageRecord.of_response(
@@ -395,12 +395,13 @@ def _run_samples(
 ) -> list[_Sample]:
     """Every sample chain, in sample order.
 
-    Several samples run concurrently on a pool of their own, so they never
-    wait on a slot of the problem pool their problem already holds.
+    Several samples run concurrently, up to MAX_SAMPLE_THREADS at a time, on
+    a pool of their own, so they never wait on a slot of the problem pool
+    their problem already holds.
     """
     if config.n_samples == 1:
         return [_run_sample(problem, config, method, gateway, answer_prompt, 0)]
-    with ThreadPoolExecutor(max_workers=config.n_samples) as pool:
+    with ThreadPoolExecutor(max_workers=min(config.n_samples, MAX_SAMPLE_THREADS)) as pool:
         futures = [
             pool.submit(_run_sample, problem, config, method, gateway, answer_prompt, i)
             for i in range(config.n_samples)
@@ -543,7 +544,7 @@ def build_run_gateway(config: RunConfig) -> Gateway:
         base_url=config.base_url,
         mock_script=config.mock_script,
         # Peak independent calls: each problem in flight fans out its samples.
-        max_concurrency=config.workers * config.n_samples,
+        max_concurrency=config.workers * min(config.n_samples, MAX_SAMPLE_THREADS),
     )
     return build_gateway(provider, Path(config.cache_dir) if config.cache_dir else None)
 

@@ -15,7 +15,7 @@ from dup.consistency import Vote, VoteSet, aggregate
 from dup.exceptions import InvalidInputError
 from dup.gateway import Gateway, MockBackend
 from dup.grading import NormalizedAnswer
-from dup.runner import RunConfig, run_experiment, run_problem
+from dup.runner import MAX_SAMPLE_THREADS, RunConfig, run_experiment, run_problem
 from dup.store import read
 
 from conftest import DATA_DIR, SYNTH_IDS, make_run_config
@@ -206,6 +206,39 @@ class TestFanOut:
         transcript = run_problem(problem, config, Gateway(backend=BlockingBackend(script)))
         assert state["peak"] == 5
         assert transcript.predicted == NormalizedAnswer.of_number(18)
+
+    def test_samples_in_flight_are_capped(self, synthetic_problems):
+        problem = synthetic_problems[0]
+        n_samples = MAX_SAMPLE_THREADS + 4
+        lock = threading.Lock()
+        state = {"current": 0, "peak": 0, "answers": 0}
+        barrier = threading.Barrier(MAX_SAMPLE_THREADS, timeout=5)
+
+        class BlockingBackend(MockBackend):
+            def send(self, request):
+                if not request.tag.startswith("answer:"):
+                    return super().send(request)
+                with lock:
+                    state["answers"] += 1
+                    first_wave = state["answers"] <= MAX_SAMPLE_THREADS
+                    state["current"] += 1
+                    state["peak"] = max(state["peak"], state["current"])
+                if first_wave:
+                    barrier.wait()  # raises unless the first wave is all in flight
+                time.sleep(0.01)
+                with lock:
+                    state["current"] -= 1
+                return super().send(request)
+
+        before = threading.active_count()
+        script = sc_script(problem, [18] * n_samples)
+        config = RunConfig(dataset="synth10", temperature=0.7, n_samples=n_samples)
+        # A permit above the cap, so only the sample pool can hold calls back.
+        gateway = Gateway(backend=BlockingBackend(script), max_concurrency=n_samples)
+        transcript = run_problem(problem, config, gateway)
+        assert state["peak"] == MAX_SAMPLE_THREADS
+        assert [v.sample_index for v in transcript.votes] == list(range(n_samples))
+        assert threading.active_count() == before
 
     def test_single_sample_starts_no_thread(self, synthetic_problems):
         problem = synthetic_problems[0]

@@ -8,7 +8,7 @@ from dup.exceptions import RetriesExhaustedError, TransientBackendError
 from dup.extraction import dup_s_answer_segment, extract_answer
 from dup.gateway import Gateway, MockBackend
 from dup.grading import NormalizedAnswer
-from dup.prompts import AnswerType
+from dup.prompts import AnswerType, render_answer_extraction_prompt
 
 REASONING = "First 3 * 6 = 18 pigs.\nThe answer is 18."
 
@@ -72,10 +72,13 @@ def test_gateway_failure_propagates():
             raise TransientBackendError("down", status=500)
 
     gateway = Gateway(backend=DownBackend(), max_retries=0)
-    with pytest.raises(RetriesExhaustedError):
+    with pytest.raises(RetriesExhaustedError) as excinfo:
         extract_answer(
             REASONING, AnswerType.NUMBER, gateway, model="m", max_tokens=64, tag="extraction:p1"
         )
+    # The error carries what was sent and how long it took, for the transcript.
+    assert excinfo.value.prompt == render_answer_extraction_prompt(REASONING, AnswerType.NUMBER)
+    assert excinfo.value.duration_s >= 0
 
 
 def test_extraction_request_is_greedy_and_tagged():

@@ -18,6 +18,7 @@ from dup.exceptions import (
     TransientBackendError,
 )
 from dup.gateway import (
+    MAX_RETRY_AFTER_S,
     ChatRequest,
     ChatResponse,
     Gateway,
@@ -392,6 +393,27 @@ class TestHttpBackend:
         assert len(session.requests) == 3
         assert no_sleep[0] == 30.0  # longer than the 0.5-1.0 s backoff
         assert 1.0 <= no_sleep[1] < 1.5  # the backoff is longer than 0.1 s
+
+    @pytest.mark.parametrize("header", ["60.5", "86400"])
+    def test_retry_after_beyond_the_cap_fails_at_once(self, monkeypatch, no_sleep, header):
+        backend, session = http_backend(
+            [StubResponse(429, headers={"Retry-After": header}), StubResponse(200, OK_BODY)],
+            monkeypatch,
+        )
+        gateway = Gateway(backend=backend, max_retries=5)
+        with pytest.raises(RetriesExhaustedError) as excinfo:
+            gateway.complete(request())
+        assert excinfo.value.last_status == 429
+        assert len(session.requests) == 1 and no_sleep == []
+
+    def test_retry_after_at_the_cap_is_honoured(self, monkeypatch, no_sleep):
+        header = f"{MAX_RETRY_AFTER_S:g}"
+        backend, session = http_backend(
+            [StubResponse(429, headers={"Retry-After": header}), StubResponse(200, OK_BODY)],
+            monkeypatch,
+        )
+        assert Gateway(backend=backend).complete(request()).content == "The answer is 4."
+        assert no_sleep == [MAX_RETRY_AFTER_S]
 
     def test_connection_pool_sized_to_concurrency(self):
         config = ProviderConfig(backend="http", base_url="https://api.test/v1", max_concurrency=20)

@@ -19,6 +19,7 @@ from dup.prompts import (
     render_answer_extraction_prompt,
 )
 from dup.runner import (
+    MAX_SAMPLE_THREADS,
     RunConfig,
     StageConfig,
     Transcript,
@@ -338,6 +339,8 @@ class TestRunGateway:
         assert build_run_gateway(RunConfig(**base)).max_concurrency == 3
         fanned = RunConfig(**base, n_samples=5, temperature=0.7)
         assert build_run_gateway(fanned).max_concurrency == 15
+        many = RunConfig(**base, n_samples=40, temperature=0.7)
+        assert build_run_gateway(many).max_concurrency == 3 * MAX_SAMPLE_THREADS
 
 
 class TestRunConfig:
