@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from .error_analysis import sample_and_analyze
@@ -138,7 +140,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _absolute(path: str | None) -> str | None:
+    return None if path is None else os.path.abspath(path)
+
+
 def _config_from_args(args) -> RunConfig:
+    """The run configuration the flags describe.
+
+    File and directory paths are stored absolute, so resume, recount and
+    analyze-errors work from any working directory.
+    """
     temperature = args.temperature
     if temperature is None:
         temperature = 0.7 if args.n_samples > 1 else 0.0
@@ -152,10 +163,10 @@ def _config_from_args(args) -> RunConfig:
         n_samples=args.n_samples,
         max_problems=args.max_problems,
         seed=args.seed,
-        cache_dir=args.cache_dir,
-        out_dir=args.out_dir,
-        dataset_path=args.dataset_path,
-        manifest=args.manifest,
+        cache_dir=_absolute(args.cache_dir),
+        out_dir=_absolute(args.out_dir),
+        dataset_path=_absolute(args.dataset_path),
+        manifest=_absolute(args.manifest),
         answer_type=args.answer_type,
         max_tokens=args.max_tokens,
         system_message=args.system_message,
@@ -163,15 +174,15 @@ def _config_from_args(args) -> RunConfig:
         last_letter_simplified=False if args.full_pipeline_last_letters else None,
         backend=args.backend,
         base_url=args.base_url or (DEFAULT_BASE_URL if args.backend == "http" else None),
-        mock_script=args.mock_script,
+        mock_script=_absolute(args.mock_script),
     )
 
 
 def cmd_run(args) -> int:
     config = _config_from_args(args)
     config.validate()
-    gateway = build_run_gateway(config)
-    report = run_experiment(config, gateway)
+    with closing(build_run_gateway(config)) as gateway:
+        report = run_experiment(config, gateway)
     print(report.to_table(), end="")
     print(f"report written to {Path(config.out_dir) / 'report.json'}")
     return 0
@@ -179,8 +190,8 @@ def cmd_run(args) -> int:
 
 def cmd_resume(args) -> int:
     config = stored_config(args.out_dir)
-    gateway = build_run_gateway(config)
-    report = run_experiment(config, gateway)
+    with closing(build_run_gateway(config)) as gateway:
+        report = run_experiment(config, gateway)
     print(report.to_table(), end="")
     print(f"report written to {Path(config.out_dir) / 'report.json'}")
     return 0
@@ -205,7 +216,6 @@ def cmd_analyze_errors(args) -> int:
         config.mock_script = args.mock_script
     if args.cache_dir:
         config.cache_dir = args.cache_dir
-    gateway = build_run_gateway(config)
     problems = load_problems(config)
     transcripts = {}
     for problem in problems:
@@ -220,16 +230,17 @@ def cmd_analyze_errors(args) -> int:
             len(problems),
         )
         sample_size = len(problems)
-    report = sample_and_analyze(
-        problems,
-        transcripts,
-        sample_size,
-        args.seed,
-        gateway,
-        args.judge_model,
-        method=config.method.value,
-        max_tokens=config.max_tokens,
-    )
+    with closing(build_run_gateway(config)) as gateway:
+        report = sample_and_analyze(
+            problems,
+            transcripts,
+            sample_size,
+            args.seed,
+            gateway,
+            args.judge_model,
+            method=config.method.value,
+            max_tokens=config.max_tokens,
+        )
     out_path = Path(args.out_dir) / ERROR_ANALYSIS_JSON
     write(out_path, report)
     print(report.to_table(), end="")

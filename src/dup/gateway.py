@@ -4,8 +4,8 @@ One generic chat-completions wire shape (model, messages, temperature,
 max_tokens -> choices[0].message.content) with a configurable base URL and
 bearer auth covers hosted GPT-style APIs and local open-model servers
 behind compatible gateways. A scripted mock backend makes every pipeline
-run fully deterministic offline, and a content-addressed disk cache makes
-runs resumable without re-spending tokens.
+run fully deterministic offline, and a content-addressed response cache (one
+SQLite file) makes runs resumable without re-spending tokens.
 """
 
 from __future__ import annotations
@@ -20,15 +20,20 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .exceptions import (
     AuthenticationError,
+    DupError,
     InvalidInputError,
     MalformedResponseError,
     RetriesExhaustedError,
     TransientBackendError,
 )
-from .store import decode, encode, read, write
+from .store import decode, dumps, encode, read
+
+if TYPE_CHECKING:
+    import sqlite3
 
 log = logging.getLogger(__name__)
 
@@ -54,6 +59,18 @@ DEFAULT_TIMEOUT_S = 120.0
 # Longest Retry-After honoured, about 7x the longest default backoff
 # (8.5 s); a reply asking for more fails the call instead of stalling it.
 MAX_RETRY_AFTER_S = 60.0
+
+CACHE_FILE = "cache.sqlite3"
+# WAL lets readers run beside a writer, also in another process sharing the
+# cache; `normal` sync skips the fsync per commit, so a crash can lose the
+# last entries but not corrupt the file; a 256 KiB page cache (not the 2 MB
+# default) keeps a cached run's peak memory near that of one without.
+CACHE_PRAGMAS = ("journal_mode=wal", "synchronous=normal", "cache_size=-256")
+CACHE_BUSY_TIMEOUT_S = 30.0  # wait for another process's write to commit
+# Rows read together, in the order they were written, when a read finds its
+# row: a run over a warm cache asks for entries in about the order an
+# earlier run wrote them, so most reads then need no query.
+CACHE_READ_AHEAD_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -193,8 +210,11 @@ class MockBackend:
 
     def __init__(self, script: Path | str | dict):
         if isinstance(script, (str, Path)):
-            with open(script, encoding="utf-8") as handle:
-                script = json.load(handle)
+            try:
+                with open(script, encoding="utf-8") as handle:
+                    script = json.load(handle)
+            except (OSError, ValueError) as exc:
+                raise InvalidInputError(f"cannot read mock script {script}: {exc}") from exc
         if not isinstance(script, dict):
             raise InvalidInputError("mock script must be a JSON object")
         if set(script) <= {"by_tag", "by_digest", "default"}:
@@ -213,15 +233,16 @@ class MockBackend:
     def send(self, request: ChatRequest) -> ChatResponse:
         with self._lock:
             self.calls += 1
-        digest = cache_key(request)
-        content = self.by_digest.get(digest)
+        # Only scripts that route by digest pay for hashing the request.
+        content = self.by_digest.get(cache_key(request)) if self.by_digest else None
         if content is None and request.tag is not None:
             content = self.by_tag.get(request.tag)
         if content is None:
             content = self.default
         if content is None:
             raise MalformedResponseError(
-                f"mock script has no entry for tag={request.tag!r} digest={digest[:12]}"
+                f"mock script has no entry for tag={request.tag!r} "
+                f"digest={cache_key(request)[:12]}"
             )
         return ChatResponse(
             content=content,
@@ -305,12 +326,47 @@ class HttpBackend:
         )
 
 
+def _open_cache(path: Path) -> sqlite3.Connection:
+    """Connect to the cache database at `path`, creating it when absent."""
+    import sqlite3  # here, not at the top: runs without a cache skip the import
+
+    db = None
+    try:
+        db = sqlite3.connect(
+            path,
+            timeout=CACHE_BUSY_TIMEOUT_S,
+            isolation_level=None,
+            check_same_thread=False,
+        )
+        for pragma in CACHE_PRAGMAS:
+            db.execute(f"pragma {pragma}")
+        db.execute(
+            "create table if not exists entries (digest text primary key, entry text not null)"
+        )
+    except sqlite3.Error as exc:
+        if db is not None:
+            db.close()
+        raise DupError(f"cannot open response cache {path}: {exc}") from exc
+    return db
+
+
 @dataclass
 class Gateway:
     """Retry loop, concurrency permit, and response cache around a backend.
 
-    Shareable across threads: the permit bounds in-flight requests and the
-    cache tolerates concurrent readers/writers via write-to-temp-then-rename.
+    The cache is one SQLite database, `cache_dir/cache.sqlite3`, with one
+    row per request digest holding the JSON text `store.dumps` makes of
+    the request and its response. Entries that an older version wrote as
+    one file per digest in `cache_dir` are still read, never written.
+
+    A read that finds its row also fetches the rows written after it, up
+    to CACHE_READ_AHEAD_ROWS in all, and keeps them in memory until they
+    are asked for. Such a row is served as it was read, even if another
+    process has rewritten it since.
+
+    Shareable across threads: the permit bounds in-flight requests and one
+    lock guards the cache connection. Runs in several processes may share a
+    cache directory; SQLite serializes their writes.
     """
 
     backend: MockBackend | HttpBackend
@@ -320,6 +376,9 @@ class Gateway:
     retry_base_delay_s: float = 0.5
     _permit: threading.Semaphore = field(init=False, repr=False)
     _rng: random.Random = field(init=False, repr=False)
+    _db: sqlite3.Connection | None = field(init=False, repr=False, default=None)
+    _db_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
+    _ahead: dict[str, str] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self._permit = threading.Semaphore(self.max_concurrency)
@@ -327,6 +386,13 @@ class Gateway:
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
             self.cache_dir.mkdir(parents=True, exist_ok=True)
+            self._db = _open_cache(self.cache_dir / CACHE_FILE)
+
+    def close(self) -> None:
+        """Close the cache connection; the gateway must not be used after."""
+        if self._db is not None:
+            with self._db_lock:
+                self._db.close()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         """Send a request, retrying transient failures with backoff + jitter.
@@ -369,37 +435,63 @@ class Gateway:
             last_status=last_exc.status,
         ) from last_exc
 
-    def _cache_path(self, digest: str) -> Path:
-        assert self.cache_dir is not None
-        return self.cache_dir / digest
+    def _cached_text(self, digest: str) -> str | None:
+        """The row text stored for `digest`, or None when it has no row."""
+        text = self._ahead.pop(digest, None)
+        if text is not None:
+            return text
+        with self._db_lock:
+            rows = self._db.execute(
+                "select digest, entry from entries"
+                " where rowid >= (select rowid from entries where digest = ?)"
+                " order by rowid limit ?",
+                (digest, CACHE_READ_AHEAD_ROWS),
+            ).fetchall()
+        if not rows:
+            return None
+        if len(self._ahead) >= CACHE_READ_AHEAD_ROWS:
+            self._ahead.clear()  # rows that were not asked for
+        self._ahead.update(rows[1:])
+        return rows[0][1]
 
     def _read_cache(self, digest: str) -> ChatResponse | None:
-        path = self._cache_path(digest)
+        text = self._cached_text(digest)
+        legacy = self.cache_dir / digest
         try:
-            return decode(ChatResponse, {**read(path)["response"], "cached": True})
+            entry = json.loads(text) if text is not None else read(legacy)
+            return decode(ChatResponse, {**entry["response"], "cached": True})
         except FileNotFoundError:
             return None
         except (ValueError, KeyError, TypeError) as exc:
-            log.warning("evicting corrupt cache entry %s: %s", path.name, exc)
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            log.warning("evicting corrupt cache entry %s: %s", digest, exc)
+            if text is not None:
+                with self._db_lock:
+                    self._db.execute("delete from entries where digest = ?", (digest,))
+            else:
+                try:
+                    legacy.unlink()
+                except OSError:
+                    pass
             return None
 
     def _write_cache(self, digest: str, request: ChatRequest, response: ChatResponse) -> None:
         saved = encode(response)
         del saved["cached"]  # a property of the read, not of the completion
-        entry = {"request": _canonical_request_payload(request), "response": saved}
-        write(self._cache_path(digest), entry)
+        entry = dumps({"request": _canonical_request_payload(request), "response": saved})
+        with self._db_lock:
+            self._db.execute(
+                "insert or replace into entries (digest, entry) values (?, ?)", (digest, entry)
+            )
 
     def complete_cached(self, request: ChatRequest) -> ChatResponse:
         """Serve from the cache when possible; otherwise complete and persist.
 
-        Without a cache_dir this is plain `complete`. Corrupt entries are
-        evicted and treated as misses. Concurrent identical requests may
-        each reach the backend once (single-flight is best-effort only);
-        both observe the same final cache content.
+        Without a cache_dir this is plain `complete`. Each response is
+        stored as one row keyed by `cache_key(request)`; the last write of
+        a digest wins. Corrupt entries are evicted and treated as misses.
+        Concurrent identical requests may each reach the backend once
+        (single-flight is best-effort only); both observe the same final
+        cache content.
         """
         if self.cache_dir is None:
             return self.complete(request)

@@ -11,7 +11,8 @@ still load.
 
 Every file is one compact, key-sorted JSON document ending in a newline,
 written to a temp file in the target directory and renamed over the
-target, so readers never see a partial file.
+target, so readers never see a partial file. Cache entries hold the same
+`dumps` text, as rows of the gateway's cache database rather than files.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Shared fixtures: committed fixtures on disk, mock-backed run configs."""
 
 import json
+import sqlite3
+from contextlib import closing
 from pathlib import Path
 
 import pytest
 
 from dup.datasets import load_dataset
-from dup.gateway import Gateway, MockBackend
+from dup.gateway import CACHE_FILE, Gateway, MockBackend
 from dup.prompts import AnswerType
 from dup.runner import RunConfig
 
@@ -34,6 +36,12 @@ def cot_script():
 
 def make_gateway(script, cache_dir=None, **kwargs) -> Gateway:
     return Gateway(backend=MockBackend(script), cache_dir=cache_dir, **kwargs)
+
+
+def cache_rows(cache_dir) -> dict[str, str]:
+    """Every row of a response cache: entry text by digest."""
+    with closing(sqlite3.connect(Path(cache_dir) / CACHE_FILE)) as db:
+        return dict(db.execute("select digest, entry from entries"))
 
 
 def make_run_config(tmp_path, script, **overrides) -> RunConfig:

@@ -1,10 +1,12 @@
 """Command line surface: every subcommand driven through main()."""
 
 import json
+import os
 
 import pytest
 
 from dup.cli import main
+from dup.gateway import MockBackend
 
 from conftest import DATA_DIR, SYNTH_DATASET
 
@@ -99,6 +101,50 @@ class TestResume:
 
     def test_resume_without_config_fails(self, tmp_path):
         assert run_cli("resume", "--out-dir", tmp_path / "nothing") == 2
+
+    def test_resume_with_missing_mock_script_fails(self, tmp_path, capsys):
+        script = tmp_path / "script.json"
+        script.write_text((DATA_DIR / "mock_dup.json").read_text(encoding="utf-8"))
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir, script=script)) == 0
+        script.unlink()
+        assert run_cli("resume", "--out-dir", out_dir) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestRelativePaths:
+    def test_run_dir_works_from_another_directory(self, tmp_path, monkeypatch, capsys):
+        repo = DATA_DIR.parent.parent
+        monkeypatch.chdir(repo)
+        out_dir = tmp_path / "run"
+        relative = [
+            "run",
+            "--dataset", "synth10",
+            "--dataset-path", os.path.relpath(SYNTH_DATASET),
+            "--answer-type", "number",
+            "--backend", "mock",
+            "--mock-script", os.path.relpath(DATA_DIR / "mock_dup.json"),
+            "--cache-dir", os.path.relpath(tmp_path / "cache"),
+            "--out-dir", os.path.relpath(out_dir),
+            "--concurrency", "1",
+        ]
+        assert run_cli(*relative) == 0
+        report = (out_dir / "report.json").read_text(encoding="utf-8")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        capsys.readouterr()
+        assert run_cli("recount", "--out-dir", out_dir) == 0
+        assert "accuracy       70.0" in capsys.readouterr().out
+        assert (out_dir / "report.json").read_text(encoding="utf-8") == report
+        for name in ("synth10-00002", "synth10-00005"):
+            (out_dir / "transcripts" / f"{name}.json").unlink()
+        sent = []
+        send = MockBackend.send
+        monkeypatch.setattr(MockBackend, "send", lambda self, r: sent.append(r) or send(self, r))
+        assert run_cli("resume", "--out-dir", out_dir) == 0
+        assert sent == []
+        assert len(list((out_dir / "transcripts").glob("*.json"))) == 10
 
 
 class TestCompare:

@@ -18,7 +18,7 @@ from dup.grading import NormalizedAnswer
 from dup.runner import MAX_SAMPLE_THREADS, RunConfig, run_experiment, run_problem
 from dup.store import read
 
-from conftest import DATA_DIR, SYNTH_IDS, make_run_config
+from conftest import DATA_DIR, SYNTH_IDS, cache_rows, make_run_config
 from oracles import oracle_majority
 
 
@@ -169,7 +169,7 @@ class TestFanOut:
             sys.setswitchinterval(interval)
         calls = 10 * (2 + 2 * 3)
         assert report.usage["calls"] == gateway.backend.calls == calls
-        assert len(list(cache_dir.iterdir())) == calls
+        assert len(cache_rows(cache_dir)) == calls
         for problem_id in SYNTH_IDS:
             name = f"{problem_id}.json"
             reference = json.loads((DATA_DIR / "serial_sc3" / name).read_text(encoding="utf-8"))

@@ -1,9 +1,11 @@
 """Gateway behavior: request validation, retries, cache, mock routing."""
 
 import json
+import sqlite3
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import pytest
 from hypothesis import given
@@ -12,12 +14,14 @@ from hypothesis import strategies as st
 import dup.gateway as gateway_module
 from dup.exceptions import (
     AuthenticationError,
+    DupError,
     InvalidInputError,
     MalformedResponseError,
     RetriesExhaustedError,
     TransientBackendError,
 )
 from dup.gateway import (
+    CACHE_FILE,
     MAX_RETRY_AFTER_S,
     ChatRequest,
     ChatResponse,
@@ -29,6 +33,9 @@ from dup.gateway import (
     build_messages,
     cache_key,
 )
+from dup.store import write
+
+from conftest import cache_rows
 
 
 def request(prompt="What is 2 + 2?", model="m", **kwargs):
@@ -100,8 +107,19 @@ class TestMockBackend:
 
     def test_miss_is_an_error(self):
         backend = MockBackend({"by_tag": {}})
-        with pytest.raises(MalformedResponseError):
-            backend.send(request(tag="nope"))
+        req = request(tag="nope")
+        with pytest.raises(MalformedResponseError, match=f"digest={cache_key(req)[:12]}"):
+            backend.send(req)
+
+    def test_tag_routing_hashes_nothing(self, monkeypatch):
+        backend = MockBackend({"by_tag": {"answer:p1": "42"}, "default": "d"})
+
+        def no_hashing(request):
+            raise AssertionError("a script without by_digest entries hashed a request")
+
+        monkeypatch.setattr(gateway_module, "cache_key", no_hashing)
+        assert backend.send(request(tag="answer:p1")).content == "42"
+        assert backend.send(request(tag="other")).content == "d"
 
     def test_script_from_file(self, tmp_path):
         path = tmp_path / "script.json"
@@ -114,6 +132,15 @@ class TestMockBackend:
         path.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(InvalidInputError):
             MockBackend(path)
+
+    def test_unreadable_script_is_invalid_input(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(InvalidInputError, match="missing.json"):
+            MockBackend(missing)
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json", encoding="utf-8")
+        with pytest.raises(InvalidInputError, match="broken.json"):
+            MockBackend(broken)
 
     def test_call_counter_thread_safe(self):
         backend = MockBackend({"default": "x"})
@@ -209,19 +236,82 @@ class TestCache:
         gateway = Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
         req = request()
         gateway.complete_cached(req)
-        assert (tmp_path / cache_key(req)).exists()
+        assert list(cache_rows(tmp_path)) == [cache_key(req)]
+        assert not (tmp_path / cache_key(req)).exists()  # no per-entry file
 
     def test_corrupt_entry_evicted(self, tmp_path):
         backend = MockBackend({"default": "good"})
         gateway = Gateway(backend=backend, cache_dir=tmp_path)
         req = request()
         gateway.complete_cached(req)
-        path = tmp_path / cache_key(req)
-        path.write_text("{not json", encoding="utf-8")
+        with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
+            db.execute("update entries set entry = '{not json' where digest = ?", (cache_key(req),))
+            db.commit()
+        failing = Gateway(backend=MockBackend({"by_tag": {}}), cache_dir=tmp_path)
+        with pytest.raises(MalformedResponseError):
+            failing.complete_cached(req)
+        assert cache_rows(tmp_path) == {}  # evicted before the backend was asked
         response = gateway.complete_cached(req)
         assert response.content == "good"
         assert backend.calls == 2
-        assert json.loads(path.read_text(encoding="utf-8"))["response"]["content"] == "good"
+        assert json.loads(cache_rows(tmp_path)[cache_key(req)])["response"]["content"] == "good"
+
+    def test_gateways_share_one_cache(self, tmp_path):
+        first = Gateway(backend=MockBackend({"default": "one"}), cache_dir=tmp_path)
+        second = Gateway(backend=MockBackend({"default": "two"}), cache_dir=tmp_path)
+        first.complete_cached(request("a"))
+        second.complete_cached(request("b"))
+        assert second.complete_cached(request("a")).content == "one"
+        assert first.complete_cached(request("b")).content == "two"
+        assert first.backend.calls == second.backend.calls == 1
+
+    def test_read_ahead_serves_later_rows_without_a_query(self, tmp_path):
+        writer = Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
+        for prompt in "abc":
+            writer.complete_cached(request(prompt))
+        reader = Gateway(backend=MockBackend({"default": "fresh"}), cache_dir=tmp_path)
+        assert reader.complete_cached(request("b")).cached
+        with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
+            db.execute("delete from entries")
+            db.commit()
+        # "c" was written after "b", so it was read with it; "a" was not.
+        assert reader.complete_cached(request("c")).content == "x"
+        assert reader.complete_cached(request("a")).content == "fresh"
+        assert reader.backend.calls == 1
+
+    def test_close_leaves_one_file(self, tmp_path):
+        gateway = Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(lambda i: gateway.complete_cached(request(f"q{i}")), range(40)))
+        gateway.close()
+        # Closing the last connection folds the write-ahead log into the file.
+        assert [p.name for p in tmp_path.iterdir()] == [CACHE_FILE]
+        assert len(cache_rows(tmp_path)) == 40
+
+    def test_unusable_cache_file_fails_at_construction(self, tmp_path):
+        (tmp_path / CACHE_FILE).write_bytes(b"this is not a database" * 100)
+        with pytest.raises(DupError, match=CACHE_FILE):
+            Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
+
+    def test_serves_legacy_files_and_rows(self, tmp_path):
+        legacy = request("legacy")
+        write(
+            tmp_path / cache_key(legacy),
+            {"request": {}, "response": {"content": "from a file", "prompt_tokens": 3}},
+        )
+        Gateway(backend=MockBackend({"default": "from a row"}), cache_dir=tmp_path).complete_cached(
+            request("new")
+        )
+        backend = MockBackend({"default": "fresh"})
+        gateway = Gateway(backend=backend, cache_dir=tmp_path)
+        from_file = gateway.complete_cached(legacy)
+        assert (from_file.content, from_file.prompt_tokens, from_file.cached) == (
+            "from a file",
+            3,
+            True,
+        )
+        assert gateway.complete_cached(request("new")).content == "from a row"
+        assert backend.calls == 0
 
     def test_no_cache_dir_skips_persistence(self, tmp_path):
         backend = MockBackend({"default": "x"})

@@ -24,9 +24,9 @@ from dup.runner import (
     run_experiment,
     stored_config,
 )
-from dup.store import decode, dumps
+from dup.store import decode, dumps, read
 
-from conftest import DATA_DIR, make_run_config
+from conftest import DATA_DIR, cache_rows, make_run_config
 
 PARENT_RUN = DATA_DIR / "parent_run"
 
@@ -163,12 +163,13 @@ class TestFileFormat:
             tmp_path / "out" / "config.json",
             tmp_path / "out" / "report.json",
             *(tmp_path / "out" / "transcripts").iterdir(),
-            *(tmp_path / "cache").iterdir(),
         ]
-        assert len(files) == 2 + 10 + 40
-        for path in files:
-            text = path.read_text(encoding="utf-8")
-            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", path.name
+        assert len(files) == 2 + 10
+        texts = {path.name: path.read_text(encoding="utf-8") for path in files}
+        rows = cache_rows(tmp_path / "cache")
+        assert len(rows) == 40
+        for name, text in {**texts, **rows}.items():
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", name
         leftovers = [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
         assert leftovers == []
 
@@ -224,3 +225,17 @@ class TestParentFormat:
         assert response.cached
         assert response.content == "How many are there at the end?"
         assert (response.prompt_tokens, response.completion_tokens) == (28, 7)
+
+    def test_cache_row_holds_what_the_file_held(self, tmp_path, synthetic_problems, dup_script):
+        # The same exchange, completed afresh, is stored as the text the
+        # one-file-per-entry layout wrote for it, re-encoded compactly.
+        prompt = render_core_question_prompt(synthetic_problems[0].question)
+        request = ChatRequest(
+            model="gpt-3.5-turbo",
+            messages=build_messages(prompt),
+            tag=f"core_question:{synthetic_problems[0].id}",
+        )
+        gateway = Gateway(backend=MockBackend(dup_script), cache_dir=tmp_path)
+        gateway.complete_cached(request)
+        digest = cache_key(request)
+        assert cache_rows(tmp_path) == {digest: dumps(read(PARENT_RUN / "cache" / digest))}
