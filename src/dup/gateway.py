@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import random
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from .exceptions import (
     RetriesExhaustedError,
     TransientBackendError,
 )
-from .store import decode, dumps, encode, read
+from .store import decode, dumps, encode
 
 if TYPE_CHECKING:
     import sqlite3
@@ -62,15 +63,18 @@ MAX_RETRY_AFTER_S = 60.0
 
 CACHE_FILE = "cache.sqlite3"
 # WAL lets readers run beside a writer, also in another process sharing the
-# cache; `normal` sync skips the fsync per commit, so a crash can lose the
-# last entries but not corrupt the file; a 256 KiB page cache (not the 2 MB
-# default) keeps a cached run's peak memory near that of one without.
+# cache on the same host (WAL needs shared memory, so not a network
+# filesystem); `normal` sync skips the fsync per commit, so a crash can lose
+# the last entries but not corrupt the file; a 256 KiB page cache (not the
+# 2 MB default) keeps a cached run's peak memory near that of one without.
 CACHE_PRAGMAS = ("journal_mode=wal", "synchronous=normal", "cache_size=-256")
 CACHE_BUSY_TIMEOUT_S = 30.0  # wait for another process's write to commit
 # Rows read together, in the order they were written, when a read finds its
 # row: a run over a warm cache asks for entries in about the order an
 # earlier run wrote them, so most reads then need no query.
 CACHE_READ_AHEAD_ROWS = 64
+# How older versions named a cache entry: one file per request digest.
+_LEGACY_ENTRY_NAME = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
@@ -326,10 +330,34 @@ class HttpBackend:
         )
 
 
-def _open_cache(path: Path) -> sqlite3.Connection:
-    """Connect to the cache database at `path`, creating it when absent."""
+def _import_legacy_entries(db: sqlite3.Connection, cache_dir: Path) -> None:
+    """Move entries an older version wrote as one file per digest into rows.
+
+    A row already stored for the digest wins. A file that is not UTF-8 text
+    is dropped, as any corrupt entry is.
+    """
+    with os.scandir(cache_dir) as found:
+        paths = [Path(e.path) for e in found if _LEGACY_ENTRY_NAME.fullmatch(e.name)]
+    if not paths:
+        return
+    rows = []
+    for path in paths:
+        try:
+            rows.append((path.name, path.read_text(encoding="utf-8")))
+        except (FileNotFoundError, UnicodeDecodeError):
+            pass  # moved by another process meanwhile, or corrupt
+    db.execute("begin")
+    db.executemany("insert or ignore into entries (digest, entry) values (?, ?)", rows)
+    db.execute("commit")
+    for path in paths:
+        path.unlink(missing_ok=True)
+
+
+def _open_cache(cache_dir: Path) -> sqlite3.Connection:
+    """Connect to the cache database in `cache_dir`, creating it when absent."""
     import sqlite3  # here, not at the top: runs without a cache skip the import
 
+    path = cache_dir / CACHE_FILE
     db = None
     try:
         db = sqlite3.connect(
@@ -343,7 +371,8 @@ def _open_cache(path: Path) -> sqlite3.Connection:
         db.execute(
             "create table if not exists entries (digest text primary key, entry text not null)"
         )
-    except sqlite3.Error as exc:
+        _import_legacy_entries(db, cache_dir)
+    except (sqlite3.Error, OSError) as exc:
         if db is not None:
             db.close()
         raise DupError(f"cannot open response cache {path}: {exc}") from exc
@@ -356,8 +385,8 @@ class Gateway:
 
     The cache is one SQLite database, `cache_dir/cache.sqlite3`, with one
     row per request digest holding the JSON text `store.dumps` makes of
-    the request and its response. Entries that an older version wrote as
-    one file per digest in `cache_dir` are still read, never written.
+    the request and its response. Opening the cache moves entries that an
+    older version wrote as one file per digest in `cache_dir` into rows.
 
     A read that finds its row also fetches the rows written after it, up
     to CACHE_READ_AHEAD_ROWS in all, and keeps them in memory until they
@@ -365,8 +394,11 @@ class Gateway:
     process has rewritten it since.
 
     Shareable across threads: the permit bounds in-flight requests and one
-    lock guards the cache connection. Runs in several processes may share a
-    cache directory; SQLite serializes their writes.
+    lock guards the cache connection. Runs in several processes on one host
+    may share a cache directory; SQLite serializes their writes. The
+    directory must be on a local filesystem: the database runs in WAL mode,
+    whose shared memory does not work on a network filesystem or across
+    hosts.
     """
 
     backend: MockBackend | HttpBackend
@@ -386,7 +418,7 @@ class Gateway:
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            self._db = _open_cache(self.cache_dir / CACHE_FILE)
+            self._db = _open_cache(self.cache_dir)
 
     def close(self) -> None:
         """Close the cache connection; the gateway must not be used after."""
@@ -447,31 +479,27 @@ class Gateway:
                 " order by rowid limit ?",
                 (digest, CACHE_READ_AHEAD_ROWS),
             ).fetchall()
-        if not rows:
-            return None
-        if len(self._ahead) >= CACHE_READ_AHEAD_ROWS:
-            self._ahead.clear()  # rows that were not asked for
-        self._ahead.update(rows[1:])
+            if not rows:
+                return None
+            if len(self._ahead) >= CACHE_READ_AHEAD_ROWS:
+                self._ahead.clear()  # rows that were not asked for
+            self._ahead.update(rows[1:])
         return rows[0][1]
 
     def _read_cache(self, digest: str) -> ChatResponse | None:
         text = self._cached_text(digest)
-        legacy = self.cache_dir / digest
-        try:
-            entry = json.loads(text) if text is not None else read(legacy)
-            return decode(ChatResponse, {**entry["response"], "cached": True})
-        except FileNotFoundError:
+        if text is None:
             return None
+        try:
+            entry = json.loads(text)
+            return decode(ChatResponse, {**entry["response"], "cached": True})
         except (ValueError, KeyError, TypeError) as exc:
             log.warning("evicting corrupt cache entry %s: %s", digest, exc)
-            if text is not None:
-                with self._db_lock:
-                    self._db.execute("delete from entries where digest = ?", (digest,))
-            else:
-                try:
-                    legacy.unlink()
-                except OSError:
-                    pass
+            # Only the text read: another process may have rewritten the row.
+            with self._db_lock:
+                self._db.execute(
+                    "delete from entries where digest = ? and entry = ?", (digest, text)
+                )
             return None
 
     def _write_cache(self, digest: str, request: ChatRequest, response: ChatResponse) -> None:

@@ -33,7 +33,7 @@ from dup.gateway import (
     build_messages,
     cache_key,
 )
-from dup.store import write
+from dup.store import dumps, write
 
 from conftest import cache_rows
 
@@ -293,25 +293,47 @@ class TestCache:
         with pytest.raises(DupError, match=CACHE_FILE):
             Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
 
-    def test_serves_legacy_files_and_rows(self, tmp_path):
-        legacy = request("legacy")
-        write(
-            tmp_path / cache_key(legacy),
-            {"request": {}, "response": {"content": "from a file", "prompt_tokens": 3}},
-        )
+    def test_legacy_files_move_into_rows(self, tmp_path):
+        legacy, both = request("legacy"), request("both")
         Gateway(backend=MockBackend({"default": "from a row"}), cache_dir=tmp_path).complete_cached(
-            request("new")
+            both
         )
+        entry = {"request": {}, "response": {"content": "from a file", "prompt_tokens": 3}}
+        write(tmp_path / cache_key(legacy), entry)
+        write(tmp_path / cache_key(both), entry)  # a row already holds this digest
+        (tmp_path / "notes.txt").write_text("not an entry")
         backend = MockBackend({"default": "fresh"})
         gateway = Gateway(backend=backend, cache_dir=tmp_path)
+        assert not (tmp_path / cache_key(legacy)).exists()
+        assert not (tmp_path / cache_key(both)).exists()
+        assert (tmp_path / "notes.txt").exists()
+        assert cache_rows(tmp_path)[cache_key(legacy)] == dumps(entry)
         from_file = gateway.complete_cached(legacy)
         assert (from_file.content, from_file.prompt_tokens, from_file.cached) == (
             "from a file",
             3,
             True,
         )
-        assert gateway.complete_cached(request("new")).content == "from a row"
+        assert gateway.complete_cached(both).content == "from a row"
         assert backend.calls == 0
+
+    def test_eviction_spares_a_row_rewritten_after_it_was_read(self, tmp_path):
+        writer = Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
+        for prompt in "ab":
+            writer.complete_cached(request(prompt))
+        digest = cache_key(request("b"))
+        good = cache_rows(tmp_path)[digest]
+        with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
+            db.execute("update entries set entry = '{not json' where digest = ?", (digest,))
+            db.commit()
+        reader = Gateway(backend=MockBackend({"by_tag": {}}), cache_dir=tmp_path)
+        reader.complete_cached(request("a"))  # reads the corrupt "b" row ahead
+        with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
+            db.execute("update entries set entry = ? where digest = ?", (good, digest))
+            db.commit()
+        with pytest.raises(MalformedResponseError):
+            reader.complete_cached(request("b"))  # a miss, so the backend is asked
+        assert cache_rows(tmp_path)[digest] == good
 
     def test_no_cache_dir_skips_persistence(self, tmp_path):
         backend = MockBackend({"default": "x"})
