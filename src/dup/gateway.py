@@ -20,6 +20,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
+from datetime import timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -257,11 +258,25 @@ class MockBackend:
 
 
 def _retry_after_s(value: str | None) -> float | None:
-    """Seconds from a numeric Retry-After header; None when absent or not a number."""
+    """Seconds a Retry-After header asks to wait; None when absent or unreadable.
+
+    The header holds either seconds or an HTTP date; a date in the past
+    reads as 0.
+    """
+    if value is None:
+        return None
     try:
         seconds = float(value)
-    except (TypeError, ValueError):
-        return None  # absent, or the HTTP-date form, which is not honoured
+    except ValueError:
+        from email.utils import parsedate_to_datetime  # slow to import; rarely needed
+
+        try:
+            when = parsedate_to_datetime(value)
+        except (TypeError, ValueError):
+            return None
+        if when.tzinfo is None:  # "-0000": UTC, source zone unknown
+            when = when.replace(tzinfo=timezone.utc)
+        seconds = max(0.0, when.timestamp() - time.time())
     return seconds if 0 <= seconds < math.inf else None
 
 

@@ -1,17 +1,24 @@
 """Experiment orchestration: per-problem pipelines, persistence, resume.
 
 Each problem produces a Transcript recording every prompt, raw response,
-and extracted artifact in execution order. Transcripts are written to
-out_dir/transcripts/<id>.json as soon as a problem finishes (atomic
-rename), so an interrupted run resumes by skipping completed ids. Stage
-calls are independent stateless completions: every prompt carries all the
-context it needs, which keeps calls cache-friendly.
+and extracted artifact in execution order. A problem worker encodes its
+transcript when the problem finishes and hands the text to one background
+writer thread per run, which writes out_dir/transcripts/<id>.json (atomic
+rename) while the worker goes on to the next problem. At most
+TRANSCRIPT_BACKLOG writes wait at once, and the run drains them before it
+returns or raises, so an interrupted run resumes by skipping completed ids;
+only a crash of the process can lose the waiting ones. Stage calls are
+independent stateless completions: every prompt carries all the context it
+needs, which keeps calls cache-friendly.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import queue
 import random
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -40,8 +47,8 @@ from .prompts import (
     render_info_extraction_prompt,
     render_last_letter_prompt,
 )
-from .store import decode, encode, read
-# Transcript and config writes go through this name; bench/tracing.py wraps it.
+from .store import decode, dumps, encode, read, write_text
+# Config writes go through this name; bench/tracing.py wraps it.
 from .store import write as _write_json_atomic
 
 log = logging.getLogger(__name__)
@@ -69,6 +76,11 @@ STAGE_ANSWER = "answer"
 # Most sample chains of one problem in flight at once: a problem sends at
 # most this many requests together, and starts at most this many threads.
 MAX_SAMPLE_THREADS = 8
+
+# Most transcript writes queued or under way at once; a worker that finishes
+# a problem while this many wait blocks until one is done. It bounds the
+# memory held by encoded transcripts and the finished problems a crash loses.
+TRANSCRIPT_BACKLOG = 4
 
 _TRANSCRIPT_DIR = "transcripts"
 _CONFIG_FILE = "config.json"
@@ -501,14 +513,16 @@ def transcript_path(out_dir: str | Path, problem_id: str) -> Path:
 
 
 def load_transcript(out_dir: str | Path, problem_id: str) -> Transcript | None:
+    """The completed transcript stored for `problem_id`, or None.
+
+    A file that cannot be read or decoded is logged and read as None.
+    """
     path = transcript_path(out_dir, problem_id)
     try:
-        data = read(path)
-    except (OSError, ValueError):
+        transcript = decode(Transcript, read(path))
+    except FileNotFoundError:
         return None
-    try:
-        transcript = decode(Transcript, data)
-    except (KeyError, TypeError, ValueError):
+    except (OSError, KeyError, TypeError, ValueError):
         log.warning("ignoring unreadable transcript %s", path)
         return None
     if transcript.problem_id != problem_id or not transcript.completed:
@@ -549,25 +563,67 @@ def build_run_gateway(config: RunConfig) -> Gateway:
     return build_gateway(provider, Path(config.cache_dir) if config.cache_dir else None)
 
 
+class _TranscriptWriter:
+    """Writes encoded transcripts on one background thread, in the order given.
+
+    `put` blocks while TRANSCRIPT_BACKLOG writes are queued or under way.
+    The first failed write is logged and kept in `error`; later writes are
+    still tried. `close` waits until every queued write is done.
+    """
+
+    def __init__(self):
+        self.error: DupError | None = None
+        self._slots = threading.Semaphore(TRANSCRIPT_BACKLOG)
+        self._queue = queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._drain, name="dup-transcript-writer")
+        self._thread.start()
+
+    def put(self, path: Path, text: str) -> None:
+        self._slots.acquire()
+        self._queue.put((path, text))
+
+    def _drain(self) -> None:
+        while (item := self._queue.get()) is not None:
+            path, text = item
+            try:
+                write_text(path, text)
+            except Exception as exc:  # the thread must outlive a failed write
+                if self.error is None:
+                    log.error("cannot write transcript %s: %s", path, exc)
+                    self.error = DupError(f"cannot write transcript {path}: {exc}")
+            finally:
+                self._slots.release()
+
+    def close(self) -> None:
+        self._queue.put(None)
+        self._thread.join()
+
+
 def run_experiment(config: RunConfig, gateway: Gateway):
     """Run every selected problem, persist transcripts, and emit the report.
 
     Fully resumable: problems whose transcript file is already complete are
     skipped, so re-running with the same out_dir finishes an interrupted
-    run without re-issuing their requests.
+    run without re-issuing their requests. Every problem that finished is
+    on disk when this returns or raises. If a transcript cannot be written,
+    no further problem starts and DupError names the file; no report is
+    written then.
     """
     from .reporting import build_report, write_report
 
     config.validate()
     selected = load_problems(config)
     out_dir = Path(config.out_dir)
-    (out_dir / _TRANSCRIPT_DIR).mkdir(parents=True, exist_ok=True)
+    transcript_dir = out_dir / _TRANSCRIPT_DIR
+    transcript_dir.mkdir(parents=True, exist_ok=True)
     _persist_config(config, out_dir)
 
+    present = set(os.listdir(transcript_dir))
     transcripts: dict[str, Transcript] = {}
     todo = []
     for problem in selected:
-        existing = load_transcript(out_dir, problem.id)
+        stored = transcript_path(out_dir, problem.id).name in present
+        existing = load_transcript(out_dir, problem.id) if stored else None
         if existing is not None:
             transcripts[problem.id] = existing
         else:
@@ -579,18 +635,27 @@ def run_experiment(config: RunConfig, gateway: Gateway):
         config.dataset,
     )
 
-    def _run_one(problem):
-        transcript = run_problem(problem, config, gateway)
-        _write_json_atomic(transcript_path(out_dir, problem.id), transcript)
-        return transcript
+    writer = _TranscriptWriter()
 
-    if config.workers == 1 or len(todo) <= 1:
-        for problem in todo:
-            transcripts[problem.id] = _run_one(problem)
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            for problem, transcript in zip(todo, pool.map(_run_one, todo)):
-                transcripts[problem.id] = transcript
+    def _run_one(problem):
+        if writer.error is not None:
+            return  # a transcript was lost: start no further problem
+        transcript = run_problem(problem, config, gateway)
+        transcripts[problem.id] = transcript
+        writer.put(transcript_path(out_dir, problem.id), dumps(transcript))
+
+    try:
+        if config.workers == 1 or len(todo) <= 1:
+            for problem in todo:
+                _run_one(problem)
+        else:
+            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                for _ in pool.map(_run_one, todo):
+                    pass
+    finally:
+        writer.close()
+    if writer.error is not None:
+        raise writer.error
 
     report = build_report(config, selected, transcripts)
     write_report(report, out_dir)

@@ -142,11 +142,18 @@ def read(path: str | Path) -> Any:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Replace `path` with `text` atomically (temp file, then rename)."""
+    """Replace `path` with `text` atomically (temp file, then rename).
+
+    A write that fails removes its temp file before it raises.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write(path: str | Path, obj: Any) -> None:

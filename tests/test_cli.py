@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import dup.runner as runner_module
 from dup.cli import main
 from dup.gateway import MockBackend
 
@@ -110,6 +111,17 @@ class TestResume:
         script.unlink()
         assert run_cli("resume", "--out-dir", out_dir) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+    def test_failed_transcript_write_exits_2(self, tmp_path, monkeypatch, capsys):
+        def no_space(path, text):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(runner_module, "write_text", no_space)
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir)) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (out_dir / "report.json").exists()
 
 
 class TestRelativePaths:

@@ -408,6 +408,9 @@ def http_backend(outcomes, monkeypatch=None, token=None):
     return HttpBackend(config, session=session), session
 
 
+# The clock the Retry-After tests read HTTP dates against.
+RETRY_AFTER_NOW = 1792567650.0  # Wed, 21 Oct 2026 07:27:30 GMT
+
 OK_BODY = {
     "choices": [{"message": {"content": "The answer is 4."}, "finish_reason": "stop"}],
     "usage": {"prompt_tokens": 11, "completion_tokens": 5},
@@ -478,12 +481,17 @@ class TestHttpBackend:
             (None, None),
             ("7", 7.0),
             ("0.25", 0.25),
-            ("Wed, 21 Oct 2026 07:28:00 GMT", None),
+            ("Wed, 21 Oct 2026 07:28:00 GMT", 30.0),
+            ("Wed, 21 Oct 2026 07:28:00 -0000", 30.0),
+            ("Wed, 21 Oct 2026 07:20:00 GMT", 0.0),
+            ("Wed, 32 Oct 2026 07:28:00 GMT", None),
+            ("soon", None),
             ("-1", None),
             ("inf", None),
         ],
     )
     def test_retry_after_parsed_from_numeric_header(self, monkeypatch, header, expected):
+        monkeypatch.setattr(gateway_module.time, "time", lambda: RETRY_AFTER_NOW)
         headers = {} if header is None else {"Retry-After": header}
         for status in (429, 503):
             backend, _ = http_backend([StubResponse(status, headers=headers)], monkeypatch)
@@ -506,8 +514,9 @@ class TestHttpBackend:
         assert no_sleep[0] == 30.0  # longer than the 0.5-1.0 s backoff
         assert 1.0 <= no_sleep[1] < 1.5  # the backoff is longer than 0.1 s
 
-    @pytest.mark.parametrize("header", ["60.5", "86400"])
+    @pytest.mark.parametrize("header", ["60.5", "86400", "Wed, 21 Oct 2026 07:28:31 GMT"])
     def test_retry_after_beyond_the_cap_fails_at_once(self, monkeypatch, no_sleep, header):
+        monkeypatch.setattr(gateway_module.time, "time", lambda: RETRY_AFTER_NOW)
         backend, session = http_backend(
             [StubResponse(429, headers={"Retry-After": header}), StubResponse(200, OK_BODY)],
             monkeypatch,

@@ -1,13 +1,26 @@
 """Pipeline orchestration: call shapes, ablation, resume, containment."""
 
+import itertools
 import json
+import re
+import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dup.runner as runner_module
 from dup.datasets import load_dataset
-from dup.exceptions import DupError, InvalidInputError, TransientBackendError
+from dup.exceptions import (
+    DupError,
+    InvalidInputError,
+    MalformedResponseError,
+    TransientBackendError,
+)
 from dup.gateway import Gateway, MockBackend
 from dup.grading import NormalizedAnswer
 from dup.prompts import (
@@ -18,8 +31,10 @@ from dup.prompts import (
     MethodVariant,
     render_answer_extraction_prompt,
 )
+from dup.reporting import recount
 from dup.runner import (
     MAX_SAMPLE_THREADS,
+    TRANSCRIPT_BACKLOG,
     RunConfig,
     StageConfig,
     Transcript,
@@ -407,16 +422,16 @@ class TestPersistenceAndResume:
         run_experiment(config, gateway)
         assert gateway.backend.calls == 4
 
-    def test_corrupt_transcript_is_rerun(self, tmp_path, synthetic_problems):
+    def test_corrupt_transcript_is_rerun(self, tmp_path, synthetic_problems, caplog):
         script = correct_script(synthetic_problems)
         config = make_run_config(tmp_path, script)
         run_experiment(config, Gateway(backend=MockBackend(script)))
-        transcript_path(config.out_dir, synthetic_problems[0].id).write_text(
-            "{truncated", encoding="utf-8"
-        )
+        corrupt = transcript_path(config.out_dir, synthetic_problems[0].id)
+        corrupt.write_text("{truncated", encoding="utf-8")
         gateway = Gateway(backend=MockBackend(script))
         run_experiment(config, gateway)
         assert gateway.backend.calls == 4
+        assert f"ignoring unreadable transcript {corrupt}" in caplog.text
 
     def test_conflicting_config_rejected(self, tmp_path, synthetic_problems):
         script = correct_script(synthetic_problems)
@@ -436,6 +451,112 @@ class TestPersistenceAndResume:
         assert [r["problem_id"] for r in report_serial.per_problem] == [
             r["problem_id"] for r in report_parallel.per_problem
         ]
+
+
+class FaultyMock(MockBackend):
+    """A mock whose numbered sends (1-based, in the order they arrive) fail."""
+
+    def __init__(self, script, faults: dict):
+        super().__init__(script)
+        self._faults = faults
+        self._sends = itertools.count(1)  # next() is atomic under the GIL
+
+    def send(self, request):
+        fault = self._faults.get(next(self._sends))
+        if fault is not None:
+            raise fault("injected fault")
+        return super().send(request)
+
+
+def _same_report(a, b) -> bool:
+    return (a.total, a.correct, a.per_problem) == (b.total, b.correct, b.per_problem)
+
+
+class TestTranscriptWriter:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        workers=st.integers(1, 4),
+        max_problems=st.one_of(st.none(), st.integers(0, 10)),
+        faults=st.dictionaries(
+            st.integers(1, 50),
+            st.sampled_from([TransientBackendError, MalformedResponseError]),
+            max_size=15,
+        ),
+    )
+    def test_faults_never_cost_a_transcript(self, workers, max_problems, faults):
+        problems = load_dataset(SYNTH_DATASET, "synth10", answer_type=AnswerType.NUMBER)
+        script = correct_script(problems)
+        ran: dict = {}
+        real_run_problem = runner_module.run_problem
+
+        def run_problem(problem, *args):
+            ran[problem.id] = real_run_problem(problem, *args)
+            return ran[problem.id]
+
+        with tempfile.TemporaryDirectory() as tmp, patch.object(
+            runner_module, "run_problem", run_problem
+        ):
+            config = make_run_config(
+                Path(tmp), script, workers=workers, max_problems=max_problems
+            )
+            gateway = Gateway(backend=FaultyMock(script, faults), retry_base_delay_s=0)
+            report = run_experiment(config, gateway)
+
+            selected = {problem.id for problem in load_problems(config)}
+            assert report.total == len(selected) == len(ran)
+            files = {path.name for path in (Path(config.out_dir) / "transcripts").iterdir()}
+            assert files == {transcript_path("", pid).name for pid in selected}
+            for problem_id in selected:
+                assert load_transcript(config.out_dir, problem_id) == ran[problem_id]
+            assert _same_report(recount(config.out_dir), report)
+
+    def test_failed_write_stops_the_run(self, tmp_path, synthetic_problems, monkeypatch):
+        script = correct_script(synthetic_problems)
+        config = make_run_config(tmp_path, script)
+        lost = transcript_path(config.out_dir, synthetic_problems[3].id)
+        real_write_text = runner_module.write_text
+
+        def write_text(path, text):
+            if path == lost:
+                raise OSError(28, "No space left on device")
+            real_write_text(path, text)
+
+        monkeypatch.setattr(runner_module, "write_text", write_text)
+        gateway = Gateway(backend=MockBackend(script))
+        with pytest.raises(DupError, match=re.escape(str(lost))):
+            run_experiment(config, gateway)
+        out_dir = Path(config.out_dir)
+        assert not (out_dir / "report.json").exists()
+        for problem in synthetic_problems[:3]:
+            assert load_transcript(out_dir, problem.id) is not None
+        assert not lost.exists()
+        assert list(out_dir.rglob("*.tmp")) == []
+        # No problem starts once the failed write is seen, so at most
+        # TRANSCRIPT_BACKLOG problems ran after the one whose write failed.
+        assert gateway.backend.calls <= 4 * (4 + TRANSCRIPT_BACKLOG)
+
+    @pytest.mark.parametrize("interrupt", [RuntimeError, KeyboardInterrupt])
+    def test_interrupted_run_keeps_finished_transcripts(
+        self, tmp_path, synthetic_problems, monkeypatch, interrupt
+    ):
+        script = correct_script(synthetic_problems)
+        config = make_run_config(tmp_path, script, workers=1)
+        stop = 6
+        real_run_problem = runner_module.run_problem
+
+        def run_problem(problem, *args):
+            if problem.id == synthetic_problems[stop].id:
+                raise interrupt("stopped")
+            return real_run_problem(problem, *args)
+
+        monkeypatch.setattr(runner_module, "run_problem", run_problem)
+        with pytest.raises(interrupt):
+            run_experiment(config, Gateway(backend=MockBackend(script)))
+        written = {path.name for path in (tmp_path / "out" / "transcripts").iterdir()}
+        assert written == {
+            transcript_path("", problem.id).name for problem in synthetic_problems[:stop]
+        }
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 class TestTranscript:

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import shutil
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -24,7 +25,8 @@ from dup.runner import (
     run_experiment,
     stored_config,
 )
-from dup.store import decode, dumps, read
+import dup.store as store_module
+from dup.store import decode, dumps, read, write
 
 from conftest import DATA_DIR, cache_rows, make_run_config
 
@@ -172,6 +174,19 @@ class TestFileFormat:
             assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", name
         leftovers = [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
         assert leftovers == []
+
+    def test_failed_write_keeps_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "config.json"
+        write(target, {"seed": 1})
+
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(store_module.os, "replace", no_space)
+        with pytest.raises(OSError):
+            write(target, {"seed": 2})
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+        assert read(target) == {"seed": 1}
 
 
 class TestParentFormat:
