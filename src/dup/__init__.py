@@ -6,7 +6,7 @@ as a hint) plus single-prompt and chain-of-thought baselines over
 benchmark datasets, grades the answers, and classifies failures.
 """
 
-from .consistency import Vote, VoteSet, aggregate
+from .consistency import Vote, aggregate
 from .datasets import (
     DATASET_SPECS,
     DatasetSpec,
@@ -104,7 +104,6 @@ __all__ = [
     "Transcript",
     "TransientBackendError",
     "Vote",
-    "VoteSet",
     "aggregate",
     "build_gateway",
     "build_messages",

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .exceptions import InvalidInputError
 from .grading import NormalizedAnswer, grade
 
-__all__ = ["Vote", "VoteSet", "aggregate"]
+__all__ = ["Vote", "aggregate"]
 
 
 @dataclass(frozen=True)
@@ -18,26 +19,11 @@ class Vote:
     answer: NormalizedAnswer | None
 
 
-@dataclass(frozen=True)
-class VoteSet:
-    """Votes in generation order, sample indices 0..N-1 and distinct."""
-
-    votes: tuple[Vote, ...]
-
-    def __post_init__(self):
-        indices = [vote.sample_index for vote in self.votes]
-        if sorted(indices) != list(range(len(indices))):
-            raise InvalidInputError(f"sample indices must be a permutation of 0..N-1, got {indices}")
-
-    def __len__(self) -> int:
-        return len(self.votes)
-
-    def __iter__(self):
-        return iter(self.votes)
-
-
-def aggregate(votes: VoteSet) -> NormalizedAnswer | None:
+def aggregate(votes: Sequence[Vote]) -> NormalizedAnswer | None:
     """Pick the modal answer; ties break to the earliest first occurrence.
+
+    `votes` are in generation order, and their sample indices must be a
+    permutation of 0..N-1 (InvalidInputError otherwise).
 
     Failed extractions are excluded from counting (a failure is absence of
     an answer, not an answer). Answer equality follows grading semantics,
@@ -46,6 +32,9 @@ def aggregate(votes: VoteSet) -> NormalizedAnswer | None:
     """
     if len(votes) == 0:
         raise InvalidInputError("cannot aggregate an empty vote set")
+    indices = [vote.sample_index for vote in votes]
+    if sorted(indices) != list(range(len(indices))):
+        raise InvalidInputError(f"sample indices must be a permutation of 0..N-1, got {indices}")
     # Groups in first-occurrence order: (representative, count).
     groups: list[tuple[NormalizedAnswer, int]] = []
     for vote in votes:

@@ -74,6 +74,14 @@ CACHE_BUSY_TIMEOUT_S = 30.0  # wait for another process's write to commit
 # row: a run over a warm cache asks for entries in about the order an
 # earlier run wrote them, so most reads then need no query.
 CACHE_READ_AHEAD_ROWS = 64
+# Rows written are kept in memory and committed together, in one statement,
+# once this many are pending or the oldest has waited this long: a commit per
+# row costs several times the SQL work of a commit per 64 rows.
+CACHE_COMMIT_ROWS = 64
+CACHE_COMMIT_AFTER_S = 1.0
+# Most rows in one insert statement: two bound values each, within the 999
+# values older SQLite builds accept.
+_INSERT_ROWS_MAX = 499
 # How older versions named a cache entry: one file per request digest.
 _LEGACY_ENTRY_NAME = re.compile(r"[0-9a-f]{64}")
 
@@ -400,8 +408,17 @@ class Gateway:
 
     The cache is one SQLite database, `cache_dir/cache.sqlite3`, with one
     row per request digest holding the JSON text `store.dumps` makes of
-    the request and its response. Opening the cache moves entries that an
-    older version wrote as one file per digest in `cache_dir` into rows.
+    the response. Opening the cache moves entries that an older version
+    wrote as one file per digest in `cache_dir` into rows.
+
+    A new row waits in memory, where it is served at once, and is committed
+    with the others waiting by the first write that finds CACHE_COMMIT_ROWS
+    waiting or the oldest waiting CACHE_COMMIT_AFTER_S or more. Other
+    gateways, in this process or another, see a row once it is committed.
+    Library callers must `close()` or `commit()` when done, or lose the
+    rows still waiting: fewer than CACHE_COMMIT_ROWS, unless writes went on
+    while a commit was under way or failing. `run_experiment` commits when
+    it returns or raises.
 
     A read that finds its row also fetches the rows written after it, up
     to CACHE_READ_AHEAD_ROWS in all, and keeps them in memory until they
@@ -426,6 +443,12 @@ class Gateway:
     _db: sqlite3.Connection | None = field(init=False, repr=False, default=None)
     _db_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
     _ahead: dict[str, str] = field(init=False, repr=False, default_factory=dict)
+    # Rows written but not yet committed, by digest, and when the oldest of
+    # them was written (None when none is); guarded by _pending_lock.
+    _pending: dict[str, str] = field(init=False, repr=False, default_factory=dict)
+    _pending_since: float | None = field(init=False, repr=False, default=None)
+    _pending_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
+    _commit_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
 
     def __post_init__(self):
         self._permit = threading.Semaphore(self.max_concurrency)
@@ -436,10 +459,51 @@ class Gateway:
             self._db = _open_cache(self.cache_dir)
 
     def close(self) -> None:
-        """Close the cache connection; the gateway must not be used after."""
+        """Commit pending rows and close the cache; the gateway must not be used after."""
         if self._db is not None:
-            with self._db_lock:
-                self._db.close()
+            try:
+                self.commit()
+            finally:
+                with self._db_lock:
+                    self._db.close()
+
+    def commit(self) -> None:
+        """Store every pending row in the cache file, waiting for a commit under way.
+
+        Raises DupError, naming the cache file, when the rows cannot be stored.
+        """
+        if self._db is not None:
+            with self._commit_lock:
+                self._commit_pending()
+
+    def _commit_pending(self) -> None:
+        """Store the rows pending now in one statement; the caller holds _commit_lock.
+
+        A row stays pending until it is committed, so reads keep finding it,
+        and afterwards only if it was rewritten meanwhile. A failed commit
+        leaves every row pending and raises DupError.
+        """
+        import sqlite3
+
+        with self._pending_lock:
+            rows = list(self._pending.items())
+            self._pending_since = None
+        try:
+            for start in range(0, len(rows), _INSERT_ROWS_MAX):
+                chunk = rows[start : start + _INSERT_ROWS_MAX]
+                sql = "insert or replace into entries (digest, entry) values " + ", ".join(
+                    ["(?, ?)"] * len(chunk)
+                )
+                values = [value for row in chunk for value in row]
+                with self._db_lock:
+                    self._db.execute(sql, values)
+        except sqlite3.Error as exc:
+            path = self.cache_dir / CACHE_FILE
+            raise DupError(f"cannot store {len(rows)} responses in cache {path}: {exc}") from exc
+        with self._pending_lock:
+            for digest, text in rows:
+                if self._pending.get(digest) is text:
+                    del self._pending[digest]
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         """Send a request, retrying transient failures with backoff + jitter.
@@ -484,7 +548,9 @@ class Gateway:
 
     def _cached_text(self, digest: str) -> str | None:
         """The row text stored for `digest`, or None when it has no row."""
-        text = self._ahead.pop(digest, None)
+        text = self._pending.get(digest)  # one dict lookup: atomic without the lock
+        if text is None:
+            text = self._ahead.pop(digest, None)
         if text is not None:
             return text
         with self._db_lock:
@@ -517,21 +583,34 @@ class Gateway:
                 )
             return None
 
-    def _write_cache(self, digest: str, request: ChatRequest, response: ChatResponse) -> None:
+    def _write_cache(self, digest: str, response: ChatResponse) -> None:
+        """Add a row to the pending ones, committing them all when they are due."""
         saved = encode(response)
         del saved["cached"]  # a property of the read, not of the completion
-        entry = dumps({"request": _canonical_request_payload(request), "response": saved})
-        with self._db_lock:
-            self._db.execute(
-                "insert or replace into entries (digest, entry) values (?, ?)", (digest, entry)
+        entry = dumps({"response": saved})
+        now = time.monotonic()
+        with self._pending_lock:
+            self._pending[digest] = entry
+            if self._pending_since is None:
+                self._pending_since = now
+            due = (
+                len(self._pending) >= CACHE_COMMIT_ROWS
+                or now - self._pending_since >= CACHE_COMMIT_AFTER_S
             )
+        # A commit already under way leaves these rows to the next one due.
+        if due and self._commit_lock.acquire(blocking=False):
+            try:
+                self._commit_pending()
+            finally:
+                self._commit_lock.release()
 
     def complete_cached(self, request: ChatRequest) -> ChatResponse:
         """Serve from the cache when possible; otherwise complete and persist.
 
         Without a cache_dir this is plain `complete`. Each response is
-        stored as one row keyed by `cache_key(request)`; the last write of
-        a digest wins. Corrupt entries are evicted and treated as misses.
+        stored as one row keyed by `cache_key(request)`, committed in a batch
+        (see the class docstring); the last write of a digest wins. Corrupt
+        entries are evicted and treated as misses.
         Concurrent identical requests may each reach the backend once
         (single-flight is best-effort only); both observe the same final
         cache content.
@@ -543,7 +622,7 @@ class Gateway:
         if hit is not None:
             return hit
         response = self.complete(request)
-        self._write_cache(digest, request, response)
+        self._write_cache(digest, response)
         return response
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .consistency import Vote, VoteSet, aggregate
+from .consistency import Vote, aggregate
 from .datasets import canonical_dataset_id, load_dataset, load_from_manifest, load_manifest
 from .exceptions import DupError, GatewayError, InvalidInputError
 from .extraction import STAGE_EXTRACTION, dup_s_answer_segment, extract_answer
@@ -213,9 +213,6 @@ class Transcript:
     completed: bool = False
     started_at: str = field(default_factory=_utc_now)
     finished_at: str | None = None
-
-    def vote_set(self) -> VoteSet:
-        return VoteSet(tuple(self.votes))
 
     @property
     def answer_text(self) -> str | None:
@@ -450,7 +447,7 @@ def run_problem(problem, config: RunConfig, gateway: Gateway) -> Transcript:
         transcript.errors.extend(sample.errors)
     if not transcript.errors:
         transcript.votes = [sample.vote for sample in samples]
-        predicted = aggregate(transcript.vote_set())
+        predicted = aggregate(transcript.votes)
         if predicted is not None:
             source = next(
                 sample.source
@@ -605,9 +602,12 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     Fully resumable: problems whose transcript file is already complete are
     skipped, so re-running with the same out_dir finishes an interrupted
     run without re-issuing their requests. Every problem that finished is
-    on disk when this returns or raises. If a transcript cannot be written,
-    no further problem starts and DupError names the file; no report is
-    written then.
+    on disk, and every response the gateway cached is committed, when this
+    returns or raises. If a transcript cannot be written, no further
+    problem starts and DupError names the file; no report is written then.
+    If the cached responses cannot be committed, DupError names the cache
+    file, unless another error is already on its way out: that one is
+    raised, and the failed commit is logged.
     """
     from .reporting import build_report, write_report
 
@@ -644,6 +644,7 @@ def run_experiment(config: RunConfig, gateway: Gateway):
         transcripts[problem.id] = transcript
         writer.put(transcript_path(out_dir, problem.id), dumps(transcript))
 
+    failure = None
     try:
         if config.workers == 1 or len(todo) <= 1:
             for problem in todo:
@@ -652,8 +653,17 @@ def run_experiment(config: RunConfig, gateway: Gateway):
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
                 for _ in pool.map(_run_one, todo):
                     pass
+    except BaseException as exc:
+        failure = exc
+        raise
     finally:
         writer.close()
+        try:
+            gateway.commit()
+        except DupError as exc:
+            if failure is None and writer.error is None:
+                raise
+            log.error("%s", exc)  # the earlier error is the one raised
     if writer.error is not None:
         raise writer.error
 

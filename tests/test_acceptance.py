@@ -14,7 +14,7 @@ from decimal import Decimal
 
 import pytest
 
-from dup.consistency import Vote, VoteSet, aggregate
+from dup.consistency import Vote, aggregate
 from dup.datasets import load_dataset
 from dup.error_analysis import ErrorCategory, sample_and_analyze
 from dup.gateway import Gateway, MockBackend
@@ -132,9 +132,7 @@ def test_criterion_4_self_consistency_oracle():
         agreements = 0
         for _ in range(1000):
             values = [rng.choice(answers) for _ in range(10)]
-            votes = VoteSet(
-                tuple(Vote(i, NormalizedAnswer.of_number(v)) for i, v in enumerate(values))
-            )
+            votes = [Vote(i, NormalizedAnswer.of_number(v)) for i, v in enumerate(values)]
             got = aggregate(votes)
             want = NormalizedAnswer.of_number(oracle_majority(values))
             agreements += got == want

@@ -2,12 +2,15 @@
 
 import json
 import os
+import sqlite3
+from contextlib import closing
 
 import pytest
 
+import dup.gateway as gateway_module
 import dup.runner as runner_module
 from dup.cli import main
-from dup.gateway import MockBackend
+from dup.gateway import CACHE_FILE, Gateway, MockBackend
 
 from conftest import DATA_DIR, SYNTH_DATASET
 
@@ -122,6 +125,17 @@ class TestResume:
         assert run_cli(*dup_run_args(out_dir)) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not (out_dir / "report.json").exists()
+
+    def test_failed_cache_commit_exits_2(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(gateway_module, "CACHE_BUSY_TIMEOUT_S", 0.01)
+        cache_dir = tmp_path / "cache"
+        Gateway(backend=MockBackend({"default": "x"}), cache_dir=cache_dir).close()
+        with closing(sqlite3.connect(cache_dir / CACHE_FILE, isolation_level=None)) as other:
+            other.execute("begin exclusive")  # as another process holding the write lock
+            code = run_cli(*dup_run_args(tmp_path / "run", **{"--cache-dir": cache_dir}))
+            other.execute("rollback")
+        assert code == 2
+        assert f"cache {cache_dir / CACHE_FILE}" in caplog.text
 
 
 class TestRelativePaths:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dup.consistency import Vote, VoteSet, aggregate
+from dup.consistency import Vote, aggregate
 from dup.exceptions import InvalidInputError
 from dup.gateway import Gateway, MockBackend
 from dup.grading import NormalizedAnswer
@@ -23,25 +23,27 @@ from oracles import oracle_majority
 
 
 def votes_of(*values):
-    return VoteSet(
-        tuple(
-            Vote(i, None if value is None else NormalizedAnswer.of_number(value))
-            for i, value in enumerate(values)
-        )
-    )
+    return [
+        Vote(i, None if value is None else NormalizedAnswer.of_number(value))
+        for i, value in enumerate(values)
+    ]
 
 
 class TestVoteSet:
     def test_indices_must_be_permutation(self):
         with pytest.raises(InvalidInputError):
-            VoteSet((Vote(0, None), Vote(0, None)))
+            aggregate([Vote(0, None), Vote(0, None)])
         with pytest.raises(InvalidInputError):
-            VoteSet((Vote(1, None),))
-        assert len(VoteSet((Vote(0, None), Vote(1, None)))) == 2
+            aggregate([Vote(1, None)])
+        assert aggregate([Vote(1, None), Vote(0, None)]) is None
 
     def test_iterates_votes(self):
-        vote_set = votes_of(1, 2)
-        assert [vote.sample_index for vote in vote_set] == [0, 1]
+        # Votes count in the order given, which is generation order, not
+        # sample-index order: the tie breaks to the first one listed.
+        twelve, thirteen = votes_of(12, 13)
+        votes = [Vote(1, thirteen.answer), Vote(0, twelve.answer)]
+        assert aggregate(votes) == NormalizedAnswer.of_number(13)
+        assert aggregate(tuple(votes)) == NormalizedAnswer.of_number(13)
 
 
 class TestAggregate:
@@ -50,7 +52,7 @@ class TestAggregate:
 
     def test_empty_vote_set_rejected(self):
         with pytest.raises(InvalidInputError):
-            aggregate(VoteSet(()))
+            aggregate([])
 
     def test_all_failures_returns_none(self):
         assert aggregate(votes_of(None, None, None)) is None
@@ -114,7 +116,7 @@ class TestRunSc:
         gateway = Gateway(backend=MockBackend(script))
         config = RunConfig(dataset="synth10", temperature=0.7, n_samples=5)
         transcript = run_problem(problem, config, gateway)
-        assert len(transcript.vote_set()) == 5
+        assert len(transcript.votes) == 5
         assert transcript.predicted == NormalizedAnswer.of_number(18)
         # Understanding stages ran once, answer and extraction ran per sample.
         assert gateway.backend.calls == 2 + 5 + 5

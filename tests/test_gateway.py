@@ -2,6 +2,7 @@
 
 import json
 import sqlite3
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +22,8 @@ from dup.exceptions import (
     TransientBackendError,
 )
 from dup.gateway import (
+    CACHE_COMMIT_AFTER_S,
+    CACHE_COMMIT_ROWS,
     CACHE_FILE,
     MAX_RETRY_AFTER_S,
     ChatRequest,
@@ -33,9 +36,12 @@ from dup.gateway import (
     build_messages,
     cache_key,
 )
+from dup.prompts import render_core_question_prompt
 from dup.store import dumps, write
 
-from conftest import cache_rows
+from conftest import DATA_DIR, cache_rows
+
+PARENT_RUN = DATA_DIR / "parent_run"
 
 
 def request(prompt="What is 2 + 2?", model="m", **kwargs):
@@ -236,7 +242,18 @@ class TestCache:
         gateway = Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
         req = request()
         gateway.complete_cached(req)
-        assert list(cache_rows(tmp_path)) == [cache_key(req)]
+        gateway.commit()
+        rows = cache_rows(tmp_path)
+        assert list(rows) == [cache_key(req)]
+        # The row holds the response alone, not the request it answers.
+        assert json.loads(rows[cache_key(req)]) == {
+            "response": {
+                "completion_tokens": 1,
+                "content": "x",
+                "finish_reason": "stop",
+                "prompt_tokens": 5,
+            }
+        }
         assert not (tmp_path / cache_key(req)).exists()  # no per-entry file
 
     def test_corrupt_entry_evicted(self, tmp_path):
@@ -244,6 +261,7 @@ class TestCache:
         gateway = Gateway(backend=backend, cache_dir=tmp_path)
         req = request()
         gateway.complete_cached(req)
+        gateway.commit()
         with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
             db.execute("update entries set entry = '{not json' where digest = ?", (cache_key(req),))
             db.commit()
@@ -254,21 +272,29 @@ class TestCache:
         response = gateway.complete_cached(req)
         assert response.content == "good"
         assert backend.calls == 2
+        gateway.commit()
         assert json.loads(cache_rows(tmp_path)[cache_key(req)])["response"]["content"] == "good"
 
     def test_gateways_share_one_cache(self, tmp_path):
+        # As for gateways in two processes: each sees the rows the other has
+        # committed, whenever it opened, but not the rows still pending.
         first = Gateway(backend=MockBackend({"default": "one"}), cache_dir=tmp_path)
-        second = Gateway(backend=MockBackend({"default": "two"}), cache_dir=tmp_path)
         first.complete_cached(request("a"))
+        second = Gateway(backend=MockBackend({"default": "two"}), cache_dir=tmp_path)
         second.complete_cached(request("b"))
+        first.commit()
+        second.commit()
         assert second.complete_cached(request("a")).content == "one"
         assert first.complete_cached(request("b")).content == "two"
-        assert first.backend.calls == second.backend.calls == 1
+        first.complete_cached(request("c"))
+        assert second.complete_cached(request("c")).content == "two"
+        assert first.backend.calls == second.backend.calls == 2
 
     def test_read_ahead_serves_later_rows_without_a_query(self, tmp_path):
         writer = Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
         for prompt in "abc":
             writer.complete_cached(request(prompt))
+        writer.commit()
         reader = Gateway(backend=MockBackend({"default": "fresh"}), cache_dir=tmp_path)
         assert reader.complete_cached(request("b")).cached
         with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
@@ -295,9 +321,9 @@ class TestCache:
 
     def test_legacy_files_move_into_rows(self, tmp_path):
         legacy, both = request("legacy"), request("both")
-        Gateway(backend=MockBackend({"default": "from a row"}), cache_dir=tmp_path).complete_cached(
-            both
-        )
+        earlier = Gateway(backend=MockBackend({"default": "from a row"}), cache_dir=tmp_path)
+        earlier.complete_cached(both)
+        earlier.commit()
         entry = {"request": {}, "response": {"content": "from a file", "prompt_tokens": 3}}
         write(tmp_path / cache_key(legacy), entry)
         write(tmp_path / cache_key(both), entry)  # a row already holds this digest
@@ -321,6 +347,7 @@ class TestCache:
         writer = Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
         for prompt in "ab":
             writer.complete_cached(request(prompt))
+        writer.commit()
         digest = cache_key(request("b"))
         good = cache_rows(tmp_path)[digest]
         with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
@@ -334,6 +361,142 @@ class TestCache:
         with pytest.raises(MalformedResponseError):
             reader.complete_cached(request("b"))  # a miss, so the backend is asked
         assert cache_rows(tmp_path)[digest] == good
+
+    def test_pending_row_served_without_a_backend_call_or_query(self, tmp_path):
+        backend = MockBackend({"default": "x"})
+        gateway = Gateway(backend=backend, cache_dir=tmp_path)
+        gateway.complete_cached(request("a"))
+        statements = []
+        gateway._db.set_trace_callback(statements.append)
+        assert gateway.complete_cached(request("a")).cached
+        assert backend.calls == 1
+        assert statements == []
+        assert cache_rows(tmp_path) == {}
+
+    def test_64th_write_commits_every_pending_row_in_one_statement(self, tmp_path):
+        gateway = Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
+        statements = []
+        gateway._db.set_trace_callback(statements.append)
+        writes = lambda: [s for s in statements if not s.startswith("select")]  # noqa: E731
+        for i in range(CACHE_COMMIT_ROWS - 1):
+            gateway.complete_cached(request(f"q{i}"))
+        assert writes() == [] and cache_rows(tmp_path) == {}
+        gateway.complete_cached(request("last"))
+        assert len(writes()) == 1
+        assert writes()[0].startswith("insert or replace into entries")
+        assert len(cache_rows(tmp_path)) == CACHE_COMMIT_ROWS
+        gateway.complete_cached(request("next"))  # pending again, not committed
+        assert len(writes()) == 1
+
+    def test_commit_splits_rows_into_statements_of_at_most_499(self, tmp_path):
+        gateway = Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
+        statements = []
+        gateway._db.set_trace_callback(statements.append)
+        with gateway._commit_lock:  # as while a commit is under way: rows pile up
+            for i in range(600):
+                gateway.complete_cached(request(f"q{i}"))
+        statements.clear()  # the misses' queries
+        gateway.commit()
+        assert [statement.count('{"response":') for statement in statements] == [499, 101]
+        assert len(cache_rows(tmp_path)) == 600
+
+    def test_write_a_second_after_the_oldest_pending_one_commits(self, tmp_path, monkeypatch):
+        clock = [100.0]
+        monkeypatch.setattr(gateway_module.time, "monotonic", lambda: clock[0])
+        gateway = Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
+        gateway.complete_cached(request("a"))
+        clock[0] += CACHE_COMMIT_AFTER_S / 2
+        gateway.complete_cached(request("b"))
+        assert cache_rows(tmp_path) == {}
+        clock[0] += CACHE_COMMIT_AFTER_S / 2
+        gateway.complete_cached(request("c"))
+        assert set(cache_rows(tmp_path)) == {cache_key(request(p)) for p in "abc"}
+        # The clock starts again at the next row written.
+        clock[0] += CACHE_COMMIT_AFTER_S
+        gateway.complete_cached(request("d"))
+        assert len(cache_rows(tmp_path)) == 3
+
+    def test_close_commits_the_rest(self, tmp_path):
+        gateway = Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
+        for prompt in "abc":
+            gateway.complete_cached(request(prompt))
+        assert cache_rows(tmp_path) == {}
+        gateway.close()
+        assert set(cache_rows(tmp_path)) == {cache_key(request(p)) for p in "abc"}
+
+    def test_failed_commit_names_the_cache_and_keeps_rows_pending(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gateway_module, "CACHE_BUSY_TIMEOUT_S", 0.01)
+        gateway = Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
+        gateway.complete_cached(request("a"))
+        with closing(sqlite3.connect(tmp_path / CACHE_FILE, isolation_level=None)) as other:
+            other.execute("begin exclusive")  # as another process holding the write lock
+            with pytest.raises(DupError, match=CACHE_FILE):
+                gateway.commit()
+            other.execute("rollback")
+        assert gateway.complete_cached(request("a")).cached
+        assert gateway.backend.calls == 1
+        gateway.close()
+        assert list(cache_rows(tmp_path)) == [cache_key(request("a"))]
+
+    def test_row_rewritten_during_its_commit_stays_pending(self, tmp_path):
+        gateway = Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
+        req = request()
+        gateway.complete_cached(req)
+        newer = ChatResponse(content="newer")
+
+        def rewrite(statement):
+            gateway._db.set_trace_callback(None)
+            gateway._write_cache(cache_key(req), newer)  # lands while the commit runs
+
+        gateway._db.set_trace_callback(rewrite)
+        gateway.commit()
+        assert json.loads(cache_rows(tmp_path)[cache_key(req)])["response"]["content"] == "x"
+        assert gateway.complete_cached(req).content == "newer"
+        gateway.commit()
+        assert json.loads(cache_rows(tmp_path)[cache_key(req)])["response"]["content"] == "newer"
+
+    def test_threads_write_each_row_once(self, tmp_path):
+        backend = MockBackend({"default": "x"})
+        gateway = Gateway(backend=backend, cache_dir=tmp_path)
+        threads, per_thread = 4, 200
+
+        def ask(owner):
+            for i in range(per_thread):
+                assert gateway.complete_cached(request(f"{owner}-{i}")).content == "x"
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over often, to expose races
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                for future in [pool.submit(ask, t) for t in range(threads)]:
+                    future.result(timeout=60)
+                assert backend.calls == threads * per_thread
+                # Each thread asks again for the requests another one sent.
+                for future in [pool.submit(ask, (t + 1) % threads) for t in range(threads)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert backend.calls == threads * per_thread
+        gateway.close()
+        assert len(cache_rows(tmp_path)) == threads * per_thread
+
+    def test_row_echoing_its_request_is_served(self, tmp_path, synthetic_problems):
+        # Older versions stored the request beside the response in each row.
+        prompt = render_core_question_prompt(synthetic_problems[0].question)
+        req = ChatRequest(model="gpt-3.5-turbo", messages=build_messages(prompt))
+        entry = (PARENT_RUN / "cache" / cache_key(req)).read_text(encoding="utf-8")
+        assert "request" in json.loads(entry)
+        Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path).close()
+        with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
+            db.execute("insert into entries (digest, entry) values (?, ?)", (cache_key(req), entry))
+            db.commit()
+        backend = MockBackend({"default": "fresh"})
+        response = Gateway(backend=backend, cache_dir=tmp_path).complete_cached(req)
+        assert (response.content, response.cached, backend.calls) == (
+            "How many are there at the end?",
+            True,
+            0,
+        )
 
     def test_no_cache_dir_skips_persistence(self, tmp_path):
         backend = MockBackend({"default": "x"})

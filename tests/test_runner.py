@@ -3,8 +3,10 @@
 import itertools
 import json
 import re
+import sqlite3
 import tempfile
 import time
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dup.gateway as gateway_module
 import dup.runner as runner_module
 from dup.datasets import load_dataset
 from dup.exceptions import (
@@ -21,7 +24,7 @@ from dup.exceptions import (
     MalformedResponseError,
     TransientBackendError,
 )
-from dup.gateway import Gateway, MockBackend
+from dup.gateway import CACHE_FILE, Gateway, MockBackend
 from dup.grading import NormalizedAnswer
 from dup.prompts import (
     COT_INSTRUCTION,
@@ -49,7 +52,7 @@ from dup.runner import (
 )
 from dup.store import decode, dumps
 
-from conftest import SYNTH_DATASET, SYNTH_IDS, make_run_config
+from conftest import SYNTH_DATASET, SYNTH_IDS, cache_rows, make_run_config
 
 
 def correct_script(problems):
@@ -441,6 +444,68 @@ class TestPersistenceAndResume:
         with pytest.raises(DupError):
             run_experiment(changed, Gateway(backend=MockBackend(script)))
 
+    @pytest.mark.parametrize("interrupt", [RuntimeError, KeyboardInterrupt])
+    def test_interrupted_run_keeps_its_responses(
+        self, tmp_path, synthetic_problems, monkeypatch, interrupt
+    ):
+        script = correct_script(synthetic_problems)
+        cache_dir = tmp_path / "cache"
+        config = make_run_config(tmp_path, script, workers=1, cache_dir=str(cache_dir))
+        stop = 6
+        real_run_problem = runner_module.run_problem
+
+        def run_problem(problem, *args):
+            if problem.id == synthetic_problems[stop].id:
+                raise interrupt("stopped")
+            return real_run_problem(problem, *args)
+
+        monkeypatch.setattr(runner_module, "run_problem", run_problem)
+        with pytest.raises(interrupt):
+            # The gateway is never closed: the run itself must commit.
+            run_experiment(config, Gateway(backend=MockBackend(script), cache_dir=cache_dir))
+        monkeypatch.setattr(runner_module, "run_problem", real_run_problem)
+        fresh = Gateway(backend=MockBackend(script), cache_dir=cache_dir)
+        for problem in synthetic_problems[:stop]:
+            assert real_run_problem(problem, config, fresh).graded.correct
+        assert fresh.backend.calls == 0
+        resumed = Gateway(backend=MockBackend(script), cache_dir=cache_dir)
+        report = run_experiment(config, resumed)
+        assert resumed.backend.calls == 4 * (len(synthetic_problems) - stop)
+        assert report.total == report.correct == len(synthetic_problems)
+
+    @pytest.mark.parametrize("interrupt", [None, RuntimeError, KeyboardInterrupt])
+    def test_failed_run_end_commit(
+        self, tmp_path, synthetic_problems, monkeypatch, caplog, interrupt
+    ):
+        # A failed run-end commit raises DupError naming the cache file, unless
+        # the run is failing already: then that error is raised, and the
+        # failed commit is logged.
+        monkeypatch.setattr(gateway_module, "CACHE_BUSY_TIMEOUT_S", 0.01)
+        monkeypatch.setattr(gateway_module, "CACHE_COMMIT_AFTER_S", 3600.0)
+        script = correct_script(synthetic_problems)
+        cache_dir = tmp_path / "cache"
+        config = make_run_config(tmp_path, script, cache_dir=str(cache_dir))
+        gateway = Gateway(backend=MockBackend(script), cache_dir=cache_dir)
+        stop = 3
+        if interrupt is not None:
+            real_run_problem = runner_module.run_problem
+
+            def run_problem(problem, *args):
+                if problem.id == synthetic_problems[stop].id:
+                    raise interrupt("stopped")
+                return real_run_problem(problem, *args)
+
+            monkeypatch.setattr(runner_module, "run_problem", run_problem)
+        with closing(sqlite3.connect(cache_dir / CACHE_FILE, isolation_level=None)) as other:
+            other.execute("begin exclusive")  # as another process holding the write lock
+            with pytest.raises(interrupt or DupError, match="stopped" if interrupt else CACHE_FILE):
+                run_experiment(config, gateway)
+            other.execute("rollback")
+        assert (CACHE_FILE in caplog.text) == (interrupt is not None)
+        # The rows stay pending, so a later commit still stores every response.
+        gateway.close()
+        assert len(cache_rows(cache_dir)) == gateway.backend.calls > 0
+
     def test_concurrent_workers_match_serial_results(self, tmp_path, synthetic_problems):
         script = correct_script(synthetic_problems)
         serial = make_run_config(tmp_path / "serial", script, workers=1)
@@ -595,5 +660,5 @@ class TestTranscript:
         config = RunConfig(dataset="synth10", temperature=0.7, n_samples=3)
         transcript = run_problem(problem, config, Gateway(backend=MockBackend(script)))
         restored = decode(Transcript, json.loads(dumps(transcript)))
-        assert len(restored.vote_set()) == 3
+        assert len(restored.votes) == 3
         assert restored.predicted == NormalizedAnswer.of_number(18)

@@ -242,8 +242,9 @@ class TestParentFormat:
         assert (response.prompt_tokens, response.completion_tokens) == (28, 7)
 
     def test_cache_row_holds_what_the_file_held(self, tmp_path, synthetic_problems, dup_script):
-        # The same exchange, completed afresh, is stored as the text the
-        # one-file-per-entry layout wrote for it, re-encoded compactly.
+        # The same exchange, completed afresh, is stored as the response the
+        # one-file-per-entry layout wrote for it, re-encoded compactly,
+        # without the request that layout echoed beside it.
         prompt = render_core_question_prompt(synthetic_problems[0].question)
         request = ChatRequest(
             model="gpt-3.5-turbo",
@@ -252,5 +253,8 @@ class TestParentFormat:
         )
         gateway = Gateway(backend=MockBackend(dup_script), cache_dir=tmp_path)
         gateway.complete_cached(request)
+        gateway.commit()
         digest = cache_key(request)
-        assert cache_rows(tmp_path) == {digest: dumps(read(PARENT_RUN / "cache" / digest))}
+        stored = read(PARENT_RUN / "cache" / digest)
+        assert set(stored) == {"request", "response"}
+        assert cache_rows(tmp_path) == {digest: dumps({"response": stored["response"]})}
