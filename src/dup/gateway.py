@@ -19,7 +19,7 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -32,7 +32,7 @@ from .exceptions import (
     RetriesExhaustedError,
     TransientBackendError,
 )
-from .store import decode, dumps, encode
+from .store import decode, dumps
 
 if TYPE_CHECKING:
     import sqlite3
@@ -148,6 +148,11 @@ class ChatResponse:
             raise InvalidInputError("finish_reason 'stop' requires non-empty content")
 
 
+# What a cache row stores of a response: every field but `cached`, which is
+# a property of the read, not of the completion.
+_ROW_FIELDS = tuple(f.name for f in fields(ChatResponse) if f.name != "cached")
+
+
 @dataclass
 class ProviderConfig:
     """How to reach a provider: http endpoint or scripted mock."""
@@ -189,6 +194,9 @@ def _canonical_request_payload(request: ChatRequest) -> dict:
     }
 
 
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def cache_key(request: ChatRequest) -> str:
     """Stable hex digest over the request's semantic content.
 
@@ -196,12 +204,7 @@ def cache_key(request: ChatRequest) -> str:
     digest is insensitive to field ordering and stable across runs and
     platforms. `tag` is deliberately excluded.
     """
-    blob = json.dumps(
-        _canonical_request_payload(request),
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=False,
-    )
+    blob = _KEY_ENCODER.encode(_canonical_request_payload(request))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -585,8 +588,7 @@ class Gateway:
 
     def _write_cache(self, digest: str, response: ChatResponse) -> None:
         """Add a row to the pending ones, committing them all when they are due."""
-        saved = encode(response)
-        del saved["cached"]  # a property of the read, not of the completion
+        saved = {name: getattr(response, name) for name in _ROW_FIELDS}
         entry = dumps({"response": saved})
         now = time.monotonic()
         with self._pending_lock:

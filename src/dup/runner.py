@@ -26,7 +26,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .consistency import Vote, aggregate
-from .datasets import canonical_dataset_id, load_dataset, load_from_manifest, load_manifest
+from .datasets import (
+    Problem,
+    canonical_dataset_id,
+    load_dataset,
+    load_from_manifest,
+    load_manifest,
+)
 from .exceptions import DupError, GatewayError, InvalidInputError
 from .extraction import STAGE_EXTRACTION, dup_s_answer_segment, extract_answer
 from .gateway import (
@@ -483,6 +489,11 @@ def load_problems(config: RunConfig) -> list:
     problems would share a transcript file, since one would overwrite the
     other and the report would count the survivor twice.
     """
+    return [problem for _, problem in _load_named_problems(config)]
+
+
+def _load_named_problems(config: RunConfig) -> list[tuple[str, Problem]]:
+    """`load_problems`, each problem paired with its transcript file name."""
     if config.dataset_path:
         answer_type = None
         if config.answer_type:
@@ -494,19 +505,26 @@ def load_problems(config: RunConfig) -> list:
         problems = load_from_manifest(load_manifest(config.manifest), config.dataset)
     else:
         raise DupError("config needs dataset_path or manifest to locate the dataset file")
-    selected = select_problems(problems, config.max_problems, config.seed)
-    ids_by_path: dict[Path, list[str]] = {}
-    for problem in selected:
-        ids_by_path.setdefault(transcript_path("", problem.id), []).append(problem.id)
-    clashes = [", ".join(map(repr, ids)) for ids in ids_by_path.values() if len(ids) > 1]
+    named = [
+        (_transcript_name(problem.id), problem)
+        for problem in select_problems(problems, config.max_problems, config.seed)
+    ]
+    ids_by_name: dict[str, list[str]] = {}
+    for name, problem in named:
+        ids_by_name.setdefault(name, []).append(problem.id)
+    clashes = [", ".join(map(repr, ids)) for ids in ids_by_name.values() if len(ids) > 1]
     if clashes:
         raise DupError(f"problem ids share a transcript file: {'; '.join(clashes)}")
-    return selected
+    return named
+
+
+def _transcript_name(problem_id: str) -> str:
+    safe_id = "".join(c if c.isalnum() or c in "-_." else "_" for c in problem_id)
+    return f"{safe_id}.json"
 
 
 def transcript_path(out_dir: str | Path, problem_id: str) -> Path:
-    safe_id = "".join(c if c.isalnum() or c in "-_." else "_" for c in problem_id)
-    return Path(out_dir) / _TRANSCRIPT_DIR / f"{safe_id}.json"
+    return Path(out_dir) / _TRANSCRIPT_DIR / _transcript_name(problem_id)
 
 
 def load_transcript(out_dir: str | Path, problem_id: str) -> Transcript | None:
@@ -612,7 +630,7 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     from .reporting import build_report, write_report
 
     config.validate()
-    selected = load_problems(config)
+    named = _load_named_problems(config)
     out_dir = Path(config.out_dir)
     transcript_dir = out_dir / _TRANSCRIPT_DIR
     transcript_dir.mkdir(parents=True, exist_ok=True)
@@ -621,13 +639,12 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     present = set(os.listdir(transcript_dir))
     transcripts: dict[str, Transcript] = {}
     todo = []
-    for problem in selected:
-        stored = transcript_path(out_dir, problem.id).name in present
-        existing = load_transcript(out_dir, problem.id) if stored else None
+    for name, problem in named:
+        existing = load_transcript(out_dir, problem.id) if name in present else None
         if existing is not None:
             transcripts[problem.id] = existing
         else:
-            todo.append(problem)
+            todo.append((name, problem))
     log.info(
         "running %d problems (%d already complete) on %s",
         len(todo),
@@ -637,18 +654,19 @@ def run_experiment(config: RunConfig, gateway: Gateway):
 
     writer = _TranscriptWriter()
 
-    def _run_one(problem):
+    def _run_one(item):
         if writer.error is not None:
             return  # a transcript was lost: start no further problem
+        name, problem = item
         transcript = run_problem(problem, config, gateway)
         transcripts[problem.id] = transcript
-        writer.put(transcript_path(out_dir, problem.id), dumps(transcript))
+        writer.put(transcript_dir / name, dumps(transcript))
 
     failure = None
     try:
         if config.workers == 1 or len(todo) <= 1:
-            for problem in todo:
-                _run_one(problem)
+            for item in todo:
+                _run_one(item)
         else:
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
                 for _ in pool.map(_run_one, todo):
@@ -667,6 +685,6 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     if writer.error is not None:
         raise writer.error
 
-    report = build_report(config, selected, transcripts)
+    report = build_report(config, [problem for _, problem in named], transcripts)
     write_report(report, out_dir)
     return report

@@ -1,18 +1,22 @@
 """The on-disk format of everything a run persists.
 
 Run configs, transcripts, reports, error analyses and cache entries are
-dataclasses, or plain JSON values holding them. `encode` turns them into
-JSON values: a dataclass becomes a dict of its fields, an Enum its value,
-a tuple a list, and a NormalizedAnswer keeps its {"kind", "value"} shape.
-`decode` rebuilds a dataclass from such a dict, driven by the field type
-hints, which are resolved once per class. Missing keys take the field's
-default and unknown keys are ignored, so files written by older versions
-still load.
+dataclasses, or plain JSON values holding them. One type map, `_default`,
+says how each is stored: a dataclass becomes a dict of its fields, an Enum
+its value, and a NormalizedAnswer keeps its {"kind", "value"} shape; tuples
+are stored as lists. `dumps` hands `_default` to one C `json` encoder built
+at import, so a value is serialized in one pass with no intermediate copy;
+`encode` applies the same map to build the JSON value itself. `decode`
+rebuilds a dataclass from such a dict, driven by the field type hints,
+which are resolved once per class. Missing keys take the field's default
+and unknown keys are ignored, so files written by older versions still
+load.
 
-Every file is one compact, key-sorted JSON document ending in a newline,
-written to a temp file in the target directory and renamed over the
-target, so readers never see a partial file. Cache entries hold the same
-`dumps` text, as rows of the gateway's cache database rather than files.
+Every file is one compact, key-sorted JSON document ending in a newline.
+Its UTF-8 bytes are written with raw `os` calls to a temp file in the
+target directory, which is then renamed over the target, so readers never
+see a partial file. Cache entries hold the same `dumps` text, as rows of
+the gateway's cache database rather than files.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ from .prompts import AnswerType
 __all__ = ["encode", "decode", "dumps", "read", "write", "write_text"]
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+# What `open(path, "w")` passes, plus O_BINARY where it exists (Windows), so
+# the bytes written are exactly the UTF-8 text, with no newline translation.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 _ANSWER_OF = {
     AnswerType.NUMBER: NormalizedAnswer.of_number,
@@ -48,22 +55,30 @@ def _field_names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls))
 
 
-def encode(obj: Any) -> Any:
-    """The JSON value that stands for `obj` on disk."""
+def _default(obj: Any) -> Any:
+    """The JSON value standing for `obj`, one level deep: the type map."""
     cls = type(obj)
-    if cls in _SCALARS:
-        return obj
     if cls is NormalizedAnswer:
         return {"kind": obj.kind.value, "value": str(obj.value)}
     if dataclasses.is_dataclass(cls):
-        return {name: encode(getattr(obj, name)) for name in _field_names(cls)}
+        return {name: getattr(obj, name) for name in _field_names(cls)}
     if isinstance(obj, Enum):
         return obj.value
+    raise TypeError(f"cannot store a {cls.__name__}")
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, default=_default)
+
+
+def encode(obj: Any) -> Any:
+    """The JSON value that stands for `obj` on disk."""
+    if type(obj) in _SCALARS:
+        return obj
     if isinstance(obj, (list, tuple)):
         return [encode(item) for item in obj]
     if isinstance(obj, dict):
         return {encode(key): encode(value) for key, value in obj.items()}
-    raise TypeError(f"cannot store a {cls.__name__}")
+    return encode(_default(obj))
 
 
 def _decode_answer(data: dict) -> NormalizedAnswer:
@@ -132,7 +147,7 @@ def decode(cls: type, data: Any) -> Any:
 
 def dumps(obj: Any) -> str:
     """The stored text of `obj`: compact, key-sorted JSON and a newline."""
-    return json.dumps(encode(obj), sort_keys=True) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 def read(path: str | Path) -> Any:
@@ -142,17 +157,28 @@ def read(path: str | Path) -> Any:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Replace `path` with `text` atomically (temp file, then rename).
+    """Replace `path` with the UTF-8 bytes of `text` atomically (temp file,
+    then rename).
 
     A write that fails removes its temp file before it raises.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    data = text.encode("utf-8")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        fd = os.open(tmp, _WRITE_FLAGS, 0o666)
+        try:
+            written = os.write(fd, data)
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
         raise
 
 

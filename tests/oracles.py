@@ -9,8 +9,10 @@ still reproduce them.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from decimal import Decimal, InvalidOperation
+from enum import Enum
 
 _CURRENCY = "$€£¥"
 _ANNOUNCEMENTS = ("answer is", "answer:", "=")
@@ -146,3 +148,23 @@ def oracle_majority(values: list):
             best = value
             best_count = count
     return best
+
+
+def oracle_encode(obj):
+    """The JSON value a stored object stands for, built by a plain recursive
+    walk: a typed answer keeps its kind and the text of its value, any other
+    dataclass becomes a dict of its fields, an enum member its value, a
+    tuple a list; keys are encoded like values."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if obj is None or type(obj) in (bool, int, float, str):
+        return obj
+    if type(obj).__name__ == "NormalizedAnswer":
+        return {"kind": oracle_encode(obj.kind), "value": str(obj.value)}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: oracle_encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [oracle_encode(item) for item in obj]
+    if isinstance(obj, dict):
+        return {oracle_encode(key): oracle_encode(value) for key, value in obj.items()}
+    raise TypeError(f"cannot store a {type(obj).__name__}")

@@ -1,5 +1,6 @@
 """Gateway behavior: request validation, retries, cache, mock routing."""
 
+import hashlib
 import json
 import sqlite3
 import sys
@@ -42,6 +43,15 @@ from dup.store import dumps, write
 from conftest import DATA_DIR, cache_rows
 
 PARENT_RUN = DATA_DIR / "parent_run"
+
+
+# Text that JSON escapes or that is not ASCII: quotes, backslashes, control
+# characters, non-ASCII and non-BMP characters, plus any other code point.
+awkward_texts = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "é", "中", "😀"])
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=24,
+)
 
 
 def request(prompt="What is 2 + 2?", model="m", **kwargs):
@@ -91,6 +101,37 @@ class TestCacheKey:
     @given(st.text(min_size=1, max_size=80))
     def test_digest_is_deterministic(self, prompt):
         assert cache_key(request(prompt)) == cache_key(request(prompt))
+
+    @given(
+        prompt=awkward_texts.filter(bool),
+        system=st.none() | awkward_texts,
+        model=awkward_texts,
+        temperature=st.just(0.0) | st.floats(0.01, 2.0) | st.integers(1, 2),
+        max_tokens=st.integers(1, 10**6),
+        sample_index=st.integers(0, 9),
+    )
+    def test_digest_is_the_sha256_of_the_canonical_payload(
+        self, prompt, system, model, temperature, max_tokens, sample_index
+    ):
+        if temperature == 0:
+            sample_index = 0
+        req = ChatRequest(
+            model=model,
+            messages=build_messages(prompt, system),
+            temperature=temperature,
+            max_tokens=max_tokens,
+            sample_index=sample_index,
+            tag="ignored",
+        )
+        payload = {
+            "model": model,
+            "messages": [{"role": m.role, "content": m.content} for m in req.messages],
+            "temperature": temperature,
+            "max_tokens": max_tokens,
+            "sample_index": sample_index,
+        }
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        assert cache_key(req) == hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class TestMockBackend:

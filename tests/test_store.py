@@ -4,13 +4,23 @@ synthetic_number.jsonl with mock_dup.json and a cache directory)."""
 
 import dataclasses
 import json
+import os
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dup.gateway import ChatRequest, Gateway, MockBackend, build_messages, cache_key
+from dup.gateway import (
+    ChatRequest,
+    ChatResponse,
+    Gateway,
+    MockBackend,
+    build_messages,
+    cache_key,
+)
 from dup.grading import GradedResult, NormalizedAnswer
 from dup.consistency import Vote
 from dup.prompts import MethodVariant, render_core_question_prompt
@@ -26,9 +36,10 @@ from dup.runner import (
     stored_config,
 )
 import dup.store as store_module
-from dup.store import decode, dumps, read, write
+from dup.store import decode, dumps, encode, read, write, write_text
 
 from conftest import DATA_DIR, cache_rows, make_run_config
+from oracles import oracle_encode
 
 PARENT_RUN = DATA_DIR / "parent_run"
 
@@ -130,6 +141,21 @@ reports = st.builds(
     finished_at=texts,
 )
 
+responses = st.builds(
+    ChatResponse,
+    content=st.text(min_size=1, max_size=12),
+    finish_reason=st.sampled_from(["stop", "length", "error"]),
+    prompt_tokens=ints,
+    completion_tokens=ints,
+    cached=st.booleans(),
+)
+stored_values = st.one_of(
+    st.builds(RunConfig, **RUN_CONFIG_FIELDS).map(lambda v: (RunConfig, v)),
+    transcripts.map(lambda v: (Transcript, v)),
+    reports.map(lambda v: (Report, v)),
+    responses.map(lambda v: (ChatResponse, v)),
+)
+
 
 def round_trip(cls, obj):
     return decode(cls, json.loads(dumps(obj)))
@@ -153,6 +179,85 @@ class TestRoundTrip:
 
     def test_missing_fields_take_defaults_and_unknown_keys_are_ignored(self):
         assert decode(RunConfig, {"dataset": "d", "retired_option": 1}) == RunConfig(dataset="d")
+
+
+class TestEncoder:
+    @given(stored_values)
+    def test_agrees_with_the_reference_walk(self, cls_and_value):
+        cls, value = cls_and_value
+        expected = oracle_encode(value)
+        assert dumps(value) == json.dumps(expected, sort_keys=True) + "\n"
+        assert encode(value) == expected
+        assert round_trip(cls, value) == value
+
+    @settings(max_examples=50, deadline=None)  # two cache databases per example
+    @given(responses)
+    def test_cache_row_agrees_with_the_reference_walk(self, response):
+        class Backend:
+            def send(self, request):
+                return response
+
+        req = ChatRequest(model="m", messages=build_messages("q"))
+        with tempfile.TemporaryDirectory() as tmp:
+            gateway = Gateway(backend=Backend(), cache_dir=Path(tmp))
+            assert gateway.complete_cached(req) is response
+            gateway.close()
+            saved = {k: v for k, v in oracle_encode(response).items() if k != "cached"}
+            row = json.dumps({"response": saved}, sort_keys=True) + "\n"
+            assert cache_rows(tmp) == {cache_key(req): row}
+            gateway = Gateway(backend=MockBackend({"default": "fresh"}), cache_dir=Path(tmp))
+            served = gateway.complete_cached(req)
+            gateway.close()
+        assert served == dataclasses.replace(response, cached=True)
+
+
+class TestWriteText:
+    TEXT = "line\r\nnext\rlast\n" + "é中😀\"\\\x00" * 700
+
+    def test_bytes_on_disk_are_the_utf8_text(self, tmp_path):
+        target = tmp_path / "t.json"
+        write_text(target, self.TEXT)
+        assert target.read_bytes() == self.TEXT.encode("utf-8")
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        real_write = os.write
+        sizes = []
+
+        def short_write(fd, data):
+            sizes.append(real_write(fd, data[:1000]))
+            return sizes[-1]
+
+        monkeypatch.setattr(store_module.os, "write", short_write)
+        target = tmp_path / "t.json"
+        write_text(target, self.TEXT)
+        monkeypatch.undo()
+        data = self.TEXT.encode("utf-8")
+        assert len(sizes) == -(-len(data) // 1000) > 1
+        assert target.read_bytes() == data
+
+    def test_failed_write_keeps_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "t.json"
+        write_text(target, "old\n")
+
+        def no_space(fd, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(store_module.os, "write", no_space)
+        with pytest.raises(OSError):
+            write_text(str(target), self.TEXT)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+        assert target.read_text(encoding="utf-8") == "old\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_is_what_path_write_text_gives(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_text(tmp_path / "raw", "x")
+            (tmp_path / "path").write_text("x", encoding="utf-8")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "raw").stat().st_mode == (tmp_path / "path").stat().st_mode
 
 
 class TestFileFormat:
