@@ -19,8 +19,7 @@ from .runner import (
     RunConfig,
     StageConfig,
     build_run_gateway,
-    load_problems,
-    load_transcript,
+    load_run,
     run_experiment,
     stored_config,
 )
@@ -190,6 +189,8 @@ def cmd_run(args) -> int:
 
 def cmd_resume(args) -> int:
     config = stored_config(args.out_dir)
+    if _absolute(config.out_dir) != _absolute(args.out_dir):
+        config.out_dir = _absolute(args.out_dir)  # the run directory was moved
     with closing(build_run_gateway(config)) as gateway:
         report = run_experiment(config, gateway)
     print(report.to_table(), end="")
@@ -209,19 +210,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_analyze_errors(args) -> int:
-    config = stored_config(args.out_dir)
+    config, problems, transcripts = load_run(args.out_dir)
     if args.backend:
         config.backend = args.backend
         config.base_url = args.base_url or (DEFAULT_BASE_URL if args.backend == "http" else None)
         config.mock_script = args.mock_script
     if args.cache_dir:
         config.cache_dir = args.cache_dir
-    problems = load_problems(config)
-    transcripts = {}
-    for problem in problems:
-        transcript = load_transcript(args.out_dir, problem.id)
-        if transcript is not None:
-            transcripts[problem.id] = transcript
     sample_size = args.sample_size
     if sample_size > len(problems):
         log.info(

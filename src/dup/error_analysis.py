@@ -76,7 +76,6 @@ def classify_failure(
     gateway: Gateway,
     judge_model: str,
     max_tokens: int = 1024,
-    system_message: str | None = None,
 ) -> tuple[ErrorCategory, str]:
     """Ask the judge model which error type a wrong response exhibits.
 
@@ -87,7 +86,7 @@ def classify_failure(
     prompt = render_error_analysis_prompt(problem.question, wrong_response, correct_answer)
     request = ChatRequest(
         model=judge_model,
-        messages=build_messages(prompt, system_message),
+        messages=build_messages(prompt),
         temperature=0.0,
         max_tokens=max_tokens,
         tag=f"{STAGE_JUDGE}:{problem.id}",
@@ -139,7 +138,7 @@ class ErrorReport:
 
 def sample_and_analyze(
     problems,
-    transcripts,
+    transcripts: dict,
     k: int,
     seed: int,
     gateway: Gateway,
@@ -149,13 +148,12 @@ def sample_and_analyze(
 ) -> ErrorReport:
     """Draw a seeded sample of k problems and classify each failed one.
 
-    `transcripts` maps problem ids to their run transcripts (a dict or a
-    list with .problem_id entries). Problems without a transcript, or
-    graded correct, contribute to sample_size but not to the failures.
+    `transcripts` maps problem ids to their run transcripts. Problems
+    without a transcript, or graded correct, contribute to sample_size but
+    not to the failures.
     """
     if k > len(problems):
         raise InvalidInputError(f"cannot sample {k} of {len(problems)} problems")
-    by_id = transcripts if isinstance(transcripts, dict) else {t.problem_id: t for t in transcripts}
     ordered = list(problems)
     random.Random(seed).shuffle(ordered)
     sampled = ordered[:k]
@@ -163,7 +161,7 @@ def sample_and_analyze(
     dataset = sampled[0].dataset if sampled else (problems[0].dataset if problems else "")
     report = ErrorReport(dataset=dataset, method=method, sample_size=len(sampled))
     for problem in sampled:
-        transcript = by_id.get(problem.id)
+        transcript = transcripts.get(problem.id)
         if transcript is None or transcript.graded is None or transcript.graded.correct:
             continue
         wrong = transcript.answer_text or "(no response)"

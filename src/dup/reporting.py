@@ -154,14 +154,11 @@ def recount(out_dir: str | Path) -> Report:
     from what is on disk.
     """
     from .grading import GradedResult, grade
-    from .runner import load_problems, load_transcript, stored_config
+    from .runner import load_run
 
-    out_dir = Path(out_dir)
-    config = stored_config(out_dir)
-    problems = load_problems(config)
-    transcripts = {}
+    config, problems, transcripts = load_run(out_dir)
     for problem in problems:
-        transcript = load_transcript(out_dir, problem.id)
+        transcript = transcripts.get(problem.id)
         if transcript is None:
             raise DupError(f"recount needs a completed transcript for {problem.id}")
         predicted = transcript.predicted
@@ -172,7 +169,6 @@ def recount(out_dir: str | Path) -> Report:
             correct=predicted is not None and grade(predicted, problem.gold),
             extraction_source=source if predicted is not None else "none",
         )
-        transcripts[problem.id] = transcript
     report = build_report(config, problems, transcripts)
     write_report(report, out_dir)
     return report

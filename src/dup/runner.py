@@ -68,7 +68,7 @@ __all__ = [
     "run_problem",
     "run_experiment",
     "select_problems",
-    "load_problems",
+    "load_run",
     "load_transcript",
     "transcript_path",
     "stored_config",
@@ -481,19 +481,21 @@ def select_problems(problems: list, max_problems: int | None, seed: int) -> list
     return shuffled[:max_problems]
 
 
-def load_problems(config: RunConfig) -> list:
-    """The problems a run covers, in run order.
+def load_run(
+    out_dir: str | Path, config: RunConfig | None = None
+) -> tuple[RunConfig, list[Problem], dict[str, Transcript]]:
+    """What the run directory `out_dir` holds, wherever it was first written.
 
-    The dataset comes from the explicit path first, then the manifest, and
-    is subsampled per `select_problems`. Raises DupError when two selected
+    Returns the stored configuration, the problems the run covers in run
+    order, and every completed transcript stored in `out_dir`, by problem
+    id; `config`, when given, stands in for the stored configuration. The
+    dataset comes from the explicit path first, then the manifest, and is
+    subsampled per `select_problems`. Raises DupError when two selected
     problems would share a transcript file, since one would overwrite the
     other and the report would count the survivor twice.
     """
-    return [problem for _, problem in _load_named_problems(config)]
-
-
-def _load_named_problems(config: RunConfig) -> list[tuple[str, Problem]]:
-    """`load_problems`, each problem paired with its transcript file name."""
+    if config is None:
+        config = stored_config(out_dir)
     if config.dataset_path:
         answer_type = None
         if config.answer_type:
@@ -505,17 +507,24 @@ def _load_named_problems(config: RunConfig) -> list[tuple[str, Problem]]:
         problems = load_from_manifest(load_manifest(config.manifest), config.dataset)
     else:
         raise DupError("config needs dataset_path or manifest to locate the dataset file")
-    named = [
-        (_transcript_name(problem.id), problem)
-        for problem in select_problems(problems, config.max_problems, config.seed)
-    ]
+    problems = select_problems(problems, config.max_problems, config.seed)
     ids_by_name: dict[str, list[str]] = {}
-    for name, problem in named:
-        ids_by_name.setdefault(name, []).append(problem.id)
+    for problem in problems:
+        ids_by_name.setdefault(_transcript_name(problem.id), []).append(problem.id)
     clashes = [", ".join(map(repr, ids)) for ids in ids_by_name.values() if len(ids) > 1]
     if clashes:
         raise DupError(f"problem ids share a transcript file: {'; '.join(clashes)}")
-    return named
+    try:
+        present = set(os.listdir(Path(out_dir) / _TRANSCRIPT_DIR))
+    except FileNotFoundError:
+        present = set()
+    transcripts = {}
+    for name, (problem_id,) in ids_by_name.items():
+        if name in present:
+            transcript = load_transcript(out_dir, problem_id)
+            if transcript is not None:
+                transcripts[problem_id] = transcript
+    return config, problems, transcripts
 
 
 def _transcript_name(problem_id: str) -> str:
@@ -546,9 +555,15 @@ def load_transcript(out_dir: str | Path, problem_id: str) -> Transcript | None:
 
 
 def _persist_config(config: RunConfig, out_dir: Path) -> None:
+    """Store `config` in `out_dir`, or check it against the one stored there.
+
+    The stored `out_dir` is left out of the check and kept as written, so a
+    run directory that was moved still resumes.
+    """
     path = out_dir / _CONFIG_FILE
     if path.exists():
-        if read(path) != encode(config):
+        expected = encode(config)
+        if {**read(path), "out_dir": expected["out_dir"]} != expected:
             raise DupError(
                 f"{path} holds a different run configuration; use a fresh --out-dir "
                 "or resume with the stored settings"
@@ -630,21 +645,12 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     from .reporting import build_report, write_report
 
     config.validate()
-    named = _load_named_problems(config)
+    _, problems, transcripts = load_run(config.out_dir, config)
     out_dir = Path(config.out_dir)
     transcript_dir = out_dir / _TRANSCRIPT_DIR
     transcript_dir.mkdir(parents=True, exist_ok=True)
     _persist_config(config, out_dir)
-
-    present = set(os.listdir(transcript_dir))
-    transcripts: dict[str, Transcript] = {}
-    todo = []
-    for name, problem in named:
-        existing = load_transcript(out_dir, problem.id) if name in present else None
-        if existing is not None:
-            transcripts[problem.id] = existing
-        else:
-            todo.append((name, problem))
+    todo = [(_transcript_name(p.id), p) for p in problems if p.id not in transcripts]
     log.info(
         "running %d problems (%d already complete) on %s",
         len(todo),
@@ -685,6 +691,6 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     if writer.error is not None:
         raise writer.error
 
-    report = build_report(config, [problem for _, problem in named], transcripts)
+    report = build_report(config, problems, transcripts)
     write_report(report, out_dir)
     return report

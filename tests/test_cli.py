@@ -103,6 +103,30 @@ class TestResume:
         assert report["accuracy"] == 70.0
         assert len(list((out_dir / "transcripts").glob("*.json"))) == 10
 
+    def test_resume_of_a_moved_run_dir(self, tmp_path, monkeypatch, capsys):
+        old_dir = tmp_path / "a"
+        assert run_cli(*dup_run_args(old_dir)) == 0
+        config = (old_dir / "config.json").read_text(encoding="utf-8")
+        new_dir = tmp_path / "b"
+        old_dir.rename(new_dir)
+        (new_dir / "transcripts" / "synth10-00003.json").unlink()
+        sent = []
+        send = MockBackend.send
+        monkeypatch.setattr(MockBackend, "send", lambda self, r: sent.append(r) or send(self, r))
+        assert run_cli("resume", "--out-dir", new_dir) == 0
+        assert [request.tag for request in sent] == [
+            "core_question:synth10-00003",
+            "solving_info:synth10-00003",
+            "answer:synth10-00003",
+            "extraction:synth10-00003",
+        ]
+        assert not old_dir.exists()
+        assert (new_dir / "config.json").read_text(encoding="utf-8") == config
+        assert len(list((new_dir / "transcripts").glob("*.json"))) == 10
+        capsys.readouterr()
+        assert run_cli("recount", "--out-dir", new_dir) == 0
+        assert "accuracy       70.0" in capsys.readouterr().out
+
     def test_resume_without_config_fails(self, tmp_path):
         assert run_cli("resume", "--out-dir", tmp_path / "nothing") == 2
 

@@ -42,7 +42,7 @@ from dup.runner import (
     StageConfig,
     Transcript,
     build_run_gateway,
-    load_problems,
+    load_run,
     load_transcript,
     resolve_method,
     run_experiment,
@@ -317,9 +317,10 @@ class TestSelection:
             tmp_path, {}, dataset="strategyqa", dataset_path=str(path), answer_type=None
         )
         with pytest.raises(DupError, match="'a/b', 'a_b'"):
-            load_problems(config)
+            load_run(config.out_dir, config)
         # Only selected problems must map to distinct files.
-        assert len(load_problems(replace(config, max_problems=1))) == 1
+        _, problems, _ = load_run(config.out_dir, replace(config, max_problems=1))
+        assert len(problems) == 1
 
     def test_no_limit_keeps_file_order(self, synthetic_problems):
         assert select_problems(synthetic_problems, None, seed=1) == synthetic_problems
@@ -567,7 +568,7 @@ class TestTranscriptWriter:
             gateway = Gateway(backend=FaultyMock(script, faults), retry_base_delay_s=0)
             report = run_experiment(config, gateway)
 
-            selected = {problem.id for problem in load_problems(config)}
+            selected = {problem.id for problem in load_run(config.out_dir)[1]}
             assert report.total == len(selected) == len(ran)
             files = {path.name for path in (Path(config.out_dir) / "transcripts").iterdir()}
             assert files == {transcript_path("", pid).name for pid in selected}
