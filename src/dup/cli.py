@@ -92,8 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help=(
-            "problems in flight; with --self-consistency N, up to "
-            f"concurrency x min(N, {MAX_SAMPLE_THREADS}) requests reach the provider at once"
+            f"request budget: up to concurrency x min(N, {MAX_SAMPLE_THREADS}) requests reach "
+            "the provider at once, N being --self-consistency; a DUP run with N > 1 may work "
+            "on more than concurrency problems at once to keep that budget busy"
         ),
     )
     run.add_argument("--max-tokens", type=int, default=1024)

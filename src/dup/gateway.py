@@ -19,7 +19,7 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from datetime import timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -405,6 +405,20 @@ def _open_cache(cache_dir: Path) -> sqlite3.Connection:
     return db
 
 
+class _Flight:
+    """A request sent for a digest that missed the cache.
+
+    Requests for the same digest wait on `done`, made by the first of them,
+    and then find `response`: None if the request failed.
+    """
+
+    __slots__ = ("done", "response")
+
+    def __init__(self):
+        self.done: threading.Event | None = None
+        self.response: ChatResponse | None = None
+
+
 @dataclass
 class Gateway:
     """Retry loop, concurrency permit, and response cache around a backend.
@@ -452,6 +466,10 @@ class Gateway:
     _pending_since: float | None = field(init=False, repr=False, default=None)
     _pending_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
     _commit_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
+    # The request under way for each digest that missed the cache; guarded
+    # by _flights_lock.
+    _flights: dict[str, _Flight] = field(init=False, repr=False, default_factory=dict)
+    _flights_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
 
     def __post_init__(self):
         self._permit = threading.Semaphore(self.max_concurrency)
@@ -613,9 +631,12 @@ class Gateway:
         stored as one row keyed by `cache_key(request)`, committed in a batch
         (see the class docstring); the last write of a digest wins. Corrupt
         entries are evicted and treated as misses.
-        Concurrent identical requests may each reach the backend once
-        (single-flight is best-effort only); both observe the same final
-        cache content.
+
+        A miss whose digest is already being requested waits for that
+        request and is served its response as a cache hit, as it would be
+        once the response is stored. If that request fails, the waiter sends
+        its own. A request that misses just as an identical one finishes
+        may still reach the backend.
         """
         if self.cache_dir is None:
             return self.complete(request)
@@ -623,8 +644,27 @@ class Gateway:
         hit = self._read_cache(digest)
         if hit is not None:
             return hit
-        response = self.complete(request)
-        self._write_cache(digest, response)
+        while True:
+            with self._flights_lock:
+                flight = self._flights.get(digest)
+                if flight is None:
+                    flight = self._flights[digest] = _Flight()
+                    break
+                if flight.done is None:
+                    flight.done = threading.Event()
+            flight.done.wait()
+            if flight.response is not None:
+                return replace(flight.response, cached=True)
+        response = None
+        try:
+            response = self.complete(request)
+            self._write_cache(digest, response)
+        finally:
+            with self._flights_lock:
+                del self._flights[digest]
+                flight.response = response
+            if flight.done is not None:
+                flight.done.set()
         return response
 
 

@@ -73,6 +73,7 @@ __all__ = [
     "transcript_path",
     "stored_config",
     "build_run_gateway",
+    "problems_in_flight",
 ]
 
 STAGE_CORE = "core_question"
@@ -222,11 +223,22 @@ class Transcript:
 
     @property
     def answer_text(self) -> str | None:
-        """Raw reasoning text of the (first) answer-stage completion."""
-        for record in self.records:
-            if record.stage == STAGE_ANSWER and record.response is not None:
-                return record.response
-        return None
+        """Raw reasoning text the prediction came from.
+
+        That is the answer completion of the first sample whose vote grades
+        equal to `predicted`; with no such vote, the first answer completion.
+        """
+        answers = [r for r in self.records if r.stage == STAGE_ANSWER and r.response is not None]
+        if self.predicted is not None:
+            voted = {
+                vote.sample_index
+                for vote in self.votes
+                if vote.answer is not None and grade(vote.answer, self.predicted)
+            }
+            for record in answers:
+                if record.sample_index in voted:
+                    return record.response
+        return answers[0].response if answers else None
 
 
 def resolve_method(config: RunConfig, dataset: str) -> MethodVariant:
@@ -581,14 +593,38 @@ def stored_config(out_dir: str | Path) -> RunConfig:
         raise DupError(f"cannot read stored config at {path}: {exc}") from exc
 
 
+def _request_budget(config: RunConfig) -> int:
+    """Requests a run may have in flight: `workers` problems, each fanning out its samples."""
+    return config.workers * min(config.n_samples, MAX_SAMPLE_THREADS)
+
+
+def problems_in_flight(config: RunConfig) -> int:
+    """How many problems a run works on at once: the most that keep its request budget busy.
+
+    A problem makes `calls` requests, of which `path` follow one another:
+    its enabled understanding stages, then the answer and extraction call
+    of each wave of at most MAX_SAMPLE_THREADS samples. When every call
+    takes as long, a problem holds calls / path requests on average, so
+    floor(budget x path / calls) problems fit in the budget. That is
+    `workers` with one sample, or with no understanding stage and up to
+    MAX_SAMPLE_THREADS samples, and more when stages 1-2 run alone before
+    the samples fan out.
+    """
+    n = config.n_samples
+    method = resolve_method(config, config.dataset)
+    stages = config.stages.stage1 + config.stages.stage2 if method is MethodVariant.DUP else 0
+    calls = stages + 2 * n
+    path = stages + 2 * -(-n // MAX_SAMPLE_THREADS)
+    return _request_budget(config) * path // calls
+
+
 def build_run_gateway(config: RunConfig) -> Gateway:
     """Wire up the gateway a run configuration describes."""
     provider = ProviderConfig(
         backend=config.backend,
         base_url=config.base_url,
         mock_script=config.mock_script,
-        # Peak independent calls: each problem in flight fans out its samples.
-        max_concurrency=config.workers * min(config.n_samples, MAX_SAMPLE_THREADS),
+        max_concurrency=_request_budget(config),
     )
     return build_gateway(provider, Path(config.cache_dir) if config.cache_dir else None)
 
@@ -632,6 +668,11 @@ class _TranscriptWriter:
 def run_experiment(config: RunConfig, gateway: Gateway):
     """Run every selected problem, persist transcripts, and emit the report.
 
+    `problems_in_flight(config)` problems run at once, each on a thread of
+    its own, and report rows stay in problem order. Once a problem raises,
+    no further problem starts; those already under way finish, and the
+    first exception in problem order is raised.
+
     Fully resumable: problems whose transcript file is already complete are
     skipped, so re-running with the same out_dir finishes an interrupted
     run without re-issuing their requests. Every problem that finished is
@@ -659,22 +700,28 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     )
 
     writer = _TranscriptWriter()
+    raised = threading.Event()
 
     def _run_one(item):
-        if writer.error is not None:
-            return  # a transcript was lost: start no further problem
+        if raised.is_set() or writer.error is not None:
+            return  # a problem raised or a transcript was lost: start no further problem
         name, problem = item
-        transcript = run_problem(problem, config, gateway)
+        try:
+            transcript = run_problem(problem, config, gateway)
+        except BaseException:
+            raised.set()
+            raise
         transcripts[problem.id] = transcript
         writer.put(transcript_dir / name, dumps(transcript))
 
+    in_flight = problems_in_flight(config)
     failure = None
     try:
-        if config.workers == 1 or len(todo) <= 1:
+        if in_flight == 1 or len(todo) <= 1:
             for item in todo:
                 _run_one(item)
         else:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            with ThreadPoolExecutor(max_workers=in_flight) as pool:
                 for _ in pool.map(_run_one, todo):
                     pass
     except BaseException as exc:

@@ -44,6 +44,13 @@ def cache_rows(cache_dir) -> dict[str, str]:
         return dict(db.execute("select digest, entry from entries"))
 
 
+def comparable(transcript: dict) -> dict:
+    """A stored transcript without its timings, which differ between any two runs."""
+    records = [{k: v for k, v in r.items() if k != "duration_s"} for r in transcript["records"]]
+    rest = {k: v for k, v in transcript.items() if k not in ("started_at", "finished_at")}
+    return {**rest, "records": records}
+
+
 def make_run_config(tmp_path, script, **overrides) -> RunConfig:
     """A mock-backed config over the committed synthetic dataset."""
     script_path = script

@@ -18,7 +18,7 @@ from dup.grading import NormalizedAnswer
 from dup.runner import MAX_SAMPLE_THREADS, RunConfig, run_experiment, run_problem
 from dup.store import read
 
-from conftest import DATA_DIR, SYNTH_IDS, cache_rows, make_run_config
+from conftest import DATA_DIR, SYNTH_IDS, cache_rows, comparable, make_run_config
 from oracles import oracle_majority
 
 
@@ -146,13 +146,6 @@ def sc_script(problem, values, failing=()):
     return {"by_tag": script}
 
 
-def comparable(transcript: dict) -> dict:
-    """A stored transcript without its timings, which differ between any two runs."""
-    records = [{k: v for k, v in r.items() if k != "duration_s"} for r in transcript["records"]]
-    rest = {k: v for k, v in transcript.items() if k not in ("started_at", "finished_at")}
-    return {**rest, "records": records}
-
-
 class TestFanOut:
     def test_transcripts_equal_serial_reference(self, tmp_path):
         # tests/data/serial_sc3 holds the transcripts that the earlier
@@ -177,6 +170,50 @@ class TestFanOut:
             reference = json.loads((DATA_DIR / "serial_sc3" / name).read_text(encoding="utf-8"))
             written = read(Path(config.out_dir) / "transcripts" / name)
             assert comparable(written) == comparable(reference), problem_id
+
+    def test_identical_samples_share_one_extraction_call(
+        self, tmp_path, synthetic_problems, monkeypatch
+    ):
+        # Both samples of each problem reason alike, so their extraction
+        # requests are identical; the backend sees them in flight together.
+        script = {}
+        for problem in synthetic_problems:
+            script[f"core_question:{problem.id}"] = "core"
+            script[f"solving_info:{problem.id}"] = "info"
+            reasoning = f"{problem.id}: the answer is {problem.gold.number}."
+            for i in range(2):
+                script[f"answer:{problem.id}#{i}"] = reasoning
+                script[f"extraction:{problem.id}#{i}"] = str(problem.gold.number)
+        barrier = threading.Barrier(2, timeout=5)
+
+        class BarrierBackend(MockBackend):
+            def send(self, request):
+                if request.tag.startswith("answer:"):
+                    barrier.wait()  # raises unless both answer calls are in flight
+                elif request.tag.startswith("extraction:"):
+                    time.sleep(0.05)  # the other sample's request arrives meanwhile
+                return super().send(request)
+
+        def run(name, backend):
+            config = make_run_config(
+                tmp_path / name,
+                {"by_tag": script},
+                n_samples=2,
+                temperature=0.7,
+                cache_dir=str(tmp_path / name / "cache"),
+            )
+            gateway = Gateway(backend=backend, cache_dir=tmp_path / name / "cache")
+            return run_experiment(config, gateway), backend
+
+        report, backend = run("together", BarrierBackend({"by_tag": script}))
+        assert backend.calls == 10 * (2 + 2 + 1)
+        with monkeypatch.context() as patch:
+            # One sample chain at a time: the second extraction is a cache hit.
+            patch.setattr("dup.runner.MAX_SAMPLE_THREADS", 1)
+            serial, _ = run("serial", MockBackend({"by_tag": script}))
+        assert report.usage == serial.usage
+        assert report.usage["cached_calls"] == 10
+        assert report.per_problem == serial.per_problem
 
     def test_tie_breaks_to_earliest_sample(self, synthetic_problems):
         problem = synthetic_problems[0]

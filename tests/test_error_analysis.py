@@ -134,6 +134,29 @@ class TestSampleAndAnalyze:
         assert sampled_ids(7) == sampled_ids(7)
         assert sampled_ids(7) != sampled_ids(8)
 
+    def test_judge_sees_a_sample_that_voted_for_the_prediction(self, synthetic_problems):
+        problem = synthetic_problems[0]  # gold 18
+        script = {f"core_question:{problem.id}": "core", f"solving_info:{problem.id}": "info"}
+        for i, value in enumerate([12, 13, 13]):
+            script[f"answer:{problem.id}#{i}"] = f"Sample {i}: the answer is {value}."
+            script[f"extraction:{problem.id}#{i}"] = str(value)
+        transcripts = run_transcripts(
+            [problem], {"by_tag": script}, n_samples=3, temperature=0.7
+        )
+        assert transcripts[problem.id].predicted == NormalizedAnswer.of_number(13)
+        prompts = []
+
+        class RecordingBackend(MockBackend):
+            def send(self, request):
+                prompts.append(request.messages[-1].content)
+                return super().send(request)
+
+        gateway = Gateway(backend=RecordingBackend({"default": "2. Calculation error."}))
+        sample_and_analyze([problem], transcripts, k=1, seed=0, gateway=gateway, judge_model="j")
+        assert len(prompts) == 1
+        assert "Sample 1: the answer is 13." in prompts[0]
+        assert "Sample 0" not in prompts[0]
+
     def test_oversized_sample_rejected(self, synthetic_problems):
         with pytest.raises(InvalidInputError):
             sample_and_analyze(

@@ -521,6 +521,57 @@ class TestCache:
         gateway.close()
         assert len(cache_rows(tmp_path)) == threads * per_thread
 
+    def test_identical_requests_in_flight_share_one_send(self, tmp_path):
+        sending, release = threading.Event(), threading.Event()
+
+        class GatedBackend(MockBackend):
+            def send(self, req):
+                sending.set()
+                release.wait(5)
+                return super().send(req)
+
+        backend = GatedBackend({"default": "x"})
+        gateway = Gateway(backend=backend, cache_dir=tmp_path)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            first = pool.submit(gateway.complete_cached, request())
+            assert sending.wait(5)
+            others = [pool.submit(gateway.complete_cached, request()) for _ in range(2)]
+            threading.Event().wait(0.1)  # the others find the first under way
+            release.set()
+            responses = [first.result(5)] + [future.result(5) for future in others]
+        assert backend.calls == 1
+        assert [(r.content, r.cached) for r in responses] == [
+            ("x", False),
+            ("x", True),
+            ("x", True),
+        ]
+
+    def test_failed_request_in_flight_is_not_shared(self, tmp_path):
+        sending, release = threading.Event(), threading.Event()
+
+        class FailFirstBackend(MockBackend):
+            def send(self, req):
+                response = super().send(req)
+                if self.calls == 1:
+                    sending.set()
+                    release.wait(5)
+                    raise MalformedResponseError("first send fails")
+                return response
+
+        backend = FailFirstBackend({"default": "x"})
+        gateway = Gateway(backend=backend, cache_dir=tmp_path)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first = pool.submit(gateway.complete_cached, request())
+            assert sending.wait(5)
+            second = pool.submit(gateway.complete_cached, request())
+            threading.Event().wait(0.1)  # the second finds the first under way
+            release.set()
+            with pytest.raises(MalformedResponseError):
+                first.result(5)
+            response = second.result(5)
+        assert (response.content, response.cached) == ("x", False)
+        assert gateway.complete_cached(request()).cached
+
     def test_row_echoing_its_request_is_served(self, tmp_path, synthetic_problems):
         # Older versions stored the request beside the response in each row.
         prompt = render_core_question_prompt(synthetic_problems[0].question)

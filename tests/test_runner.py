@@ -5,6 +5,7 @@ import json
 import re
 import sqlite3
 import tempfile
+import threading
 import time
 from contextlib import closing
 from dataclasses import replace
@@ -44,6 +45,7 @@ from dup.runner import (
     build_run_gateway,
     load_run,
     load_transcript,
+    problems_in_flight,
     resolve_method,
     run_experiment,
     run_problem,
@@ -52,7 +54,7 @@ from dup.runner import (
 )
 from dup.store import decode, dumps
 
-from conftest import SYNTH_DATASET, SYNTH_IDS, cache_rows, make_run_config
+from conftest import SYNTH_DATASET, SYNTH_IDS, cache_rows, comparable, make_run_config
 
 
 def correct_script(problems):
@@ -63,6 +65,35 @@ def correct_script(problems):
         script["by_tag"][f"answer:{p.id}"] = f"Reasoning. The answer is {p.gold.number}."
         script["by_tag"][f"extraction:{p.id}"] = str(p.gold.number)
     return script
+
+
+def sc_correct_script(problems, n_samples):
+    """`correct_script` with each answer and extraction tag per sample."""
+    script = correct_script(problems)
+    for p in problems:
+        for stage in ("answer", "extraction"):
+            text = script["by_tag"].pop(f"{stage}:{p.id}")
+            for i in range(n_samples):
+                script["by_tag"][f"{stage}:{p.id}#{i}"] = text
+    return script
+
+
+class SleepingMock(MockBackend):
+    """A mock that takes `delay_s` per send and records the most sends in flight."""
+
+    def __init__(self, script, delay_s):
+        super().__init__(script)
+        self.delay_s = delay_s
+        self.in_flight = self.peak = 0
+
+    def send(self, request):
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        time.sleep(self.delay_s)
+        with self._lock:
+            self.in_flight -= 1
+        return super().send(request)
 
 
 # Gateway calls per problem: one per enabled understanding stage, one
@@ -362,6 +393,56 @@ class TestRunGateway:
         assert build_run_gateway(many).max_concurrency == 3 * MAX_SAMPLE_THREADS
 
 
+class TestProblemsInFlight:
+    @pytest.mark.parametrize(
+        "workers, n_samples, overrides, expected",
+        [
+            (2, 5, {}, 3),
+            (2, 1, {}, 2),
+            (4, 3, {}, 6),
+            (1, 5, {}, 1),
+            (2, 5, {"method": MethodVariant.ZERO_SHOT_COT}, 2),
+            (2, 40, {}, 2),
+            (2, 5, {"stages": StageConfig(True, False, True)}, 2),
+            (2, 5, {"stages": StageConfig(False, False, True)}, 2),
+            (2, 5, {"dataset": "last_letters"}, 2),
+            (2, 5, {"dataset": "last_letters", "last_letter_simplified": False}, 3),
+        ],
+    )
+    def test_fills_the_request_budget(self, workers, n_samples, overrides, expected):
+        config = RunConfig(
+            **{"dataset": "d", "workers": workers, "n_samples": n_samples, "temperature": 0.7}
+            | overrides
+        )
+        assert problems_in_flight(config) == expected
+
+    def test_run_keeps_the_request_budget(self, tmp_path, synthetic_problems, monkeypatch):
+        script = sc_correct_script(synthetic_problems, 5)
+        config = make_run_config(tmp_path, script, workers=2, n_samples=5, temperature=0.7)
+        gateway = build_run_gateway(config)
+        gateway.backend = SleepingMock(script, 0.01)
+        lock = threading.Lock()
+        problems = {"in_flight": 0, "peak": 0}
+        real_run_problem = runner_module.run_problem
+
+        def run_problem(*args):
+            with lock:
+                problems["in_flight"] += 1
+                problems["peak"] = max(problems["peak"], problems["in_flight"])
+            try:
+                return real_run_problem(*args)
+            finally:
+                with lock:
+                    problems["in_flight"] -= 1
+
+        monkeypatch.setattr(runner_module, "run_problem", run_problem)
+        report = run_experiment(config, gateway)
+        assert report.accuracy == 100.0
+        assert gateway.backend.calls == 10 * (2 + 2 * 5)
+        assert gateway.backend.peak <= 2 * 5
+        assert problems["peak"] == 3
+
+
 class TestRunConfig:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -518,6 +599,24 @@ class TestPersistenceAndResume:
             r["problem_id"] for r in report_parallel.per_problem
         ]
 
+    def test_overlapping_problems_match_serial_transcripts(self, tmp_path, synthetic_problems):
+        script = sc_correct_script(synthetic_problems, 3)
+        runs = {}
+        for workers in (1, 2):
+            config = make_run_config(
+                tmp_path / str(workers), script, workers=workers, n_samples=3, temperature=0.7
+            )
+            report = run_experiment(config, Gateway(backend=SleepingMock(script, 0.001)))
+            transcripts = {
+                path.name: comparable(json.loads(path.read_text(encoding="utf-8")))
+                for path in (Path(config.out_dir) / "transcripts").iterdir()
+            }
+            runs[workers] = (problems_in_flight(config), report.per_problem, transcripts)
+        assert (runs[1][0], runs[2][0]) == (1, 3)
+        assert runs[1][1] == runs[2][1]
+        assert len(runs[1][2]) == 10
+        assert runs[1][2] == runs[2][2]
+
 
 class FaultyMock(MockBackend):
     """A mock whose numbered sends (1-based, in the order they arrive) fail."""
@@ -622,6 +721,42 @@ class TestTranscriptWriter:
         assert written == {
             transcript_path("", problem.id).name for problem in synthetic_problems[:stop]
         }
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("interrupt", [RuntimeError, KeyboardInterrupt])
+    def test_no_problem_starts_after_one_raises(
+        self, tmp_path, synthetic_problems, monkeypatch, interrupt
+    ):
+        script = sc_correct_script(synthetic_problems, 3)
+        config = make_run_config(tmp_path, script, workers=2, n_samples=3, temperature=0.7)
+        stop = synthetic_problems[4].id
+        lock = threading.Condition()
+        started, under_way, at_failure = [], set(), []
+        real_run_problem = runner_module.run_problem
+
+        def run_problem(problem, *args):
+            with lock:
+                started.append(problem.id)
+                under_way.add(problem.id)
+                lock.notify_all()
+                if problem.id == stop:
+                    # Raise once every slot holds a problem, as a failure mid-run would.
+                    assert lock.wait_for(lambda: len(under_way) == 3, timeout=5)
+                    at_failure.extend(started)
+                    raise interrupt("stopped")
+            try:
+                return real_run_problem(problem, *args)
+            finally:
+                with lock:
+                    under_way.discard(problem.id)
+                    lock.notify_all()
+
+        monkeypatch.setattr(runner_module, "run_problem", run_problem)
+        with pytest.raises(interrupt, match="stopped"):
+            run_experiment(config, Gateway(backend=SleepingMock(script, 0.01)))
+        assert started == at_failure
+        written = {path.name for path in (tmp_path / "out" / "transcripts").iterdir()}
+        assert written == {transcript_path("", pid).name for pid in started if pid != stop}
         assert not (tmp_path / "out" / "report.json").exists()
 
 
