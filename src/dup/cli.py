@@ -27,8 +27,6 @@ from .store import encode, write
 
 log = logging.getLogger(__name__)
 
-__all__ = ["main", "build_parser"]
-
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 ERROR_ANALYSIS_JSON = "error_analysis.json"
 
@@ -93,8 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help=(
             f"request budget: up to concurrency x min(N, {MAX_SAMPLE_THREADS}) requests reach "
-            "the provider at once, N being --self-consistency; a DUP run with N > 1 may work "
-            "on more than concurrency problems at once to keep that budget busy"
+            "the provider at once, N being --self-consistency; with N > 1 a problem starts "
+            "whenever that budget has room for it, so more than concurrency problems may be "
+            "under way"
         ),
     )
     run.add_argument("--max-tokens", type=int, default=1024)

@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from .exceptions import InvalidInputError
 from .grading import NormalizedAnswer, grade
 
-__all__ = ["Vote", "aggregate"]
-
 
 @dataclass(frozen=True)
 class Vote:

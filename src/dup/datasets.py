@@ -21,17 +21,6 @@ from .prompts import AnswerType
 
 log = logging.getLogger(__name__)
 
-__all__ = [
-    "Problem",
-    "FieldMap",
-    "DatasetSpec",
-    "DATASET_SPECS",
-    "canonical_dataset_id",
-    "load_dataset",
-    "load_manifest",
-    "parse_gold_answer",
-]
-
 GOLD_DELIMITER = "#### "
 
 _WRAPPER_KEYS = ("examples", "data", "instances", "questions", "rows")

@@ -19,14 +19,6 @@ from .prompts import render_error_analysis_prompt
 
 log = logging.getLogger(__name__)
 
-__all__ = [
-    "ErrorCategory",
-    "ErrorReport",
-    "classify_failure",
-    "parse_category",
-    "sample_and_analyze",
-]
-
 STAGE_JUDGE = "error_judge"
 
 
@@ -150,7 +142,9 @@ def sample_and_analyze(
 
     `transcripts` maps problem ids to their run transcripts. Problems
     without a transcript, or graded correct, contribute to sample_size but
-    not to the failures.
+    not to the failures. A failed problem with no answer text failed on a
+    provider error, not on its reasoning: it is counted UNCLASSIFIED, with
+    its first error as the reply, and the judge is not asked.
     """
     if k > len(problems):
         raise InvalidInputError(f"cannot sample {k} of {len(problems)} problems")
@@ -164,10 +158,14 @@ def sample_and_analyze(
         transcript = transcripts.get(problem.id)
         if transcript is None or transcript.graded is None or transcript.graded.correct:
             continue
-        wrong = transcript.answer_text or "(no response)"
-        category, reply = classify_failure(
-            problem, wrong, problem.gold_raw, gateway, judge_model, max_tokens
-        )
+        wrong = transcript.answer_text
+        if wrong is None:
+            first_error = transcript.errors[0] if transcript.errors else "no answer recorded"
+            category, reply = ErrorCategory.UNCLASSIFIED, f"[no response: {first_error}]"
+        else:
+            category, reply = classify_failure(
+                problem, wrong, problem.gold_raw, gateway, judge_model, max_tokens
+            )
         report.counts[category] += 1
         report.total_failures += 1
         report.details.append(

@@ -10,8 +10,6 @@ from .gateway import ChatRequest, ChatResponse, Gateway, build_messages
 from .grading import NormalizedAnswer, extract_rule_based, normalize
 from .prompts import AnswerType, render_answer_extraction_prompt
 
-__all__ = ["ExtractionOutcome", "extract_answer", "dup_s_answer_segment"]
-
 STAGE_EXTRACTION = "extraction"
 
 

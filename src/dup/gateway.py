@@ -39,19 +39,6 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-__all__ = [
-    "ChatMessage",
-    "ChatRequest",
-    "ChatResponse",
-    "ProviderConfig",
-    "MockBackend",
-    "HttpBackend",
-    "Gateway",
-    "build_gateway",
-    "build_messages",
-    "cache_key",
-]
-
 ROLES = ("system", "user", "assistant")
 
 DEFAULT_TEMPERATURE = 0.0  # greedy decoding unless a run asks otherwise

@@ -17,15 +17,6 @@ from .prompts import AnswerType
 
 log = logging.getLogger(__name__)
 
-__all__ = [
-    "NormalizedAnswer",
-    "GradedResult",
-    "normalize",
-    "extract_rule_based",
-    "grade",
-    "NUMBER_REL_TOLERANCE",
-]
-
 # Relative tolerance for numeric comparison: wide enough to absorb float
 # formatting of short decimals, far too tight to conflate distinct answers.
 NUMBER_REL_TOLERANCE = Decimal("1e-6")

@@ -14,25 +14,6 @@ from enum import Enum
 
 from .exceptions import InvalidInputError
 
-__all__ = [
-    "AnswerType",
-    "MethodVariant",
-    "PromptTemplate",
-    "CORE_QUESTION_INSTRUCTION",
-    "INFO_EXTRACTION_INSTRUCTION",
-    "SOLVE_INSTRUCTION",
-    "COT_INSTRUCTION",
-    "LAST_LETTER_INSTRUCTION",
-    "render_core_question_prompt",
-    "render_info_extraction_prompt",
-    "render_final_answer_prompt",
-    "render_dup_s_prompt",
-    "render_cot_prompt",
-    "render_last_letter_prompt",
-    "render_answer_extraction_prompt",
-    "render_error_analysis_prompt",
-]
-
 
 class AnswerType(str, Enum):
     """What kind of final answer a dataset expects."""

@@ -12,18 +12,6 @@ from .store import decode, encode, read, write, write_text
 
 log = logging.getLogger(__name__)
 
-__all__ = [
-    "Report",
-    "DeltaRow",
-    "DeltaTable",
-    "build_report",
-    "write_report",
-    "load_report",
-    "recount",
-    "compare_runs",
-    "compare_report_sets",
-]
-
 REPORT_JSON = "report.json"
 REPORT_TEXT = "report.txt"
 

@@ -59,29 +59,12 @@ from .store import write as _write_json_atomic
 
 log = logging.getLogger(__name__)
 
-__all__ = [
-    "StageConfig",
-    "RunConfig",
-    "StageRecord",
-    "Transcript",
-    "resolve_method",
-    "run_problem",
-    "run_experiment",
-    "select_problems",
-    "load_run",
-    "load_transcript",
-    "transcript_path",
-    "stored_config",
-    "build_run_gateway",
-    "problems_in_flight",
-]
-
 STAGE_CORE = "core_question"
 STAGE_INFO = "solving_info"
 STAGE_ANSWER = "answer"
 
 # Most sample chains of one problem in flight at once: a problem sends at
-# most this many requests together, and starts at most this many threads.
+# most this many requests together, on at most this many threads.
 MAX_SAMPLE_THREADS = 8
 
 # Most transcript writes queued or under way at once; a worker that finishes
@@ -418,31 +401,59 @@ def _run_sample(
 
 
 def _run_samples(
-    problem, config: RunConfig, method: MethodVariant, gateway: Gateway, answer_prompt: str
+    problem,
+    config: RunConfig,
+    method: MethodVariant,
+    gateway: Gateway,
+    answer_prompt: str,
+    gate: _Gate | None,
 ) -> list[_Sample]:
     """Every sample chain, in sample order.
 
-    Several samples run concurrently, up to MAX_SAMPLE_THREADS at a time, on
-    a pool of their own, so they never wait on a slot of the problem pool
-    their problem already holds.
+    min(N, MAX_SAMPLE_THREADS) threads, the calling one among them, take
+    sample indices in order until none is left; each then gives its unit of
+    the request budget back to `gate`. The first exception a thread raises
+    is raised once every thread is done.
     """
-    if config.n_samples == 1:
-        return [_run_sample(problem, config, method, gateway, answer_prompt, 0)]
-    with ThreadPoolExecutor(max_workers=min(config.n_samples, MAX_SAMPLE_THREADS)) as pool:
-        futures = [
-            pool.submit(_run_sample, problem, config, method, gateway, answer_prompt, i)
-            for i in range(config.n_samples)
-        ]
-        return [future.result() for future in futures]
+    samples: list[_Sample] = [None] * config.n_samples
+    indices = iter(range(config.n_samples))  # next() is atomic under the GIL
+    errors: list[BaseException] = []
+
+    def chain() -> None:
+        try:
+            for index in indices:
+                samples[index] = _run_sample(problem, config, method, gateway, answer_prompt, index)
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            if gate is not None:
+                gate.release()
+
+    helpers = [
+        threading.Thread(target=chain, name=f"dup-sample-{problem.id}")
+        for _ in range(min(config.n_samples, MAX_SAMPLE_THREADS) - 1)
+    ]
+    for thread in helpers:
+        thread.start()
+    chain()
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return samples
 
 
-def run_problem(problem, config: RunConfig, gateway: Gateway) -> Transcript:
+def run_problem(
+    problem, config: RunConfig, gateway: Gateway, gate: _Gate | None = None
+) -> Transcript:
     """Run the full pipeline for one problem and grade the outcome.
 
     Gateway failures at any stage are contained: the transcript records the
     error, the problem grades incorrect, and the caller moves on. Sample
     chains run concurrently, so when one fails the others' calls may
     already have been sent; every chain's records are kept, in sample order.
+    A problem that `gate` admitted tells it when its understanding stages
+    are over and how many sample chains it fans out into.
     """
     config.validate()
     method = resolve_method(config, problem.dataset)
@@ -457,9 +468,13 @@ def run_problem(problem, config: RunConfig, gateway: Gateway) -> Transcript:
     try:
         answer_prompt = _answer_prompts(problem, config, method, gateway, transcript)
     except GatewayError:
+        if gate is not None:
+            gate.fan_out(0)
         samples = []
     else:
-        samples = _run_samples(problem, config, method, gateway, answer_prompt)
+        if gate is not None:
+            gate.fan_out(min(config.n_samples, MAX_SAMPLE_THREADS))
+        samples = _run_samples(problem, config, method, gateway, answer_prompt, gate)
     for sample in samples:
         transcript.records.extend(sample.records)
         transcript.errors.extend(sample.errors)
@@ -593,29 +608,68 @@ def stored_config(out_dir: str | Path) -> RunConfig:
         raise DupError(f"cannot read stored config at {path}: {exc}") from exc
 
 
+class _Gate:
+    """Admits a problem while the request budget has room for what it starts.
+
+    Two counts: problems still in their understanding stages, and requests
+    wanted, which are one per admitted problem that has not fanned out yet
+    plus one per sample thread still running or starting a chain (a chain
+    waiting out a retry backoff counts). A problem starts, in problem order,
+    when fewer than `workers` problems are in their understanding stages and
+    fewer than `budget` requests are wanted. Once closed, the gate admits
+    nothing more and wakes every thread waiting at it.
+    """
+
+    def __init__(self, workers: int, budget: int):
+        self._workers = workers
+        self._budget = budget
+        self._understanding = 0
+        self._wanted = 0
+        self._turn = 0
+        self._closed = False
+        self._changed = threading.Condition()
+
+    def enter(self, turn: int) -> bool:
+        """Wait until problem `turn` (0-based) may start; False once the gate is closed."""
+        with self._changed:
+            self._changed.wait_for(
+                lambda: self._closed
+                or (
+                    turn == self._turn
+                    and self._understanding < self._workers
+                    and self._wanted < self._budget
+                )
+            )
+            if self._closed:
+                return False
+            self._turn += 1
+            self._understanding += 1
+            self._wanted += 1
+            self._changed.notify_all()
+            return True
+
+    def fan_out(self, chains: int) -> None:
+        """The understanding stages of one problem are over; `chains` sample threads follow."""
+        with self._changed:
+            self._understanding -= 1
+            self._wanted += chains - 1
+            self._changed.notify_all()
+
+    def release(self) -> None:
+        """One sample thread found no sample left to start."""
+        with self._changed:
+            self._wanted -= 1
+            self._changed.notify_all()
+
+    def close(self) -> None:
+        with self._changed:
+            self._closed = True
+            self._changed.notify_all()
+
+
 def _request_budget(config: RunConfig) -> int:
     """Requests a run may have in flight: `workers` problems, each fanning out its samples."""
     return config.workers * min(config.n_samples, MAX_SAMPLE_THREADS)
-
-
-def problems_in_flight(config: RunConfig) -> int:
-    """How many problems a run works on at once: the most that keep its request budget busy.
-
-    A problem makes `calls` requests, of which `path` follow one another:
-    its enabled understanding stages, then the answer and extraction call
-    of each wave of at most MAX_SAMPLE_THREADS samples. When every call
-    takes as long, a problem holds calls / path requests on average, so
-    floor(budget x path / calls) problems fit in the budget. That is
-    `workers` with one sample, or with no understanding stage and up to
-    MAX_SAMPLE_THREADS samples, and more when stages 1-2 run alone before
-    the samples fan out.
-    """
-    n = config.n_samples
-    method = resolve_method(config, config.dataset)
-    stages = config.stages.stage1 + config.stages.stage2 if method is MethodVariant.DUP else 0
-    calls = stages + 2 * n
-    path = stages + 2 * -(-n // MAX_SAMPLE_THREADS)
-    return _request_budget(config) * path // calls
 
 
 def build_run_gateway(config: RunConfig) -> Gateway:
@@ -633,12 +687,14 @@ class _TranscriptWriter:
     """Writes encoded transcripts on one background thread, in the order given.
 
     `put` blocks while TRANSCRIPT_BACKLOG writes are queued or under way.
-    The first failed write is logged and kept in `error`; later writes are
-    still tried. `close` waits until every queued write is done.
+    The first failed write is logged, kept in `error` and closes `gate`;
+    later writes are still tried. `close` waits until every queued write is
+    done.
     """
 
-    def __init__(self):
+    def __init__(self, gate: _Gate):
         self.error: DupError | None = None
+        self._gate = gate
         self._slots = threading.Semaphore(TRANSCRIPT_BACKLOG)
         self._queue = queue.SimpleQueue()
         self._thread = threading.Thread(target=self._drain, name="dup-transcript-writer")
@@ -657,6 +713,7 @@ class _TranscriptWriter:
                 if self.error is None:
                     log.error("cannot write transcript %s: %s", path, exc)
                     self.error = DupError(f"cannot write transcript {path}: {exc}")
+                    self._gate.close()
             finally:
                 self._slots.release()
 
@@ -668,10 +725,12 @@ class _TranscriptWriter:
 def run_experiment(config: RunConfig, gateway: Gateway):
     """Run every selected problem, persist transcripts, and emit the report.
 
-    `problems_in_flight(config)` problems run at once, each on a thread of
-    its own, and report rows stay in problem order. Once a problem raises,
-    no further problem starts; those already under way finish, and the
-    first exception in problem order is raised.
+    Each problem runs on a thread of its own and starts, in problem order,
+    once the request budget `build_run_gateway` gives the permit has room
+    for it (see `_Gate`); report rows stay in problem order. Once a problem
+    raises, a transcript is lost, or the run is interrupted, no further
+    problem starts; those already under way finish, and the first exception
+    in problem order is raised.
 
     Fully resumable: problems whose transcript file is already complete are
     skipped, so re-running with the same out_dir finishes an interrupted
@@ -699,31 +758,35 @@ def run_experiment(config: RunConfig, gateway: Gateway):
         config.dataset,
     )
 
-    writer = _TranscriptWriter()
-    raised = threading.Event()
+    budget = _request_budget(config)
+    gate = _Gate(config.workers, budget)
+    writer = _TranscriptWriter(gate)
 
-    def _run_one(item):
-        if raised.is_set() or writer.error is not None:
+    def _run_one(turn, item):
+        if not gate.enter(turn):
             return  # a problem raised or a transcript was lost: start no further problem
         name, problem = item
         try:
-            transcript = run_problem(problem, config, gateway)
+            transcript = run_problem(problem, config, gateway, gate)
         except BaseException:
-            raised.set()
+            gate.close()
             raise
         transcripts[problem.id] = transcript
         writer.put(transcript_dir / name, dumps(transcript))
 
-    in_flight = problems_in_flight(config)
     failure = None
     try:
-        if in_flight == 1 or len(todo) <= 1:
-            for item in todo:
-                _run_one(item)
+        if budget == 1 or len(todo) <= 1:
+            for turn, item in enumerate(todo):
+                _run_one(turn, item)
         else:
-            with ThreadPoolExecutor(max_workers=in_flight) as pool:
-                for _ in pool.map(_run_one, todo):
-                    pass
+            with ThreadPoolExecutor(max_workers=budget) as pool:
+                try:
+                    for _ in pool.map(_run_one, range(len(todo)), todo):
+                        pass
+                except BaseException:
+                    gate.close()  # wake the threads waiting at the gate before the pool joins them
+                    raise
     except BaseException as exc:
         failure = exc
         raise

@@ -35,8 +35,6 @@ from typing import Any, Callable
 from .grading import NormalizedAnswer
 from .prompts import AnswerType
 
-__all__ = ["encode", "decode", "dumps", "read", "write", "write_text"]
-
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 # What `open(path, "w")` passes, plus O_BINARY where it exists (Windows), so
 # the bytes written are exactly the UTF-8 text, with no newline translation.

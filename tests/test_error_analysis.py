@@ -157,6 +157,33 @@ class TestSampleAndAnalyze:
         assert "Sample 1: the answer is 13." in prompts[0]
         assert "Sample 0" not in prompts[0]
 
+    def test_provider_failure_is_unclassified_without_a_judge_call(self, synthetic_problems):
+        problems = synthetic_problems[:4]
+        broken, wrong = problems[0], problems[1]
+        script = failing_script(problems, {wrong.id})
+        del script["by_tag"][f"core_question:{broken.id}"]  # stage 1 fails
+        transcripts = run_transcripts(problems, script)
+        assert transcripts[broken.id].answer_text is None
+        judged = []
+
+        class RecordingBackend(MockBackend):
+            def send(self, request):
+                judged.append(request.tag)
+                return super().send(request)
+
+        gateway = Gateway(backend=RecordingBackend({"default": "2. Calculation error."}))
+        report = sample_and_analyze(
+            problems, transcripts, k=4, seed=0, gateway=gateway, judge_model="j"
+        )
+        assert judged == [f"error_judge:{wrong.id}"]
+        assert report.total_failures == 2
+        assert report.counts[ErrorCategory.UNCLASSIFIED] == 1
+        assert report.counts[ErrorCategory.CALCULATION_ERROR] == 1
+        assert sum(report.counts.values()) == report.total_failures
+        detail = next(d for d in report.details if d["problem_id"] == broken.id)
+        assert detail["category"] == ErrorCategory.UNCLASSIFIED.value
+        assert transcripts[broken.id].errors[0] in detail["judge_reply"]
+
     def test_oversized_sample_rejected(self, synthetic_problems):
         with pytest.raises(InvalidInputError):
             sample_and_analyze(

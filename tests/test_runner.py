@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 import sqlite3
+import sys
 import tempfile
 import threading
 import time
@@ -35,7 +36,7 @@ from dup.prompts import (
     MethodVariant,
     render_answer_extraction_prompt,
 )
-from dup.reporting import recount
+from dup.reporting import build_report, recount
 from dup.runner import (
     MAX_SAMPLE_THREADS,
     TRANSCRIPT_BACKLOG,
@@ -45,7 +46,6 @@ from dup.runner import (
     build_run_gateway,
     load_run,
     load_transcript,
-    problems_in_flight,
     resolve_method,
     run_experiment,
     run_problem,
@@ -393,54 +393,162 @@ class TestRunGateway:
         assert build_run_gateway(many).max_concurrency == 3 * MAX_SAMPLE_THREADS
 
 
-class TestProblemsInFlight:
-    @pytest.mark.parametrize(
-        "workers, n_samples, overrides, expected",
-        [
-            (2, 5, {}, 3),
-            (2, 1, {}, 2),
-            (4, 3, {}, 6),
-            (1, 5, {}, 1),
-            (2, 5, {"method": MethodVariant.ZERO_SHOT_COT}, 2),
-            (2, 40, {}, 2),
-            (2, 5, {"stages": StageConfig(True, False, True)}, 2),
-            (2, 5, {"stages": StageConfig(False, False, True)}, 2),
-            (2, 5, {"dataset": "last_letters"}, 2),
-            (2, 5, {"dataset": "last_letters", "last_letter_simplified": False}, 3),
-        ],
-    )
-    def test_fills_the_request_budget(self, workers, n_samples, overrides, expected):
-        config = RunConfig(
-            **{"dataset": "d", "workers": workers, "n_samples": n_samples, "temperature": 0.7}
-            | overrides
-        )
-        assert problems_in_flight(config) == expected
+def run_bounded(config, gateway, timeout_s=30.0):
+    """`run_experiment` on a thread of its own; fails the test if it outlasts `timeout_s`.
 
-    def test_run_keeps_the_request_budget(self, tmp_path, synthetic_problems, monkeypatch):
+    Returns the report, or the exception the run raised.
+    """
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(run_experiment(config, gateway))
+        except BaseException as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    assert not thread.is_alive(), f"run still going after {timeout_s} s"
+    return outcome[0]
+
+
+class PeakCounter:
+    """A count that threads move up and down, and the highest it reached."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.now = self.peak = 0
+
+    def add(self, step: int) -> None:
+        with self._lock:
+            self.now += step
+            self.peak = max(self.peak, self.now)
+
+
+class TestAdmissionGate:
+    """Problems start when the request budget has room for them."""
+
+    def _count_problems(self, monkeypatch):
+        """Problems in `run_problem`, and those of them still before their fan-out."""
+        in_flight, understanding = PeakCounter(), PeakCounter()
+        real_run_problem = runner_module.run_problem
+        real_answer_prompts = runner_module._answer_prompts
+
+        def run_problem(*args):
+            in_flight.add(1)
+            understanding.add(1)
+            try:
+                return real_run_problem(*args)
+            finally:
+                in_flight.add(-1)
+
+        def answer_prompts(*args):
+            try:
+                return real_answer_prompts(*args)
+            finally:
+                understanding.add(-1)
+
+        monkeypatch.setattr(runner_module, "run_problem", run_problem)
+        monkeypatch.setattr(runner_module, "_answer_prompts", answer_prompts)
+        return in_flight, understanding
+
+    def test_run_keeps_the_request_budget_busy(self, tmp_path, synthetic_problems, monkeypatch):
         script = sc_correct_script(synthetic_problems, 5)
         config = make_run_config(tmp_path, script, workers=2, n_samples=5, temperature=0.7)
         gateway = build_run_gateway(config)
         gateway.backend = SleepingMock(script, 0.01)
-        lock = threading.Lock()
-        problems = {"in_flight": 0, "peak": 0}
-        real_run_problem = runner_module.run_problem
-
-        def run_problem(*args):
-            with lock:
-                problems["in_flight"] += 1
-                problems["peak"] = max(problems["peak"], problems["in_flight"])
-            try:
-                return real_run_problem(*args)
-            finally:
-                with lock:
-                    problems["in_flight"] -= 1
-
-        monkeypatch.setattr(runner_module, "run_problem", run_problem)
-        report = run_experiment(config, gateway)
+        in_flight, understanding = self._count_problems(monkeypatch)
+        report = run_bounded(config, gateway)
         assert report.accuracy == 100.0
         assert gateway.backend.calls == 10 * (2 + 2 * 5)
         assert gateway.backend.peak <= 2 * 5
-        assert problems["peak"] == 3
+        assert understanding.peak <= 2
+        assert in_flight.peak >= 4
+
+    def test_two_waves_of_samples_keep_the_budget(self, tmp_path, synthetic_problems, monkeypatch):
+        n_samples = MAX_SAMPLE_THREADS + 2
+        script = sc_correct_script(synthetic_problems, n_samples)
+        config = make_run_config(
+            tmp_path, script, workers=2, n_samples=n_samples, temperature=0.7
+        )
+        gateway = build_run_gateway(config)
+        gateway.backend = SleepingMock(script, 0.005)
+        _, understanding = self._count_problems(monkeypatch)
+        gates = []
+
+        class RecordingGate(runner_module._Gate):
+            def __init__(self, *args):
+                super().__init__(*args)
+                gates.append(self)
+
+        monkeypatch.setattr(runner_module, "_Gate", RecordingGate)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches between the gate's counts
+        try:
+            report = run_bounded(config, gateway)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.accuracy == 100.0
+        assert gateway.backend.calls == 10 * (2 + 2 * n_samples)
+        assert gateway.backend.peak <= 2 * MAX_SAMPLE_THREADS
+        assert understanding.peak <= 2
+        # Every unit a problem or a sample thread took was given back once.
+        (gate,) = gates
+        assert (gate._understanding, gate._wanted, gate._turn) == (0, 0, 10)
+
+    def test_failed_write_stops_a_run_waiting_at_the_gate(
+        self, tmp_path, synthetic_problems, monkeypatch
+    ):
+        # A budget of 3 requests for 10 problems: threads wait at the gate.
+        script = sc_correct_script(synthetic_problems, 3)
+        config = make_run_config(tmp_path, script, workers=1, n_samples=3, temperature=0.7)
+        lost = transcript_path(config.out_dir, synthetic_problems[1].id)
+        real_write_text = runner_module.write_text
+
+        def write_text(path, text):
+            if path == lost:
+                raise OSError(28, "No space left on device")
+            real_write_text(path, text)
+
+        monkeypatch.setattr(runner_module, "write_text", write_text)
+        in_flight, _ = self._count_problems(monkeypatch)
+        gateway = Gateway(backend=SleepingMock(script, 0.01))
+        outcome = run_bounded(config, gateway)
+        assert isinstance(outcome, DupError) and str(lost) in str(outcome)
+        assert not (Path(config.out_dir) / "report.json").exists()
+        # Problems still start while the lost write waits in the backlog, but
+        # not every problem of the run.
+        assert gateway.backend.calls < 10 * (2 + 2 * 3)
+        assert in_flight.now == 0
+
+    @pytest.mark.parametrize("interrupt", [RuntimeError, KeyboardInterrupt])
+    def test_nothing_waiting_at_the_gate_starts_after_a_raise(
+        self, tmp_path, synthetic_problems, monkeypatch, interrupt
+    ):
+        # One problem in its understanding stages at a time: a problem that
+        # raises before it fans out holds that place until the gate closes.
+        script = sc_correct_script(synthetic_problems, 3)
+        config = make_run_config(tmp_path, script, workers=1, n_samples=3, temperature=0.7)
+        stop = synthetic_problems[3].id
+        lock = threading.Lock()
+        started, at_failure = [], []
+        real_run_problem = runner_module.run_problem
+
+        def run_problem(problem, *args):
+            with lock:
+                started.append(problem.id)
+                if problem.id == stop:
+                    at_failure.extend(started)
+                    raise interrupt("stopped")
+            return real_run_problem(problem, *args)
+
+        monkeypatch.setattr(runner_module, "run_problem", run_problem)
+        outcome = run_bounded(config, Gateway(backend=SleepingMock(script, 0.01)))
+        assert isinstance(outcome, interrupt)
+        assert started == at_failure
+        written = {path.name for path in (tmp_path / "out" / "transcripts").iterdir()}
+        assert written == {transcript_path("", pid).name for pid in started if pid != stop}
 
 
 class TestRunConfig:
@@ -601,21 +709,22 @@ class TestPersistenceAndResume:
 
     def test_overlapping_problems_match_serial_transcripts(self, tmp_path, synthetic_problems):
         script = sc_correct_script(synthetic_problems, 3)
-        runs = {}
-        for workers in (1, 2):
-            config = make_run_config(
-                tmp_path / str(workers), script, workers=workers, n_samples=3, temperature=0.7
-            )
-            report = run_experiment(config, Gateway(backend=SleepingMock(script, 0.001)))
-            transcripts = {
-                path.name: comparable(json.loads(path.read_text(encoding="utf-8")))
-                for path in (Path(config.out_dir) / "transcripts").iterdir()
-            }
-            runs[workers] = (problems_in_flight(config), report.per_problem, transcripts)
-        assert (runs[1][0], runs[2][0]) == (1, 3)
-        assert runs[1][1] == runs[2][1]
-        assert len(runs[1][2]) == 10
-        assert runs[1][2] == runs[2][2]
+        config = make_run_config(tmp_path, script, workers=2, n_samples=3, temperature=0.7)
+        report = run_experiment(config, Gateway(backend=SleepingMock(script, 0.001)))
+        written = {
+            path.name: comparable(json.loads(path.read_text(encoding="utf-8")))
+            for path in (Path(config.out_dir) / "transcripts").iterdir()
+        }
+        serial_gateway = Gateway(backend=MockBackend(script))
+        serial = {
+            problem.id: run_problem(problem, config, serial_gateway)
+            for problem in synthetic_problems
+        }
+        assert written == {
+            transcript_path("", pid).name: comparable(json.loads(dumps(transcript)))
+            for pid, transcript in serial.items()
+        }
+        assert report.per_problem == build_report(config, synthetic_problems, serial).per_problem
 
 
 class FaultyMock(MockBackend):
@@ -740,8 +849,10 @@ class TestTranscriptWriter:
                 under_way.add(problem.id)
                 lock.notify_all()
                 if problem.id == stop:
-                    # Raise once every slot holds a problem, as a failure mid-run would.
-                    assert lock.wait_for(lambda: len(under_way) == 3, timeout=5)
+                    # Raise once the gate has let two more problems start beside
+                    # it, as a failure mid-run would: holding one of the two
+                    # understanding places, it leaves the other to the next.
+                    assert lock.wait_for(lambda: len(under_way) >= 3, timeout=5)
                     at_failure.extend(started)
                     raise interrupt("stopped")
             try:
@@ -755,6 +866,7 @@ class TestTranscriptWriter:
         with pytest.raises(interrupt, match="stopped"):
             run_experiment(config, Gateway(backend=SleepingMock(script, 0.01)))
         assert started == at_failure
+        assert started == [problem.id for problem in synthetic_problems[: len(started)]]
         written = {path.name for path in (tmp_path / "out" / "transcripts").iterdir()}
         assert written == {transcript_path("", pid).name for pid in started if pid != stop}
         assert not (tmp_path / "out" / "report.json").exists()
