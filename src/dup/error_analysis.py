@@ -125,7 +125,7 @@ class ErrorReport:
             lines.append(f"{labels[category].ljust(width)}  {self.counts[category]:5d}")
         lines.append(f"{'Total failures'.ljust(width)}  {self.total_failures:5d}")
         lines.append(f"{'Sample size'.ljust(width)}  {self.sample_size:5d}")
-        return "\n".join(lines)
+        return "\n".join(lines) + "\n"
 
 
 def sample_and_analyze(
@@ -142,9 +142,10 @@ def sample_and_analyze(
 
     `transcripts` maps problem ids to their run transcripts. Problems
     without a transcript, or graded correct, contribute to sample_size but
-    not to the failures. A failed problem with no answer text failed on a
-    provider error, not on its reasoning: it is counted UNCLASSIFIED, with
-    its first error as the reply, and the judge is not asked.
+    not to the failures. A failed problem whose transcript lists an error
+    failed on a provider error, not (or not only) on its reasoning: it is
+    counted UNCLASSIFIED, with its first error as the reply, and the judge
+    is not asked.
     """
     if k > len(problems):
         raise InvalidInputError(f"cannot sample {k} of {len(problems)} problems")
@@ -158,13 +159,11 @@ def sample_and_analyze(
         transcript = transcripts.get(problem.id)
         if transcript is None or transcript.graded is None or transcript.graded.correct:
             continue
-        wrong = transcript.answer_text
-        if wrong is None:
-            first_error = transcript.errors[0] if transcript.errors else "no answer recorded"
-            category, reply = ErrorCategory.UNCLASSIFIED, f"[no response: {first_error}]"
+        if transcript.errors:
+            category, reply = ErrorCategory.UNCLASSIFIED, f"[no response: {transcript.errors[0]}]"
         else:
             category, reply = classify_failure(
-                problem, wrong, problem.gold_raw, gateway, judge_model, max_tokens
+                problem, transcript.answer_text, problem.gold_raw, gateway, judge_model, max_tokens
             )
         report.counts[category] += 1
         report.total_failures += 1

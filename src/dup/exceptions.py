@@ -14,15 +14,7 @@ class DatasetFormatError(DupError):
 
 
 class GatewayError(DupError):
-    """Base class for chat-completion gateway failures.
-
-    A caller that renders a prompt itself may set `prompt` and `duration_s`
-    (the time the failed call took) before re-raising, so that whoever
-    records the exchange need not render or time it again.
-    """
-
-    prompt: str | None = None
-    duration_s: float | None = None
+    """Base class for chat-completion gateway failures."""
 
 
 class AuthenticationError(GatewayError):

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from typing import Callable
 
-from .exceptions import GatewayError
-from .gateway import ChatRequest, ChatResponse, Gateway, build_messages
 from .grading import NormalizedAnswer, extract_rule_based, normalize
 from .prompts import AnswerType, render_answer_extraction_prompt
 
@@ -17,55 +15,26 @@ STAGE_EXTRACTION = "extraction"
 class ExtractionOutcome:
     answer: NormalizedAnswer | None
     source: str  # "llm" | "rule_fallback" | "none"
-    prompt: str
-    response: ChatResponse
-    duration_s: float
 
 
 def extract_answer(
     reasoning_text: str,
     answer_type: AnswerType,
-    gateway: Gateway,
-    model: str,
-    max_tokens: int,
-    tag: str,
+    ask: Callable[[str], str],
     gold: NormalizedAnswer | None = None,
-    system_message: str | None = None,
 ) -> ExtractionOutcome:
     """Extract the final answer from a reasoning text.
 
-    The LLM extraction prompt runs first (greedy); only when its reply does
-    not normalize is the rule-based matcher applied to the reasoning text.
-    Gateway errors propagate to the caller, which aborts the problem; they
-    carry the extraction `prompt` and the `duration_s` the call took.
+    `ask` sends the rendered extraction prompt to the model and returns its
+    reply; whatever it raises propagates. Only when the reply does not
+    normalize is the rule-based matcher applied to the reasoning text.
     """
-    prompt = render_answer_extraction_prompt(reasoning_text, answer_type)
-    request = ChatRequest(
-        model=model,
-        messages=build_messages(prompt, system_message),
-        temperature=0.0,
-        max_tokens=max_tokens,
-        tag=tag,
-    )
-    start = time.perf_counter()
-    try:
-        response = gateway.complete_cached(request)
-    except GatewayError as exc:
-        exc.prompt, exc.duration_s = prompt, time.perf_counter() - start
-        raise
-    duration = time.perf_counter() - start
-    answer = normalize(response.content, answer_type, gold)
-    source = "llm"
-    if answer is None:
-        answer = extract_rule_based(reasoning_text, answer_type, gold)
-        source = "rule_fallback" if answer is not None else "none"
-    return ExtractionOutcome(
-        answer=answer,
-        source=source,
-        prompt=prompt,
-        response=response,
-        duration_s=duration,
-    )
+    reply = ask(render_answer_extraction_prompt(reasoning_text, answer_type))
+    answer = normalize(reply, answer_type, gold)
+    if answer is not None:
+        return ExtractionOutcome(answer, "llm")
+    answer = extract_rule_based(reasoning_text, answer_type, gold)
+    return ExtractionOutcome(answer, "rule_fallback" if answer is not None else "none")
 
 
 def dup_s_answer_segment(response_text: str) -> str:

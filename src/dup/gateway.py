@@ -16,7 +16,6 @@ import logging
 import math
 import os
 import random
-import re
 import threading
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -69,8 +68,6 @@ CACHE_COMMIT_AFTER_S = 1.0
 # Most rows in one insert statement: two bound values each, within the 999
 # values older SQLite builds accept.
 _INSERT_ROWS_MAX = 499
-# How older versions named a cache entry: one file per request digest.
-_LEGACY_ENTRY_NAME = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
@@ -343,29 +340,6 @@ class HttpBackend:
         )
 
 
-def _import_legacy_entries(db: sqlite3.Connection, cache_dir: Path) -> None:
-    """Move entries an older version wrote as one file per digest into rows.
-
-    A row already stored for the digest wins. A file that is not UTF-8 text
-    is dropped, as any corrupt entry is.
-    """
-    with os.scandir(cache_dir) as found:
-        paths = [Path(e.path) for e in found if _LEGACY_ENTRY_NAME.fullmatch(e.name)]
-    if not paths:
-        return
-    rows = []
-    for path in paths:
-        try:
-            rows.append((path.name, path.read_text(encoding="utf-8")))
-        except (FileNotFoundError, UnicodeDecodeError):
-            pass  # moved by another process meanwhile, or corrupt
-    db.execute("begin")
-    db.executemany("insert or ignore into entries (digest, entry) values (?, ?)", rows)
-    db.execute("commit")
-    for path in paths:
-        path.unlink(missing_ok=True)
-
-
 def _open_cache(cache_dir: Path) -> sqlite3.Connection:
     """Connect to the cache database in `cache_dir`, creating it when absent."""
     import sqlite3  # here, not at the top: runs without a cache skip the import
@@ -384,7 +358,6 @@ def _open_cache(cache_dir: Path) -> sqlite3.Connection:
         db.execute(
             "create table if not exists entries (digest text primary key, entry text not null)"
         )
-        _import_legacy_entries(db, cache_dir)
     except (sqlite3.Error, OSError) as exc:
         if db is not None:
             db.close()
@@ -412,8 +385,7 @@ class Gateway:
 
     The cache is one SQLite database, `cache_dir/cache.sqlite3`, with one
     row per request digest holding the JSON text `store.dumps` makes of
-    the response. Opening the cache moves entries that an older version
-    wrote as one file per digest in `cache_dir` into rows.
+    the response.
 
     A new row waits in memory, where it is served at once, and is committed
     with the others waiting by the first write that finds CACHE_COMMIT_ROWS

@@ -37,7 +37,6 @@ from .exceptions import DupError, GatewayError, InvalidInputError
 from .extraction import STAGE_EXTRACTION, dup_s_answer_segment, extract_answer
 from .gateway import (
     ChatRequest,
-    ChatResponse,
     Gateway,
     ProviderConfig,
     build_gateway,
@@ -163,29 +162,6 @@ class StageRecord:
     completion_tokens: int = 0
     error: str | None = None
 
-    @classmethod
-    def of_response(
-        cls,
-        stage: str,
-        prompt: str,
-        response: ChatResponse,
-        artifact: str | None,
-        sample_index: int,
-        duration_s: float,
-    ) -> "StageRecord":
-        """Record of a completed exchange; durations are kept to the microsecond."""
-        return cls(
-            stage=stage,
-            prompt=prompt,
-            response=response.content,
-            artifact=artifact,
-            sample_index=sample_index,
-            duration_s=round(duration_s, 6),
-            cached=response.cached,
-            prompt_tokens=response.prompt_tokens,
-            completion_tokens=response.completion_tokens,
-        )
-
 
 @dataclass
 class Transcript:
@@ -235,27 +211,6 @@ def resolve_method(config: RunConfig, dataset: str) -> MethodVariant:
     return config.method
 
 
-def _record_error(
-    sink: Transcript | _Sample,
-    stage: str,
-    prompt: str,
-    sample_index: int,
-    duration_s: float,
-    exc: GatewayError,
-) -> None:
-    """Append the record of a failed exchange, with the time it took, and its error line."""
-    sink.records.append(
-        StageRecord(
-            stage=stage,
-            prompt=prompt,
-            sample_index=sample_index,
-            duration_s=round(duration_s, 6),
-            error=str(exc),
-        )
-    )
-    sink.errors.append(f"{stage}: {exc}")
-
-
 def _call(
     gateway: Gateway,
     sink: Transcript | _Sample,
@@ -270,32 +225,36 @@ def _call(
     """Issue one stage completion and append its record to `sink.records`.
 
     `sink` is the transcript or one sample chain; a failure is also listed
-    in `sink.errors` and re-raised. Returns the content.
+    in `sink.errors` and re-raised. Returns the content. The request
+    carries `sample_index` only when sampling (temperature > 0): greedy
+    requests all carry 0, so with a cache the extraction calls of samples
+    that read the same text share one entry and one flight. Durations are
+    kept to the microsecond.
     """
     request = ChatRequest(
         model=model,
         messages=build_messages(prompt, config.system_message),
         temperature=temperature,
         max_tokens=config.max_tokens,
-        sample_index=sample_index,
+        sample_index=sample_index if temperature > 0 else 0,
         tag=tag,
     )
+    record = StageRecord(stage=stage, prompt=prompt, sample_index=sample_index)
+    sink.records.append(record)
     start = time.perf_counter()
     try:
         response = gateway.complete_cached(request)
     except GatewayError as exc:
-        _record_error(sink, stage, prompt, sample_index, time.perf_counter() - start, exc)
+        record.duration_s = round(time.perf_counter() - start, 6)
+        record.error = str(exc)
+        sink.errors.append(f"{stage}: {exc}")
         raise
-    sink.records.append(
-        StageRecord.of_response(
-            stage,
-            prompt,
-            response,
-            response.content.strip(),
-            sample_index,
-            time.perf_counter() - start,
-        )
-    )
+    record.duration_s = round(time.perf_counter() - start, 6)
+    record.response = response.content
+    record.artifact = response.content.strip()
+    record.cached = response.cached
+    record.prompt_tokens = response.prompt_tokens
+    record.completion_tokens = response.completion_tokens
     return response.content
 
 
@@ -354,6 +313,13 @@ def _run_sample(
     """Sample one reasoning path and extract its answer; gateway errors end the chain."""
     sample = _Sample()
     suffix = f"#{index}" if config.n_samples > 1 else ""
+
+    def ask(prompt: str) -> str:
+        tag = f"{STAGE_EXTRACTION}:{problem.id}{suffix}"
+        return _call(
+            gateway, sample, STAGE_EXTRACTION, prompt, config.model, config, tag, sample_index=index
+        )
+
     try:
         reasoning = _call(
             gateway,
@@ -366,35 +332,12 @@ def _run_sample(
             temperature=config.temperature,
             sample_index=index,
         )
+        if method is MethodVariant.DUP_S:
+            reasoning = dup_s_answer_segment(reasoning)
+        outcome = extract_answer(reasoning, problem.answer_type, ask, problem.gold)
     except GatewayError:
         return sample
-    extraction_input = (
-        dup_s_answer_segment(reasoning) if method is MethodVariant.DUP_S else reasoning
-    )
-    try:
-        outcome = extract_answer(
-            extraction_input,
-            problem.answer_type,
-            gateway,
-            model=config.model,
-            max_tokens=config.max_tokens,
-            tag=f"{STAGE_EXTRACTION}:{problem.id}{suffix}",
-            gold=problem.gold,
-            system_message=config.system_message,
-        )
-    except GatewayError as exc:
-        _record_error(sample, STAGE_EXTRACTION, exc.prompt, index, exc.duration_s, exc)
-        return sample
-    sample.records.append(
-        StageRecord.of_response(
-            STAGE_EXTRACTION,
-            outcome.prompt,
-            outcome.response,
-            str(outcome.answer.value) if outcome.answer else None,
-            index,
-            outcome.duration_s,
-        )
-    )
+    sample.records[-1].artifact = str(outcome.answer.value) if outcome.answer else None
     sample.vote = Vote(sample_index=index, answer=outcome.answer)
     sample.source = outcome.source
     return sample

@@ -159,11 +159,23 @@ class TestSampleAndAnalyze:
 
     def test_provider_failure_is_unclassified_without_a_judge_call(self, synthetic_problems):
         problems = synthetic_problems[:4]
-        broken, wrong = problems[0], problems[1]
+        broken, wrong, unextracted, unextracted_sample = problems
         script = failing_script(problems, {wrong.id})
         del script["by_tag"][f"core_question:{broken.id}"]  # stage 1 fails
+        del script["by_tag"][f"extraction:{unextracted.id}"]  # the answer reads the gold
         transcripts = run_transcripts(problems, script)
+        # With three samples, only sample 2's extraction fails.
+        by_tag = script["by_tag"]
+        for stage in ("answer", "extraction"):
+            text = by_tag.pop(f"{stage}:{unextracted_sample.id}")
+            for i in range(2 if stage == "extraction" else 3):
+                by_tag[f"{stage}:{unextracted_sample.id}#{i}"] = text
+        transcripts.update(
+            run_transcripts([unextracted_sample], script, n_samples=3, temperature=0.7)
+        )
         assert transcripts[broken.id].answer_text is None
+        assert transcripts[unextracted.id].answer_text is not None
+        assert transcripts[unextracted_sample.id].answer_text is not None
         judged = []
 
         class RecordingBackend(MockBackend):
@@ -176,13 +188,14 @@ class TestSampleAndAnalyze:
             problems, transcripts, k=4, seed=0, gateway=gateway, judge_model="j"
         )
         assert judged == [f"error_judge:{wrong.id}"]
-        assert report.total_failures == 2
-        assert report.counts[ErrorCategory.UNCLASSIFIED] == 1
+        assert report.total_failures == 4
+        assert report.counts[ErrorCategory.UNCLASSIFIED] == 3
         assert report.counts[ErrorCategory.CALCULATION_ERROR] == 1
         assert sum(report.counts.values()) == report.total_failures
-        detail = next(d for d in report.details if d["problem_id"] == broken.id)
-        assert detail["category"] == ErrorCategory.UNCLASSIFIED.value
-        assert transcripts[broken.id].errors[0] in detail["judge_reply"]
+        for failed in (broken, unextracted, unextracted_sample):
+            detail = next(d for d in report.details if d["problem_id"] == failed.id)
+            assert detail["category"] == ErrorCategory.UNCLASSIFIED.value
+            assert transcripts[failed.id].errors[0] in detail["judge_reply"]
 
     def test_oversized_sample_rejected(self, synthetic_problems):
         with pytest.raises(InvalidInputError):
@@ -222,6 +235,7 @@ class TestErrorReport:
         assert "Calculation Error (CE)" in table
         assert "Step-missing Error (SE)" in table
         assert "Total failures" in table
+        assert table.splitlines(keepends=True)[-1] == f"{'Sample size':<30}      5\n"
 
     def test_stored_counts_use_category_values(self):
         report = ErrorReport(dataset="d", method="m", sample_size=0)

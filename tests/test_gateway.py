@@ -38,7 +38,6 @@ from dup.gateway import (
     cache_key,
 )
 from dup.prompts import render_core_question_prompt
-from dup.store import dumps, write
 
 from conftest import DATA_DIR, cache_rows
 
@@ -359,30 +358,6 @@ class TestCache:
         (tmp_path / CACHE_FILE).write_bytes(b"this is not a database" * 100)
         with pytest.raises(DupError, match=CACHE_FILE):
             Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
-
-    def test_legacy_files_move_into_rows(self, tmp_path):
-        legacy, both = request("legacy"), request("both")
-        earlier = Gateway(backend=MockBackend({"default": "from a row"}), cache_dir=tmp_path)
-        earlier.complete_cached(both)
-        earlier.commit()
-        entry = {"request": {}, "response": {"content": "from a file", "prompt_tokens": 3}}
-        write(tmp_path / cache_key(legacy), entry)
-        write(tmp_path / cache_key(both), entry)  # a row already holds this digest
-        (tmp_path / "notes.txt").write_text("not an entry")
-        backend = MockBackend({"default": "fresh"})
-        gateway = Gateway(backend=backend, cache_dir=tmp_path)
-        assert not (tmp_path / cache_key(legacy)).exists()
-        assert not (tmp_path / cache_key(both)).exists()
-        assert (tmp_path / "notes.txt").exists()
-        assert cache_rows(tmp_path)[cache_key(legacy)] == dumps(entry)
-        from_file = gateway.complete_cached(legacy)
-        assert (from_file.content, from_file.prompt_tokens, from_file.cached) == (
-            "from a file",
-            3,
-            True,
-        )
-        assert gateway.complete_cached(both).content == "from a row"
-        assert backend.calls == 0
 
     def test_eviction_spares_a_row_rewritten_after_it_was_read(self, tmp_path):
         writer = Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)

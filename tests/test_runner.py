@@ -26,7 +26,7 @@ from dup.exceptions import (
     MalformedResponseError,
     TransientBackendError,
 )
-from dup.gateway import CACHE_FILE, Gateway, MockBackend
+from dup.gateway import CACHE_FILE, Gateway, MockBackend, build_messages
 from dup.grading import NormalizedAnswer
 from dup.prompts import (
     COT_INSTRUCTION,
@@ -200,6 +200,38 @@ class TestPromptAssembly:
         assert models[f"solving_info:{problem.id}"] == "reader"
         assert models[f"answer:{problem.id}"] == "solver"
         assert models[f"extraction:{problem.id}"] == "solver"
+
+    def test_extraction_request_is_greedy_and_tagged(self, synthetic_problems):
+        problem = synthetic_problems[0]
+        script = sc_correct_script([problem], 3)
+        for i in range(3):  # distinct reasoning texts, so each extraction is sent
+            script["by_tag"][f"answer:{problem.id}#{i}"] = f"Path {i}. The answer is 18."
+            script["by_tag"][f"extraction:{problem.id}#{i}"] = f"Path {i} gives 18."
+        requests = {}
+
+        class CapturingBackend(MockBackend):
+            def send(self, request):
+                requests[request.tag] = request
+                return super().send(request)
+
+        config = RunConfig(
+            dataset="synth10",
+            model="solver",
+            extractor_model="reader",
+            temperature=0.7,
+            n_samples=3,
+            system_message="Answer tersely.",
+        )
+        transcript = run_problem(problem, config, Gateway(backend=CapturingBackend(script)))
+        extractions = [r for r in transcript.records if r.stage == "extraction"]
+        assert [r.sample_index for r in extractions] == [0, 1, 2]
+        for i, record in enumerate(extractions):
+            request = requests[f"extraction:{problem.id}#{i}"]
+            assert (request.temperature, request.sample_index) == (0.0, 0)
+            assert request.model == "solver"
+            assert request.messages == build_messages(record.prompt, "Answer tersely.")
+            assert record.response == f"Path {i} gives 18."
+            assert record.artifact == "18"
 
 
 class TestMethodResolution:

@@ -334,17 +334,16 @@ class TestParentFormat:
         parent_keys = json.loads((PARENT_RUN / "report.json").read_text(encoding="utf-8"))
         assert set(parent_keys) - set(stored) == {"accuracy_raw"}
 
-    def test_cache_entry_is_served(self, tmp_path, synthetic_problems):
+    def test_cache_files_of_the_old_layout_are_ignored(self, tmp_path, synthetic_problems):
+        # An older version wrote one file per response; the SQLite cache
+        # neither serves nor moves such files.
         shutil.copytree(PARENT_RUN / "cache", tmp_path / "cache")
         prompt = render_core_question_prompt(synthetic_problems[0].question)
         request = ChatRequest(model="gpt-3.5-turbo", messages=build_messages(prompt))
-        assert (tmp_path / "cache" / cache_key(request)).exists()
         backend = MockBackend({"default": "fresh"})
         response = Gateway(backend=backend, cache_dir=tmp_path / "cache").complete_cached(request)
-        assert backend.calls == 0
-        assert response.cached
-        assert response.content == "How many are there at the end?"
-        assert (response.prompt_tokens, response.completion_tokens) == (28, 7)
+        assert (backend.calls, response.content, response.cached) == (1, "fresh", False)
+        assert (tmp_path / "cache" / cache_key(request)).exists()
 
     def test_cache_row_holds_what_the_file_held(self, tmp_path, synthetic_problems, dup_script):
         # The same exchange, completed afresh, is stored as the response the
