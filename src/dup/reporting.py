@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -58,43 +59,43 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def build_report(config, problems, transcripts: dict) -> Report:
-    """Fold per-problem transcripts into a Report.
+# What a report keeps of one finished problem: the per_problem dict, with only
+# what recounting and comparison need; the counts of the calls that got a
+# response, in _USAGE_KEYS order; and when the problem started and finished.
+ReportRow = namedtuple("ReportRow", "per_problem usage started_at finished_at")
+_USAGE_KEYS = ("calls", "cached_calls", "prompt_tokens", "completion_tokens")
 
-    per_problem rows keep only what recounting and comparison need; the
-    transcript files stay the source of full detail.
-    """
-    per_problem = []
-    correct = 0
-    calls = cached_calls = prompt_tokens = completion_tokens = 0
-    started = ""
-    finished = ""
-    for problem in problems:
-        transcript = transcripts.get(problem.id)
-        if transcript is None:
-            raise DupError(f"missing transcript for problem {problem.id}")
-        graded = transcript.graded
-        if graded is not None and graded.correct:
-            correct += 1
-        for record in transcript.records:
-            if record.error is None:
-                calls += 1
-                cached_calls += int(record.cached)
-                prompt_tokens += record.prompt_tokens
-                completion_tokens += record.completion_tokens
-        per_problem.append(
-            {
-                "problem_id": problem.id,
-                "correct": bool(graded.correct) if graded else False,
-                "predicted": encode(transcript.predicted),
-                "extraction_source": graded.extraction_source if graded else "none",
-                "errors": list(transcript.errors),
-            }
-        )
-        if not started or (transcript.started_at and transcript.started_at < started):
-            started = transcript.started_at
-        if transcript.finished_at and transcript.finished_at > finished:
-            finished = transcript.finished_at
+
+def report_row(problem_id: str, transcript) -> ReportRow:
+    """The row `build_report` folds for one problem, from its graded transcript."""
+    graded = transcript.graded
+    answered = [record for record in transcript.records if record.error is None]
+    return ReportRow(
+        per_problem={
+            "problem_id": problem_id,
+            "correct": bool(graded.correct) if graded else False,
+            "predicted": encode(transcript.predicted),
+            "extraction_source": graded.extraction_source if graded else "none",
+            "errors": list(transcript.errors),
+        },
+        usage=(
+            len(answered),
+            sum(record.cached for record in answered),
+            sum(record.prompt_tokens for record in answered),
+            sum(record.completion_tokens for record in answered),
+        ),
+        started_at=transcript.started_at,
+        finished_at=transcript.finished_at,
+    )
+
+
+def build_report(config, problems, rows: dict[str, ReportRow]) -> Report:
+    """Fold `rows`, the `report_row` of each problem by id, into a Report, in problem order."""
+    try:
+        ordered = [rows[problem.id] for problem in problems]
+    except KeyError as exc:
+        raise DupError(f"missing transcript for problem {exc.args[0]}") from None
+    correct = sum(row.per_problem["correct"] for row in ordered)
     total = len(problems)
     return Report(
         dataset=config.dataset,
@@ -104,15 +105,10 @@ def build_report(config, problems, transcripts: dict) -> Report:
         total=total,
         correct=correct,
         accuracy=round_accuracy(correct, total),
-        per_problem=per_problem,
-        usage={
-            "calls": calls,
-            "cached_calls": cached_calls,
-            "prompt_tokens": prompt_tokens,
-            "completion_tokens": completion_tokens,
-        },
-        started_at=started,
-        finished_at=finished,
+        per_problem=[row.per_problem for row in ordered],
+        usage={key: sum(row.usage[i] for row in ordered) for i, key in enumerate(_USAGE_KEYS)},
+        started_at=min((row.started_at for row in ordered if row.started_at), default=""),
+        finished_at=max((row.finished_at for row in ordered if row.finished_at), default=""),
     )
 
 
@@ -145,6 +141,7 @@ def recount(out_dir: str | Path) -> Report:
     from .runner import load_run
 
     config, problems, transcripts = load_run(out_dir)
+    rows = {}
     for problem in problems:
         transcript = transcripts.get(problem.id)
         if transcript is None:
@@ -157,7 +154,8 @@ def recount(out_dir: str | Path) -> Report:
             correct=predicted is not None and grade(predicted, problem.gold),
             extraction_source=source if predicted is not None else "none",
         )
-    report = build_report(config, problems, transcripts)
+        rows[problem.id] = report_row(problem.id, transcript)
+    report = build_report(config, problems, rows)
     write_report(report, out_dir)
     return report
 

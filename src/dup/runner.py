@@ -1,13 +1,15 @@
 """Experiment orchestration: per-problem pipelines, persistence, resume.
 
 Each problem produces a Transcript recording every prompt, raw response,
-and extracted artifact in execution order. A problem worker encodes its
-transcript when the problem finishes and hands the text to one background
-writer thread per run, which writes out_dir/transcripts/<id>.json (atomic
-rename) while the worker goes on to the next problem. At most
-TRANSCRIPT_BACKLOG writes wait at once, and the run drains them before it
-returns or raises, so an interrupted run resumes by skipping completed ids;
-only a crash of the process can lose the waiting ones. Stage calls are
+and extracted artifact in execution order. A problem thread encodes its
+transcript when the problem finishes, keeps only its report row
+(`reporting.report_row`), and hands the text to one background writer
+thread per run, which writes out_dir/transcripts/<id>.json (atomic rename)
+while the thread goes on to the next problem. At most TRANSCRIPT_BACKLOG
+writes wait at once, and the run drains them before it returns or raises,
+so an interrupted run resumes by skipping completed ids; only a crash of
+the process can lose the waiting ones. Resume, recount and analyze-errors
+still read every stored transcript back into memory. Stage calls are
 independent stateless completions: every prompt carries all the context it
 needs, which keeps calls cache-friendly.
 """
@@ -20,7 +22,6 @@ import queue
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -668,12 +669,12 @@ class _TranscriptWriter:
 def run_experiment(config: RunConfig, gateway: Gateway):
     """Run every selected problem, persist transcripts, and emit the report.
 
-    Each problem runs on a thread of its own and starts, in problem order,
-    once the request budget `build_run_gateway` gives the permit has room
-    for it (see `_Gate`); report rows stay in problem order. Once a problem
-    raises, a transcript is lost, or the run is interrupted, no further
-    problem starts; those already under way finish, and the first exception
-    in problem order is raised.
+    Up to `_request_budget` threads take problems in order, each starting
+    once the request budget has room for it (see `_Gate`); the caller waits.
+    The run keeps only the `reporting.report_row` of a finished problem, in
+    problem order. Once a problem raises, a transcript is lost, or the run
+    is interrupted, no further problem starts; those already under way
+    finish, and the first exception in problem order is raised.
 
     Fully resumable: problems whose transcript file is already complete are
     skipped, so re-running with the same out_dir finishes an interrupted
@@ -685,53 +686,67 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     file, unless another error is already on its way out: that one is
     raised, and the failed commit is logged.
     """
-    from .reporting import build_report, write_report
+    from .reporting import build_report, report_row, write_report
 
     config.validate()
     _, problems, transcripts = load_run(config.out_dir, config)
+    rows = {pid: report_row(pid, transcript) for pid, transcript in transcripts.items()}
+    del transcripts  # a resumed run keeps only the rows of the problems it skips
     out_dir = Path(config.out_dir)
     transcript_dir = out_dir / _TRANSCRIPT_DIR
     transcript_dir.mkdir(parents=True, exist_ok=True)
     _persist_config(config, out_dir)
-    todo = [(_transcript_name(p.id), p) for p in problems if p.id not in transcripts]
+    todo = [(_transcript_name(p.id), p) for p in problems if p.id not in rows]
     log.info(
         "running %d problems (%d already complete) on %s",
         len(todo),
-        len(transcripts),
+        len(rows),
         config.dataset,
     )
 
     budget = _request_budget(config)
     gate = _Gate(config.workers, budget)
     writer = _TranscriptWriter(gate)
+    turns = enumerate(todo)  # next() is atomic under the GIL
+    raised: dict[int, BaseException] = {}
+    ended = threading.Semaphore(0)  # released by each thread once it takes no more turns
 
-    def _run_one(turn, item):
-        if not gate.enter(turn):
-            return  # a problem raised or a transcript was lost: start no further problem
-        name, problem = item
+    def _run_turns() -> None:
         try:
-            transcript = run_problem(problem, config, gateway, gate)
-        except BaseException:
-            gate.close()
-            raise
-        transcripts[problem.id] = transcript
-        writer.put(transcript_dir / name, dumps(transcript))
+            for turn, (name, problem) in turns:
+                if not gate.enter(turn):
+                    return  # a problem raised, a transcript was lost or the run was interrupted
+                try:
+                    transcript = run_problem(problem, config, gateway, gate)
+                    text = dumps(transcript)
+                    rows[problem.id] = report_row(problem.id, transcript)
+                    del transcript  # the writer needs only the text, the report only the row
+                    writer.put(transcript_dir / name, text)
+                except BaseException as exc:
+                    gate.close()
+                    raised[turn] = exc
+                    return
+        finally:
+            ended.release()
 
+    # The calling thread waits at `ended`, not in Thread.join: on CPython, a
+    # Ctrl-C that interrupts a join can mark a thread still running as stopped.
+    threads = [threading.Thread(target=_run_turns, name="dup-run") for _ in todo[:budget]]
     failure = None
     try:
-        if budget == 1 or len(todo) <= 1:
-            for turn, item in enumerate(todo):
-                _run_one(turn, item)
-        else:
-            with ThreadPoolExecutor(max_workers=budget) as pool:
-                try:
-                    for _ in pool.map(_run_one, range(len(todo)), todo):
-                        pass
-                except BaseException:
-                    gate.close()  # wake the threads waiting at the gate before the pool joins them
-                    raise
+        for thread in threads:
+            thread.start()
+        for _ in threads:
+            while not ended.acquire(timeout=0.1):  # in slices: a Ctrl-C is seen on every platform
+                pass
+        if raised:
+            raise raised[min(raised)]
     except BaseException as exc:
         failure = exc
+        gate.close()  # the threads finish the problems under way and start no other
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
         raise
     finally:
         writer.close()
@@ -744,6 +759,6 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     if writer.error is not None:
         raise writer.error
 
-    report = build_report(config, problems, transcripts)
+    report = build_report(config, problems, rows)
     write_report(report, out_dir)
     return report

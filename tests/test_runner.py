@@ -1,5 +1,6 @@
 """Pipeline orchestration: call shapes, ablation, resume, containment."""
 
+import _thread
 import itertools
 import json
 import re
@@ -8,6 +9,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
@@ -36,7 +38,7 @@ from dup.prompts import (
     MethodVariant,
     render_answer_extraction_prompt,
 )
-from dup.reporting import build_report, recount
+from dup.reporting import build_report, recount, report_row
 from dup.runner import (
     MAX_SAMPLE_THREADS,
     TRANSCRIPT_BACKLOG,
@@ -756,7 +758,8 @@ class TestPersistenceAndResume:
             transcript_path("", pid).name: comparable(json.loads(dumps(transcript)))
             for pid, transcript in serial.items()
         }
-        assert report.per_problem == build_report(config, synthetic_problems, serial).per_problem
+        rows = {pid: report_row(pid, transcript) for pid, transcript in serial.items()}
+        assert report.per_problem == build_report(config, synthetic_problems, rows).per_problem
 
 
 class FaultyMock(MockBackend):
@@ -902,6 +905,120 @@ class TestTranscriptWriter:
         written = {path.name for path in (tmp_path / "out" / "transcripts").iterdir()}
         assert written == {transcript_path("", pid).name for pid in started if pid != stop}
         assert not (tmp_path / "out" / "report.json").exists()
+
+
+class TestProblemThreads:
+    @pytest.mark.parametrize("n_samples", [1, 3])
+    def test_no_transcript_outlives_its_write(
+        self, tmp_path, synthetic_problems, monkeypatch, n_samples
+    ):
+        if n_samples == 1:
+            script, temperature = correct_script(synthetic_problems), 0.0
+        else:
+            script, temperature = sc_correct_script(synthetic_problems, n_samples), 0.7
+        config = make_run_config(
+            tmp_path, script, workers=2, n_samples=n_samples, temperature=temperature
+        )
+        returned, alive_at_calls = [], []
+        real_run_problem = runner_module.run_problem
+
+        def run_problem(*args):
+            alive_at_calls.append(sum(ref() is not None for ref in returned))
+            transcript = real_run_problem(*args)
+            returned.append(weakref.ref(transcript))
+            return transcript
+
+        monkeypatch.setattr(runner_module, "run_problem", run_problem)
+        report = run_bounded(config, Gateway(backend=MockBackend(script)))
+        assert report.total == report.correct == len(alive_at_calls) == 10
+        # At most one transcript per problem thread, between its return and its hand-off.
+        assert max(alive_at_calls) <= runner_module._request_budget(config)
+
+    def test_ctrl_c_starts_no_problem_and_keeps_what_finished(
+        self, tmp_path, synthetic_problems, monkeypatch
+    ):
+        script = correct_script(synthetic_problems)
+        cache_dir = tmp_path / "cache"
+        config = make_run_config(tmp_path, script, workers=2, cache_dir=str(cache_dir))
+        admitted, at_close, finished, waits = [], [], [], []
+        closed = threading.Event()
+
+        class RecordingGate(runner_module._Gate):
+            # Both hold the gate's own lock, so an entry is listed before or after the close.
+            def enter(self, turn):
+                with self._changed:
+                    entered = super().enter(turn)
+                    if entered:
+                        admitted.append(turn)
+                    return entered
+
+            def close(self):
+                with self._changed:
+                    if not closed.is_set():
+                        at_close.extend(admitted)
+                        closed.set()
+                    super().close()
+
+        real_run_problem = runner_module.run_problem
+        third = synthetic_problems[2].id
+
+        def run_problem(problem, *args):
+            if problem.id == third:
+                time.sleep(0.2)  # until the main thread waits for the problem threads
+                _thread.interrupt_main()
+            if problem.id >= third:
+                # The main thread must see the interrupt while problems are under way.
+                waits.append(closed.wait(timeout=5))
+            transcript = real_run_problem(problem, *args)
+            finished.append(problem.id)
+            return transcript
+
+        monkeypatch.setattr(runner_module, "_Gate", RecordingGate)
+        monkeypatch.setattr(runner_module, "run_problem", run_problem)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config, Gateway(backend=MockBackend(script), cache_dir=cache_dir))
+        assert waits and all(waits)
+        assert admitted == at_close and len(admitted) < len(synthetic_problems)
+        written = {path.name for path in (tmp_path / "out" / "transcripts").iterdir()}
+        assert written == {transcript_path("", pid).name for pid in finished}
+        assert not (tmp_path / "out" / "report.json").exists()
+        monkeypatch.setattr(runner_module, "run_problem", real_run_problem)
+        fresh = Gateway(backend=MockBackend(script), cache_dir=cache_dir)
+        for problem in synthetic_problems:
+            if problem.id in finished:
+                assert real_run_problem(problem, config, fresh).graded.correct
+        assert fresh.backend.calls == 0
+
+    def test_first_exception_in_problem_order_is_raised(
+        self, tmp_path, synthetic_problems, monkeypatch
+    ):
+        class Earlier(Exception):
+            pass
+
+        class Later(Exception):
+            pass
+
+        script = correct_script(synthetic_problems)
+        config = make_run_config(tmp_path, script, workers=2)
+        earlier, later = synthetic_problems[3].id, synthetic_problems[4].id
+        later_raised = threading.Event()
+        real_run_problem = runner_module.run_problem
+
+        def run_problem(problem, *args):
+            if problem.id == earlier:
+                assert later_raised.wait(timeout=5)
+                raise Earlier("raised second")
+            if problem.id == later:
+                try:
+                    raise Later("raised first")
+                finally:
+                    later_raised.set()
+            return real_run_problem(problem, *args)
+
+        monkeypatch.setattr(runner_module, "run_problem", run_problem)
+        assert isinstance(run_bounded(config, Gateway(backend=MockBackend(script))), Earlier)
+        written = {path.name for path in (tmp_path / "out" / "transcripts").iterdir()}
+        assert written == {transcript_path("", p.id).name for p in synthetic_problems[:3]}
 
 
 class TestTranscript:
