@@ -90,10 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help=(
-            f"request budget: up to concurrency x min(N, {MAX_SAMPLE_THREADS}) requests reach "
-            "the provider at once, N being --self-consistency; with N > 1 a problem starts "
-            "whenever that budget has room for it, so more than concurrency problems may be "
-            "under way"
+            f"request budget: concurrency x min(N, {MAX_SAMPLE_THREADS}) requests in flight at "
+            "most, N being --self-consistency; a problem starts when one is free and no sample "
+            "thread waits for one, so more than concurrency problems may be under way"
         ),
     )
     run.add_argument("--max-tokens", type=int, default=1024)
@@ -177,25 +176,24 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def cmd_run(args) -> int:
-    config = _config_from_args(args)
-    config.validate()
+def _run(config: RunConfig) -> int:
+    config.validate()  # before the gateway is built
     with closing(build_run_gateway(config)) as gateway:
         report = run_experiment(config, gateway)
     print(report.to_table(), end="")
     print(f"report written to {Path(config.out_dir) / 'report.json'}")
     return 0
+
+
+def cmd_run(args) -> int:
+    return _run(_config_from_args(args))
 
 
 def cmd_resume(args) -> int:
     config = stored_config(args.out_dir)
     if _absolute(config.out_dir) != _absolute(args.out_dir):
         config.out_dir = _absolute(args.out_dir)  # the run directory was moved
-    with closing(build_run_gateway(config)) as gateway:
-        report = run_experiment(config, gateway)
-    print(report.to_table(), end="")
-    print(f"report written to {Path(config.out_dir) / 'report.json'}")
-    return 0
+    return _run(config)
 
 
 def cmd_compare(args) -> int:

@@ -268,13 +268,12 @@ def load_dataset(
                 raise DatasetFormatError(f"{path}:{record_no}: bad options: {exc}") from exc
             if options and _format_choices(options) not in question:
                 question = f"{question}\n{_format_choices(options)}"
+        problem_id = f"{dataset_id}-{record_no:05d}"  # when the record names none
         if resolved_map.id is not None:
             try:
                 problem_id = str(_resolve_path(record, resolved_map.id))
             except KeyError:
-                problem_id = f"{dataset_id}-{record_no:05d}"
-        else:
-            problem_id = f"{dataset_id}-{record_no:05d}"
+                pass
         try:
             gold = parse_gold_answer(gold_raw, resolved_type)
         except DatasetFormatError as exc:

@@ -18,7 +18,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 from datetime import timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -147,7 +147,7 @@ class ProviderConfig:
     auth_env: str = "OPENAI_API_KEY"
     timeout_s: float = DEFAULT_TIMEOUT_S
     max_retries: int = DEFAULT_MAX_RETRIES
-    max_concurrency: int = 8
+    max_concurrency: int = 8  # HTTP connections pooled: the requests a run may have in flight
     mock_script: Path | dict | None = None
 
     def __post_init__(self):
@@ -217,16 +217,15 @@ class MockBackend:
                 raise InvalidInputError(f"cannot read mock script {script}: {exc}") from exc
         if not isinstance(script, dict):
             raise InvalidInputError("mock script must be a JSON object")
+        self.default = script.get("default")
         if set(script) <= {"by_tag", "by_digest", "default"}:
             self.by_tag = dict(script.get("by_tag", {}))
             self.by_digest = dict(script.get("by_digest", {}))
-            self.default = script.get("default")
         else:
             # Flat shorthand: every key is a tag, except a bare "default"
             # entry which still acts as the fallback response.
             self.by_tag = {k: v for k, v in script.items() if k != "default"}
             self.by_digest = {}
-            self.default = script.get("default")
         self._lock = threading.Lock()
         self.calls = 0
 
@@ -287,7 +286,7 @@ class HttpBackend:
             from requests.adapters import HTTPAdapter
 
             session = requests.Session()
-            # One pooled connection per permitted in-flight request; the
+            # One pooled connection per request that may be in flight; the
             # default pool keeps 10 and drops the connections beyond it.
             adapter = HTTPAdapter(pool_maxsize=config.max_concurrency)
             session.mount("http://", adapter)
@@ -381,7 +380,7 @@ class _Flight:
 
 @dataclass
 class Gateway:
-    """Retry loop, concurrency permit, and response cache around a backend.
+    """Retry loop and response cache around a backend.
 
     The cache is one SQLite database, `cache_dir/cache.sqlite3`, with one
     row per request digest holding the JSON text `store.dumps` makes of
@@ -401,20 +400,19 @@ class Gateway:
     are asked for. Such a row is served as it was read, even if another
     process has rewritten it since.
 
-    Shareable across threads: the permit bounds in-flight requests and one
-    lock guards the cache connection. Runs in several processes on one host
-    may share a cache directory; SQLite serializes their writes. The
-    directory must be on a local filesystem: the database runs in WAL mode,
-    whose shared memory does not work on a network filesystem or across
-    hosts.
+    Shareable across threads, with no bound of its own on the requests in
+    flight (a run bounds them at `runner._Gate`); one lock guards the cache
+    connection. Runs in several processes on one host may share a cache
+    directory; SQLite serializes their writes. The directory must be on a
+    local filesystem: the database runs in WAL mode, whose shared memory
+    does not work on a network filesystem or across hosts.
     """
 
     backend: MockBackend | HttpBackend
     cache_dir: Path | None = None
     max_retries: int = DEFAULT_MAX_RETRIES
-    max_concurrency: int = 8
+    max_concurrency: InitVar[int | None] = None  # accepted from older callers; bounds nothing
     retry_base_delay_s: float = 0.5
-    _permit: threading.Semaphore = field(init=False, repr=False)
     _rng: random.Random = field(init=False, repr=False)
     _db: sqlite3.Connection | None = field(init=False, repr=False, default=None)
     _db_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
@@ -430,8 +428,7 @@ class Gateway:
     _flights: dict[str, _Flight] = field(init=False, repr=False, default_factory=dict)
     _flights_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
 
-    def __post_init__(self):
-        self._permit = threading.Semaphore(self.max_concurrency)
+    def __post_init__(self, max_concurrency: int | None):
         self._rng = random.Random()
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
@@ -507,19 +504,18 @@ class Gateway:
                 delay = self.retry_base_delay_s * (2 ** (attempt - 1))
                 delay += self._rng.uniform(0, self.retry_base_delay_s)
                 time.sleep(max(delay, retry_after))
-            with self._permit:
-                try:
-                    return self.backend.send(request)
-                except TransientBackendError as exc:
-                    last_exc = exc
-                    log.warning(
-                        "transient failure (attempt %d/%d): %s",
-                        attempt + 1,
-                        self.max_retries + 1,
-                        exc,
-                    )
-                except InvalidInputError as exc:
-                    raise MalformedResponseError(f"invalid completion: {exc}") from exc
+            try:
+                return self.backend.send(request)
+            except TransientBackendError as exc:
+                last_exc = exc
+                log.warning(
+                    "transient failure (attempt %d/%d): %s",
+                    attempt + 1,
+                    self.max_retries + 1,
+                    exc,
+                )
+            except InvalidInputError as exc:
+                raise MalformedResponseError(f"invalid completion: {exc}") from exc
         assert last_exc is not None
         raise RetriesExhaustedError(
             f"gave up after {self.max_retries + 1} attempts: {last_exc}",
@@ -633,9 +629,4 @@ def build_gateway(config: ProviderConfig, cache_dir: Path | None = None) -> Gate
         backend: MockBackend | HttpBackend = MockBackend(config.mock_script)
     else:
         backend = HttpBackend(config)
-    return Gateway(
-        backend=backend,
-        cache_dir=cache_dir,
-        max_retries=config.max_retries,
-        max_concurrency=config.max_concurrency,
-    )
+    return Gateway(backend=backend, cache_dir=cache_dir, max_retries=config.max_retries)

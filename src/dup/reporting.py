@@ -17,14 +17,15 @@ REPORT_JSON = "report.json"
 REPORT_TEXT = "report.txt"
 
 
+def _one_decimal(value: Decimal) -> float:
+    return float(value.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+
+
 def round_accuracy(correct: int, total: int) -> float:
     """Percentage accuracy rounded half-up to one decimal place."""
     if total == 0:
         return 0.0
-    value = (Decimal(correct) * 100 / Decimal(total)).quantize(
-        Decimal("0.1"), rounding=ROUND_HALF_UP
-    )
-    return float(value)
+    return _one_decimal(Decimal(correct) * 100 / Decimal(total))
 
 
 @dataclass
@@ -183,10 +184,6 @@ class DeltaTable:
             )
         lines.append(f"{'average delta':<16} {'':>9} {'':>9} {self.average_delta:>+7.1f}")
         return "\n".join(lines) + "\n"
-
-
-def _one_decimal(value: Decimal) -> float:
-    return float(value.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
 def compare_runs(baseline: Report, candidate: Report) -> DeltaRow:

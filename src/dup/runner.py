@@ -45,6 +45,7 @@ from .gateway import (
 )
 from .grading import GradedResult, NormalizedAnswer, grade
 from .prompts import (
+    AnswerType,
     MethodVariant,
     render_core_question_prompt,
     render_cot_prompt,
@@ -350,14 +351,15 @@ def _run_samples(
     method: MethodVariant,
     gateway: Gateway,
     answer_prompt: str,
-    gate: _Gate | None,
+    gate: _Gate,
 ) -> list[_Sample]:
     """Every sample chain, in sample order.
 
-    min(N, MAX_SAMPLE_THREADS) threads, the calling one among them, take
-    sample indices in order until none is left; each then gives its unit of
-    the request budget back to `gate`. The first exception a thread raises
-    is raised once every thread is done.
+    min(N, MAX_SAMPLE_THREADS) threads take sample indices in order until
+    none is left. The calling thread runs on the unit of the request budget
+    its problem was admitted with; each other thread first takes a unit of
+    its own from `gate`. Every thread gives its unit back when it stops. The
+    first exception a thread raises is raised once every thread is done.
     """
     samples: list[_Sample] = [None] * config.n_samples
     indices = iter(range(config.n_samples))  # next() is atomic under the GIL
@@ -370,11 +372,14 @@ def _run_samples(
         except BaseException as exc:
             errors.append(exc)
         finally:
-            if gate is not None:
-                gate.release()
+            gate.release()
+
+    def helper() -> None:
+        gate.take()
+        chain()
 
     helpers = [
-        threading.Thread(target=chain, name=f"dup-sample-{problem.id}")
+        threading.Thread(target=helper, name=f"dup-sample-{problem.id}")
         for _ in range(min(config.n_samples, MAX_SAMPLE_THREADS) - 1)
     ]
     for thread in helpers:
@@ -396,10 +401,14 @@ def run_problem(
     error, the problem grades incorrect, and the caller moves on. Sample
     chains run concurrently, so when one fails the others' calls may
     already have been sent; every chain's records are kept, in sample order.
-    A problem that `gate` admitted tells it when its understanding stages
-    are over and how many sample chains it fans out into.
+    `gate` has admitted the problem and hands its sample threads their units
+    of the request budget; a direct call admits the problem to a gate of its
+    own, with min(N, MAX_SAMPLE_THREADS) units.
     """
     config.validate()
+    if gate is None:
+        gate = _Gate(1, min(config.n_samples, MAX_SAMPLE_THREADS))
+        gate.enter(0)
     method = resolve_method(config, problem.dataset)
     transcript = Transcript(
         problem_id=problem.id,
@@ -412,12 +421,11 @@ def run_problem(
     try:
         answer_prompt = _answer_prompts(problem, config, method, gateway, transcript)
     except GatewayError:
-        if gate is not None:
-            gate.fan_out(0)
+        gate.fan_out()
+        gate.release()  # the problem's own unit: no sample chain follows
         samples = []
     else:
-        if gate is not None:
-            gate.fan_out(min(config.n_samples, MAX_SAMPLE_THREADS))
+        gate.fan_out()
         samples = _run_samples(problem, config, method, gateway, answer_prompt, gate)
     for sample in samples:
         transcript.records.extend(sample.records)
@@ -468,11 +476,7 @@ def load_run(
     if config is None:
         config = stored_config(out_dir)
     if config.dataset_path:
-        answer_type = None
-        if config.answer_type:
-            from .prompts import AnswerType
-
-            answer_type = AnswerType(config.answer_type)
+        answer_type = AnswerType(config.answer_type) if config.answer_type else None
         problems = load_dataset(config.dataset_path, config.dataset, answer_type=answer_type)
     elif config.manifest:
         problems = load_from_manifest(load_manifest(config.manifest), config.dataset)
@@ -553,22 +557,23 @@ def stored_config(out_dir: str | Path) -> RunConfig:
 
 
 class _Gate:
-    """Admits a problem while the request budget has room for what it starts.
+    """Hands out a run's request budget: `budget` units, one per request in flight.
 
-    Two counts: problems still in their understanding stages, and requests
-    wanted, which are one per admitted problem that has not fanned out yet
-    plus one per sample thread still running or starting a chain (a chain
-    waiting out a retry backoff counts). A problem starts, in problem order,
-    when fewer than `workers` problems are in their understanding stages and
-    fewer than `budget` requests are wanted. Once closed, the gate admits
-    nothing more and wakes every thread waiting at it.
+    A problem takes a unit to start (`enter`), in problem order, while fewer
+    than `workers` problems are in their understanding stages, a unit is
+    free and no sample thread waits for one. It keeps that unit for the
+    sample chain its own thread runs; each other sample thread waits in
+    `take` for a unit of its own, and is served before any new problem.
+    Every unit comes back through `release`. Once closed, the gate admits
+    no problem and wakes every thread waiting in `enter`; sample threads of
+    the problems under way still get their units.
     """
 
     def __init__(self, workers: int, budget: int):
         self._workers = workers
-        self._budget = budget
+        self._free = budget
         self._understanding = 0
-        self._wanted = 0
+        self._taking = 0  # sample threads waiting for a unit
         self._turn = 0
         self._closed = False
         self._changed = threading.Condition()
@@ -581,28 +586,37 @@ class _Gate:
                 or (
                     turn == self._turn
                     and self._understanding < self._workers
-                    and self._wanted < self._budget
+                    and self._free
+                    and not self._taking
                 )
             )
             if self._closed:
                 return False
             self._turn += 1
             self._understanding += 1
-            self._wanted += 1
+            self._free -= 1
             self._changed.notify_all()
             return True
 
-    def fan_out(self, chains: int) -> None:
-        """The understanding stages of one problem are over; `chains` sample threads follow."""
+    def fan_out(self) -> None:
+        """The understanding stages of one problem are over."""
         with self._changed:
             self._understanding -= 1
-            self._wanted += chains - 1
+            self._changed.notify_all()
+
+    def take(self) -> None:
+        """Wait for a free unit for one sample thread."""
+        with self._changed:
+            self._taking += 1
+            self._changed.wait_for(lambda: self._free)
+            self._taking -= 1
+            self._free -= 1
             self._changed.notify_all()
 
     def release(self) -> None:
-        """One sample thread found no sample left to start."""
+        """Give one unit back."""
         with self._changed:
-            self._wanted -= 1
+            self._free += 1
             self._changed.notify_all()
 
     def close(self) -> None:

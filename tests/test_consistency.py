@@ -272,8 +272,7 @@ class TestFanOut:
         before = threading.active_count()
         script = sc_script(problem, [18] * n_samples)
         config = RunConfig(dataset="synth10", temperature=0.7, n_samples=n_samples)
-        # A permit above the cap, so only the sample pool can hold calls back.
-        gateway = Gateway(backend=BlockingBackend(script), max_concurrency=n_samples)
+        gateway = Gateway(backend=BlockingBackend(script))
         transcript = run_problem(problem, config, gateway)
         assert state["peak"] == MAX_SAMPLE_THREADS
         assert [v.sample_index for v in transcript.votes] == list(range(n_samples))

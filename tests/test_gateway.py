@@ -5,7 +5,6 @@ import json
 import sqlite3
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 
@@ -59,6 +58,7 @@ def request(prompt="What is 2 + 2?", model="m", **kwargs):
 
 @pytest.fixture(autouse=True)
 def no_sleep(monkeypatch):
+    """Record backoffs unslept; this patches `time.sleep` for the whole process."""
     sleeps = []
     monkeypatch.setattr(gateway_module.time, "sleep", sleeps.append)
     return sleeps
@@ -578,27 +578,6 @@ class TestCache:
         gateway.complete_cached(request(temperature=0.7, sample_index=0))
         gateway.complete_cached(request(temperature=0.7, sample_index=1))
         assert backend.calls == 2
-
-
-class TestConcurrencyPermit:
-    def test_in_flight_requests_bounded(self):
-        lock = threading.Lock()
-        state = {"current": 0, "peak": 0}
-
-        class SlowBackend:
-            def send(self, req):
-                with lock:
-                    state["current"] += 1
-                    state["peak"] = max(state["peak"], state["current"])
-                time.sleep(0.01)
-                with lock:
-                    state["current"] -= 1
-                return ChatResponse(content="x", finish_reason="stop")
-
-        gateway = Gateway(backend=SlowBackend(), max_concurrency=2)
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(lambda _: gateway.complete(request()), range(16)))
-        assert state["peak"] <= 2
 
 
 class StubResponse:

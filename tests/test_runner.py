@@ -418,13 +418,27 @@ class TestStageConfig:
 
 
 class TestRunGateway:
-    def test_permit_covers_every_sample_of_every_worker(self):
+    def test_permit_covers_every_sample_of_every_worker(self, monkeypatch):
+        # The budget, and the HTTP connection pool sized to match it.
+        pools = []
+        real_build_gateway = runner_module.build_gateway
+
+        def build_gateway(provider, cache_dir=None):
+            pools.append(provider.max_concurrency)
+            return real_build_gateway(provider, cache_dir)
+
+        monkeypatch.setattr(runner_module, "build_gateway", build_gateway)
         base = dict(dataset="d", backend="mock", mock_script={"default": "x"}, workers=3)
-        assert build_run_gateway(RunConfig(**base)).max_concurrency == 3
-        fanned = RunConfig(**base, n_samples=5, temperature=0.7)
-        assert build_run_gateway(fanned).max_concurrency == 15
-        many = RunConfig(**base, n_samples=40, temperature=0.7)
-        assert build_run_gateway(many).max_concurrency == 3 * MAX_SAMPLE_THREADS
+        configs = [
+            RunConfig(**base),
+            RunConfig(**base, n_samples=5, temperature=0.7),
+            RunConfig(**base, n_samples=40, temperature=0.7),
+        ]
+        expected = [3, 15, 3 * MAX_SAMPLE_THREADS]
+        assert [runner_module._request_budget(config) for config in configs] == expected
+        for config in configs:
+            build_run_gateway(config)
+        assert pools == expected
 
 
 def run_bounded(config, gateway, timeout_s=30.0):
@@ -529,7 +543,50 @@ class TestAdmissionGate:
         assert understanding.peak <= 2
         # Every unit a problem or a sample thread took was given back once.
         (gate,) = gates
-        assert (gate._understanding, gate._wanted, gate._turn) == (0, 0, 10)
+        assert gate._free == runner_module._request_budget(config)
+        assert (gate._understanding, gate._taking, gate._turn) == (0, 0, 10)
+
+    def test_gate_alone_holds_the_budget(self, tmp_path, synthetic_problems):
+        # A gateway with no bound of its own: only the gate holds sends back.
+        script = sc_correct_script(synthetic_problems, 3)
+        for attempt in range(3):
+            config = make_run_config(
+                tmp_path / str(attempt), script, workers=2, n_samples=3, temperature=0.7
+            )
+            backend = SleepingMock(script, 0.01)
+            report = run_bounded(config, Gateway(backend=backend))
+            assert report.accuracy == 100.0
+            assert backend.peak == runner_module._request_budget(config) == 6
+
+    def test_sample_threads_come_before_new_problems(self):
+        gate = runner_module._Gate(workers=1, budget=2)
+        assert gate.enter(0)
+        gate.fan_out()
+        gate.take()
+        took, entered = [], []
+        taker = threading.Thread(target=lambda: took.append(gate.take()), daemon=True)
+        enterer = threading.Thread(target=lambda: entered.append(gate.enter(1)), daemon=True)
+
+        def waiting(threads: int) -> None:
+            """Wait until `threads` threads wait at the gate's condition."""
+            deadline = time.monotonic() + 5
+            while len(gate._changed._waiters) != threads:
+                assert time.monotonic() < deadline, "threads did not reach the gate"
+                time.sleep(0.001)
+
+        # The problem waits first, so it is the first woken by a release.
+        enterer.start()
+        waiting(1)
+        taker.start()
+        waiting(2)
+        gate.release()
+        taker.join(5)
+        assert not taker.is_alive() and took == [None]
+        waiting(1)
+        assert enterer.is_alive() and entered == []
+        gate.release()
+        enterer.join(5)
+        assert entered == [True]
 
     def test_failed_write_stops_a_run_waiting_at_the_gate(
         self, tmp_path, synthetic_problems, monkeypatch
