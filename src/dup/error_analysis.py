@@ -147,7 +147,7 @@ def sample_and_analyze(
     counted UNCLASSIFIED, with its first error as the reply, and the judge
     is not asked.
     """
-    if k > len(problems):
+    if not 0 <= k <= len(problems):
         raise InvalidInputError(f"cannot sample {k} of {len(problems)} problems")
     ordered = list(problems)
     random.Random(seed).shuffle(ordered)

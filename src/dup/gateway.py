@@ -137,37 +137,6 @@ class ChatResponse:
 _ROW_FIELDS = tuple(f.name for f in fields(ChatResponse) if f.name != "cached")
 
 
-@dataclass
-class ProviderConfig:
-    """How to reach a provider: http endpoint or scripted mock."""
-
-    backend: str = "http"  # "http" | "mock"
-    base_url: str | None = None
-    auth_token: str | None = None
-    auth_env: str = "OPENAI_API_KEY"
-    timeout_s: float = DEFAULT_TIMEOUT_S
-    max_retries: int = DEFAULT_MAX_RETRIES
-    max_concurrency: int = 8  # HTTP connections pooled: the requests a run may have in flight
-    mock_script: Path | dict | None = None
-
-    def __post_init__(self):
-        if self.backend not in ("http", "mock"):
-            raise InvalidInputError(f"unknown backend {self.backend!r}")
-        if self.backend == "http" and not self.base_url:
-            raise InvalidInputError("http backend requires base_url")
-        if self.backend == "mock" and self.mock_script is None:
-            raise InvalidInputError("mock backend requires a script source")
-        if self.max_retries < 0:
-            raise InvalidInputError("max_retries must be >= 0")
-        if self.max_concurrency <= 0:
-            raise InvalidInputError("max_concurrency must be positive")
-
-    def resolve_token(self) -> str | None:
-        if self.auth_token:
-            return self.auth_token
-        return os.environ.get(self.auth_env)
-
-
 def _canonical_request_payload(request: ChatRequest) -> dict:
     return {
         "model": request.model,
@@ -275,26 +244,32 @@ def _retry_after_s(value: str | None) -> float | None:
 
 
 class HttpBackend:
-    """Generic chat-completions endpoint speaking the common JSON shape."""
+    """Generic chat-completions endpoint speaking the common JSON shape.
+
+    Requests go to `base_url`/chat/completions with a DEFAULT_TIMEOUT_S
+    timeout, carrying the OPENAI_API_KEY environment variable, when set, as
+    a bearer token. `pool_size` HTTP connections are kept open: one per
+    request that may be in flight.
+    """
 
     RETRYABLE_STATUSES = frozenset({429} | set(range(500, 600)))
     AUTH_STATUSES = frozenset({401, 403})
 
-    def __init__(self, config: ProviderConfig, session=None):
+    def __init__(self, base_url: str | None, pool_size: int = 8, session=None):
+        if not base_url:
+            raise InvalidInputError("http backend requires base_url")
         if session is None:
             import requests
             from requests.adapters import HTTPAdapter
 
             session = requests.Session()
-            # One pooled connection per request that may be in flight; the
-            # default pool keeps 10 and drops the connections beyond it.
-            adapter = HTTPAdapter(pool_maxsize=config.max_concurrency)
+            # The default pool keeps 10 and drops the connections beyond it.
+            adapter = HTTPAdapter(pool_maxsize=pool_size)
             session.mount("http://", adapter)
             session.mount("https://", adapter)
         self.session = session
-        self.base_url = (config.base_url or "").rstrip("/")
-        self.timeout_s = config.timeout_s
-        self.token = config.resolve_token()
+        self.base_url = base_url.rstrip("/")
+        self.token = os.environ.get("OPENAI_API_KEY")
 
     def send(self, request: ChatRequest) -> ChatResponse:
         payload = _canonical_request_payload(request)
@@ -307,7 +282,7 @@ class HttpBackend:
                 f"{self.base_url}/chat/completions",
                 json=payload,
                 headers=headers,
-                timeout=self.timeout_s,
+                timeout=DEFAULT_TIMEOUT_S,
             )
         except OSError as exc:  # covers requests' ConnectionError/Timeout
             raise TransientBackendError(f"transport failure: {exc}") from exc
@@ -381,6 +356,10 @@ class _Flight:
 @dataclass
 class Gateway:
     """Retry loop and response cache around a backend.
+
+    Built as `Gateway(backend=HttpBackend(url) or MockBackend(script),
+    cache_dir=...)`; `runner.build_run_gateway` builds the one a run
+    configuration describes.
 
     The cache is one SQLite database, `cache_dir/cache.sqlite3`, with one
     row per request digest holding the JSON text `store.dumps` makes of
@@ -621,12 +600,3 @@ class Gateway:
             if flight.done is not None:
                 flight.done.set()
         return response
-
-
-def build_gateway(config: ProviderConfig, cache_dir: Path | None = None) -> Gateway:
-    """Assemble a gateway from a provider config."""
-    if config.backend == "mock":
-        backend: MockBackend | HttpBackend = MockBackend(config.mock_script)
-    else:
-        backend = HttpBackend(config)
-    return Gateway(backend=backend, cache_dir=cache_dir, max_retries=config.max_retries)

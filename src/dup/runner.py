@@ -36,13 +36,7 @@ from .datasets import (
 )
 from .exceptions import DupError, GatewayError, InvalidInputError
 from .extraction import STAGE_EXTRACTION, dup_s_answer_segment, extract_answer
-from .gateway import (
-    ChatRequest,
-    Gateway,
-    ProviderConfig,
-    build_gateway,
-    build_messages,
-)
+from .gateway import ChatRequest, Gateway, HttpBackend, MockBackend, build_messages
 from .grading import GradedResult, NormalizedAnswer, grade
 from .prompts import (
     AnswerType,
@@ -147,6 +141,8 @@ class RunConfig:
             raise InvalidInputError("max_problems must be >= 0")
         if self.workers < 1:
             raise InvalidInputError("workers must be >= 1")
+        if self.max_tokens < 1:
+            raise InvalidInputError("max_tokens must be >= 1")
 
 
 @dataclass
@@ -631,14 +627,20 @@ def _request_budget(config: RunConfig) -> int:
 
 
 def build_run_gateway(config: RunConfig) -> Gateway:
-    """Wire up the gateway a run configuration describes."""
-    provider = ProviderConfig(
-        backend=config.backend,
-        base_url=config.base_url,
-        mock_script=config.mock_script,
-        max_concurrency=_request_budget(config),
-    )
-    return build_gateway(provider, Path(config.cache_dir) if config.cache_dir else None)
+    """Wire up the gateway a run configuration describes.
+
+    An http backend pools one connection per request the run may have in
+    flight.
+    """
+    if config.backend == "mock":
+        if config.mock_script is None:
+            raise InvalidInputError("mock backend requires a script source")
+        backend = MockBackend(config.mock_script)
+    elif config.backend == "http":
+        backend = HttpBackend(config.base_url, _request_budget(config))
+    else:
+        raise InvalidInputError(f"unknown backend {config.backend!r}")
+    return Gateway(backend=backend, cache_dir=Path(config.cache_dir) if config.cache_dir else None)
 
 
 class _TranscriptWriter:

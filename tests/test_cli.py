@@ -86,6 +86,11 @@ class TestRun:
         )
         assert code == 2
 
+    def test_zero_max_tokens_rejected_before_writing(self, tmp_path):
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir), "--max-tokens", "0") == 2
+        assert not (out_dir / "config.json").exists()
+
     def test_unknown_method_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli(*dup_run_args(tmp_path / "run"), "--method", "telepathy")
@@ -281,6 +286,19 @@ class TestAnalyzeErrors:
         assert payload["counts"]["step_missing"] == 1
         printed = capsys.readouterr().out
         assert "Total failures" in printed
+
+    def test_negative_sample_size_exits_2(self, tmp_path):
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir)) == 0
+        code = run_cli(
+            "analyze-errors",
+            "--out-dir", out_dir,
+            "--sample-size", "-1",
+            "--backend", "mock",
+            "--mock-script", DATA_DIR / "mock_dup.json",
+        )
+        assert code == 2
+        assert not (out_dir / "error_analysis.json").exists()
 
 
 class TestRecount:

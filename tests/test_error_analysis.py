@@ -208,6 +208,18 @@ class TestSampleAndAnalyze:
                 judge_model="j",
             )
 
+    def test_negative_sample_rejected(self, synthetic_problems):
+        # A negative k would slice off the last problems instead of sampling.
+        with pytest.raises(InvalidInputError):
+            sample_and_analyze(
+                synthetic_problems,
+                {},
+                k=-1,
+                seed=0,
+                gateway=Gateway(backend=MockBackend({"default": "x"})),
+                judge_model="j",
+            )
+
 
 class TestErrorReport:
     def test_validate_rejects_inconsistent_counts(self):

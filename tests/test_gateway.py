@@ -31,8 +31,6 @@ from dup.gateway import (
     Gateway,
     HttpBackend,
     MockBackend,
-    ProviderConfig,
-    build_gateway,
     build_messages,
     cache_key,
 )
@@ -612,9 +610,8 @@ def http_backend(outcomes, monkeypatch=None, token=None):
             monkeypatch.delenv("OPENAI_API_KEY", raising=False)
         else:
             monkeypatch.setenv("OPENAI_API_KEY", token)
-    config = ProviderConfig(backend="http", base_url="https://api.test/v1")
     session = StubSession(outcomes)
-    return HttpBackend(config, session=session), session
+    return HttpBackend("https://api.test/v1", session=session), session
 
 
 # The clock the Retry-After tests read HTTP dates against.
@@ -746,33 +743,12 @@ class TestHttpBackend:
         assert no_sleep == [MAX_RETRY_AFTER_S]
 
     def test_connection_pool_sized_to_concurrency(self):
-        config = ProviderConfig(backend="http", base_url="https://api.test/v1", max_concurrency=20)
-        session = HttpBackend(config).session
+        session = HttpBackend("https://api.test/v1", 20).session
         for prefix in ("http://", "https://"):
             assert session.get_adapter(prefix + "api.test")._pool_maxsize == 20
 
-
-class TestProviderConfig:
-    def test_backend_validation(self):
-        with pytest.raises(InvalidInputError):
-            ProviderConfig(backend="carrier-pigeon")
-        with pytest.raises(InvalidInputError):
-            ProviderConfig(backend="http", base_url=None)
-        with pytest.raises(InvalidInputError):
-            ProviderConfig(backend="mock")
-
-    def test_resolve_token(self, monkeypatch):
+    def test_token_read_from_environment(self, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "sk-env")
-        config = ProviderConfig(backend="http", base_url="https://x")
-        assert config.resolve_token() == "sk-env"
-        explicit = ProviderConfig(backend="http", base_url="https://x", auth_token="sk-direct")
-        assert explicit.resolve_token() == "sk-direct"
-
-    def test_build_gateway_selects_backend(self, tmp_path):
-        mock = build_gateway(ProviderConfig(backend="mock", mock_script={"default": "x"}))
-        assert isinstance(mock.backend, MockBackend)
-        http = build_gateway(
-            ProviderConfig(backend="http", base_url="https://x"), cache_dir=tmp_path
-        )
-        assert isinstance(http.backend, HttpBackend)
-        assert http.cache_dir == tmp_path
+        assert HttpBackend("https://x", session=StubSession([])).token == "sk-env"
+        monkeypatch.delenv("OPENAI_API_KEY")
+        assert HttpBackend("https://x", session=StubSession([])).token is None

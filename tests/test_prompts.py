@@ -1,4 +1,4 @@
-"""Prompt rendering against the frozen golden files, plus template rules."""
+"""Prompt rendering against the frozen golden files, plus rendering rules."""
 
 import pytest
 from hypothesis import given
@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from dup.exceptions import InvalidInputError
 from dup.prompts import (
-    ANSWER_EXTRACTION_TEMPLATES,
     AnswerType,
-    PromptTemplate,
     SOLVE_INSTRUCTION,
     render_answer_extraction_prompt,
     render_core_question_prompt,
@@ -120,27 +118,22 @@ def test_extraction_prompts_lead_with_instruction():
     assert "yes or no" in render_answer_extraction_prompt("x", AnswerType.YES_NO)
 
 
-def test_template_slot_declaration_checked():
-    with pytest.raises(InvalidInputError):
-        PromptTemplate(name="bad", body="{a} {b}", slots=("a",))
-    with pytest.raises(InvalidInputError):
-        PromptTemplate(name="dup_slot", body="{a} {a}", slots=("a", "a"))
-
-
-def test_template_render_rejects_wrong_slots():
-    template = PromptTemplate(name="t", body="{a}", slots=("a",))
-    with pytest.raises(InvalidInputError):
-        template.render()
-    with pytest.raises(InvalidInputError):
-        template.render(a="x", b="y")
-
-
 def test_slot_values_inserted_literally():
-    template = PromptTemplate(name="t", body="{a}", slots=("a",))
-    assert template.render(a="{b}") == "{b}"
+    # Text that looks like a slot marker is part of the input, never filled.
+    slot = "{question}{core_question}"
+    assert render_core_question_prompt(slot).startswith(slot + "\n")
+    rendered = render_info_extraction_prompt(slot, "{info}")
+    assert rendered.startswith(slot + "\n") and "the core question {info}, only" in rendered
+    rendered = render_final_answer_prompt(slot, core_question="{x}", info="{y}")
+    assert rendered == f"{slot}\nHint: {{y}}\n{{x}}\n" + SOLVE_INSTRUCTION
+    for answer_type in AnswerType:
+        assert render_answer_extraction_prompt("{reasoning}", answer_type).endswith("\n{reasoning}")
+    judged = render_error_analysis_prompt(slot, "{correct}", "{wrong}")
+    assert judged.startswith(f"Question: {slot}.\nWrong Response: {{correct}}.\n")
+    assert "Correct Response: {wrong}.\n" in judged
 
 
-@given(st.text(min_size=1).filter(lambda s: "{" not in s and "}" not in s))
+@given(st.text(min_size=1))
 def test_question_always_leads_rendered_prompts(question):
     for render in (render_core_question_prompt, render_cot_prompt, render_dup_s_prompt):
         rendered = render(question)

@@ -28,7 +28,7 @@ from dup.exceptions import (
     MalformedResponseError,
     TransientBackendError,
 )
-from dup.gateway import CACHE_FILE, Gateway, MockBackend, build_messages
+from dup.gateway import CACHE_FILE, Gateway, HttpBackend, MockBackend, build_messages
 from dup.grading import NormalizedAnswer
 from dup.prompts import (
     COT_INSTRUCTION,
@@ -421,14 +421,13 @@ class TestRunGateway:
     def test_permit_covers_every_sample_of_every_worker(self, monkeypatch):
         # The budget, and the HTTP connection pool sized to match it.
         pools = []
-        real_build_gateway = runner_module.build_gateway
 
-        def build_gateway(provider, cache_dir=None):
-            pools.append(provider.max_concurrency)
-            return real_build_gateway(provider, cache_dir)
+        def http_backend(base_url, pool_size):
+            pools.append(pool_size)
+            return MockBackend({"default": "x"})
 
-        monkeypatch.setattr(runner_module, "build_gateway", build_gateway)
-        base = dict(dataset="d", backend="mock", mock_script={"default": "x"}, workers=3)
+        monkeypatch.setattr(runner_module, "HttpBackend", http_backend)
+        base = dict(dataset="d", backend="http", base_url="https://x", workers=3)
         configs = [
             RunConfig(**base),
             RunConfig(**base, n_samples=5, temperature=0.7),
@@ -439,6 +438,24 @@ class TestRunGateway:
         for config in configs:
             build_run_gateway(config)
         assert pools == expected
+
+    def test_backend_validation(self):
+        for wiring in (
+            dict(backend="carrier-pigeon"),
+            dict(backend="http", base_url=None),
+            dict(backend="mock", mock_script=None),
+        ):
+            with pytest.raises(InvalidInputError):
+                build_run_gateway(RunConfig(dataset="d", **wiring))
+
+    def test_selects_backend(self, tmp_path):
+        config = RunConfig(dataset="d", backend="mock", mock_script={"default": "x"})
+        mock = build_run_gateway(config)
+        assert isinstance(mock.backend, MockBackend) and mock.cache_dir is None
+        config = RunConfig(dataset="d", base_url="https://x", cache_dir=str(tmp_path))
+        with closing(build_run_gateway(config)) as http:
+            assert isinstance(http.backend, HttpBackend)
+            assert http.cache_dir == tmp_path
 
 
 def run_bounded(config, gateway, timeout_s=30.0):
