@@ -208,7 +208,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_analyze_errors(args) -> int:
-    config, problems, transcripts = load_run(args.out_dir)
+    config, problems, stored = load_run(args.out_dir)
     if args.backend:
         config.backend = args.backend
         config.base_url = args.base_url or (DEFAULT_BASE_URL if args.backend == "http" else None)
@@ -226,7 +226,7 @@ def cmd_analyze_errors(args) -> int:
     with closing(build_run_gateway(config)) as gateway:
         report = sample_and_analyze(
             problems,
-            transcripts,
+            stored,
             sample_size,
             args.seed,
             gateway,

@@ -2,18 +2,20 @@
 
 Public mirrors of these benchmarks disagree on field names, so each known
 dataset carries a small field map; a manifest file can override any of it.
-Input formats are line-delimited JSON and whole-file JSON arrays (plus the
-common {"examples": [...]} wrapper object).
+Input formats are line-delimited JSON, parsed a line at a time, and
+whole-file JSON arrays (plus the common {"examples": [...]} wrapper object),
+parsed whole; a leading UTF-8 byte-order mark is skipped.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .exceptions import DatasetFormatError, InvalidInputError
 from .grading import _YES_NO_MAP, NormalizedAnswer, _parse_number_token
@@ -188,44 +190,49 @@ def _format_choices(options: tuple[tuple[str, str], ...]) -> str:
     return "Answer Choices: " + " ".join(f"({letter}) {text}" for letter, text in options)
 
 
-def _read_records(path: Path) -> list[tuple[int, dict]]:
-    """Return (record_number, record) pairs; record_number is 1-based."""
+def _read_records(path: Path) -> Iterator[tuple[int, Any]]:
+    """Yield (record_number, record) pairs; record_number is 1-based."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        handle = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise DatasetFormatError(f"cannot read dataset file {path}: {exc}") from exc
-    stripped = text.strip()
-    if not stripped:
-        return []
-    if stripped[0] == "[":
+    with handle:
+        # Text mode ends a line at "\n", "\r\n" or "\r" only, not at U+2028 and
+        # the other breaks of str.splitlines, which a JSON string may hold.
+        lines = ((no, line.rstrip("\n")) for no, line in enumerate(handle, start=1) if line.strip())
+        first_no, first = next(lines, (0, ""))
+        if not first:
+            return
         try:
-            items = json.loads(stripped)
+            record, line_error = json.loads(first), None
         except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"invalid JSON array in {path}: {exc}") from exc
-        return [(i + 1, item) for i, item in enumerate(items)]
-    # A wrapper object {"examples": [...]} can be compact enough to parse as
-    # one JSONL line, so check for it before the line-delimited pass.
-    try:
-        whole = json.loads(stripped)
-    except json.JSONDecodeError:
-        whole = None
-    if isinstance(whole, dict):
-        for key in _WRAPPER_KEYS:
-            if isinstance(whole.get(key), list):
-                return [(i + 1, item) for i, item in enumerate(whole[key])]
-    records: list[tuple[int, dict]] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append((line_no, json.loads(line)))
-        except json.JSONDecodeError as exc:
-            if isinstance(whole, dict):
-                raise DatasetFormatError(
-                    f"{path}: JSON object has no recognizable record list"
-                ) from exc
-            raise DatasetFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-    return records
+            line_error = exc
+        array = first.lstrip()[0] == "["
+        if array or line_error or (ahead := next(lines, None)) is None:
+            # One JSON value: an array, a wrapper object or one JSON Lines record.
+            try:
+                value = json.loads(f"{first}\n{handle.read()}".strip())
+            except json.JSONDecodeError as exc:
+                if array:
+                    raise DatasetFormatError(f"invalid JSON array in {path}: {exc}") from exc
+                message = f"{path}:{first_no}: invalid JSON: {line_error}"
+                raise DatasetFormatError(message) from line_error
+            if isinstance(value, dict):  # a wrapper object holds its records in a list
+                lists = [value[key] for key in _WRAPPER_KEYS if isinstance(value.get(key), list)]
+                value = lists[0] if lists else value
+            if isinstance(value, list):
+                yield from enumerate(value, start=1)
+            elif line_error is None:
+                yield first_no, value  # a file of one JSON Lines record
+            else:
+                raise DatasetFormatError(f"{path}: JSON object has no recognizable record list")
+            return
+        yield first_no, record
+        for line_no, line in itertools.chain([ahead], lines):
+            try:
+                yield line_no, json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
 
 
 def load_dataset(

@@ -128,9 +128,20 @@ class ErrorReport:
         return "\n".join(lines) + "\n"
 
 
+def _verdict(problem, transcript, gateway: Gateway, judge_model: str, max_tokens: int):
+    """(category, judge reply) for a sampled problem that failed, else None."""
+    if transcript is None or transcript.graded is None or transcript.graded.correct:
+        return None
+    if transcript.errors:
+        return ErrorCategory.UNCLASSIFIED, f"[no response: {transcript.errors[0]}]"
+    return classify_failure(
+        problem, transcript.answer_text, problem.gold_raw, gateway, judge_model, max_tokens
+    )
+
+
 def sample_and_analyze(
     problems,
-    transcripts: dict,
+    transcript_of,
     k: int,
     seed: int,
     gateway: Gateway,
@@ -140,12 +151,13 @@ def sample_and_analyze(
 ) -> ErrorReport:
     """Draw a seeded sample of k problems and classify each failed one.
 
-    `transcripts` maps problem ids to their run transcripts. Problems
-    without a transcript, or graded correct, contribute to sample_size but
-    not to the failures. A failed problem whose transcript lists an error
-    failed on a provider error, not (or not only) on its reasoning: it is
-    counted UNCLASSIFIED, with its first error as the reply, and the judge
-    is not asked.
+    `transcript_of(problem_id)` returns a problem's run transcript, or None
+    (a dict's `get` will do); it is asked for the sampled problems only, one
+    at a time. Problems without a transcript, or graded correct, contribute
+    to sample_size but not to the failures. A failed problem whose
+    transcript lists an error failed on a provider error, not (or not only)
+    on its reasoning: it is counted UNCLASSIFIED, with its first error as
+    the reply, and the judge is not asked.
     """
     if not 0 <= k <= len(problems):
         raise InvalidInputError(f"cannot sample {k} of {len(problems)} problems")
@@ -156,15 +168,10 @@ def sample_and_analyze(
     dataset = sampled[0].dataset if sampled else (problems[0].dataset if problems else "")
     report = ErrorReport(dataset=dataset, method=method, sample_size=len(sampled))
     for problem in sampled:
-        transcript = transcripts.get(problem.id)
-        if transcript is None or transcript.graded is None or transcript.graded.correct:
+        verdict = _verdict(problem, transcript_of(problem.id), gateway, judge_model, max_tokens)
+        if verdict is None:
             continue
-        if transcript.errors:
-            category, reply = ErrorCategory.UNCLASSIFIED, f"[no response: {transcript.errors[0]}]"
-        else:
-            category, reply = classify_failure(
-                problem, transcript.answer_text, problem.gold_raw, gateway, judge_model, max_tokens
-            )
+        category, reply = verdict
         report.counts[category] += 1
         report.total_failures += 1
         report.details.append(

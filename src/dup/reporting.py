@@ -136,15 +136,15 @@ def recount(out_dir: str | Path) -> Report:
     """Regrade a finished run purely from its persisted transcripts.
 
     Useful after grading fixes: no gateway traffic, just a fresh report
-    from what is on disk.
+    from what is on disk. Transcripts are decoded one at a time.
     """
     from .grading import GradedResult, grade
     from .runner import load_run
 
-    config, problems, transcripts = load_run(out_dir)
+    config, problems, stored = load_run(out_dir)
     rows = {}
     for problem in problems:
-        transcript = transcripts.get(problem.id)
+        transcript = stored(problem.id)
         if transcript is None:
             raise DupError(f"recount needs a completed transcript for {problem.id}")
         predicted = transcript.predicted
@@ -156,6 +156,7 @@ def recount(out_dir: str | Path) -> Report:
             extraction_source=source if predicted is not None else "none",
         )
         rows[problem.id] = report_row(problem.id, transcript)
+        del transcript  # before the next one is decoded
     report = build_report(config, problems, rows)
     write_report(report, out_dir)
     return report

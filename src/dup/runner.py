@@ -9,9 +9,9 @@ while the thread goes on to the next problem. At most TRANSCRIPT_BACKLOG
 writes wait at once, and the run drains them before it returns or raises,
 so an interrupted run resumes by skipping completed ids; only a crash of
 the process can lose the waiting ones. Resume, recount and analyze-errors
-still read every stored transcript back into memory. Stage calls are
-independent stateless completions: every prompt carries all the context it
-needs, which keeps calls cache-friendly.
+decode stored transcripts one at a time. Stage calls are independent
+stateless completions: every prompt carries all the context it needs,
+which keeps calls cache-friendly.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, Iterator
 
 from .consistency import Vote, aggregate
 from .datasets import (
@@ -354,25 +355,28 @@ def _run_samples(
     min(N, MAX_SAMPLE_THREADS) threads take sample indices in order until
     none is left. The calling thread runs on the unit of the request budget
     its problem was admitted with; each other thread first takes a unit of
-    its own from `gate`. Every thread gives its unit back when it stops. The
-    first exception a thread raises is raised once every thread is done.
+    its own from `gate`, with its first index, or stops if none is left.
+    Every thread gives its unit back when it stops. The first exception a
+    thread raises is raised once every thread is done.
     """
     samples: list[_Sample] = [None] * config.n_samples
     indices = iter(range(config.n_samples))  # next() is atomic under the GIL
     errors: list[BaseException] = []
 
-    def chain() -> None:
+    def chain(index: int | None) -> None:
         try:
-            for index in indices:
+            while index is not None:
                 samples[index] = _run_sample(problem, config, method, gateway, answer_prompt, index)
+                index = next(indices, None)
         except BaseException as exc:
             errors.append(exc)
         finally:
             gate.release()
 
     def helper() -> None:
-        gate.take()
-        chain()
+        index = gate.take(indices)
+        if index is not None:
+            chain(index)
 
     helpers = [
         threading.Thread(target=helper, name=f"dup-sample-{problem.id}")
@@ -380,7 +384,7 @@ def _run_samples(
     ]
     for thread in helpers:
         thread.start()
-    chain()
+    chain(next(indices, None))
     for thread in helpers:
         thread.join()
     if errors:
@@ -458,16 +462,17 @@ def select_problems(problems: list, max_problems: int | None, seed: int) -> list
 
 def load_run(
     out_dir: str | Path, config: RunConfig | None = None
-) -> tuple[RunConfig, list[Problem], dict[str, Transcript]]:
+) -> tuple[RunConfig, list[Problem], Callable[[str], Transcript | None]]:
     """What the run directory `out_dir` holds, wherever it was first written.
 
     Returns the stored configuration, the problems the run covers in run
-    order, and every completed transcript stored in `out_dir`, by problem
-    id; `config`, when given, stands in for the stored configuration. The
-    dataset comes from the explicit path first, then the manifest, and is
-    subsampled per `select_problems`. Raises DupError when two selected
-    problems would share a transcript file, since one would overwrite the
-    other and the report would count the survivor twice.
+    order, and a function that decodes the completed transcript stored for
+    a problem id, or returns None. `config`, when given, stands in for the
+    stored configuration. The dataset comes from the explicit path first,
+    then the manifest, and is subsampled per `select_problems`. Raises
+    DupError when two selected problems would share a transcript file, since
+    one would overwrite the other and the report would count the survivor
+    twice.
     """
     if config is None:
         config = stored_config(out_dir)
@@ -486,16 +491,15 @@ def load_run(
     if clashes:
         raise DupError(f"problem ids share a transcript file: {'; '.join(clashes)}")
     try:
-        present = set(os.listdir(Path(out_dir) / _TRANSCRIPT_DIR))
+        listed = set(os.listdir(Path(out_dir) / _TRANSCRIPT_DIR))
     except FileNotFoundError:
-        present = set()
-    transcripts = {}
-    for name, (problem_id,) in ids_by_name.items():
-        if name in present:
-            transcript = load_transcript(out_dir, problem_id)
-            if transcript is not None:
-                transcripts[problem_id] = transcript
-    return config, problems, transcripts
+        listed = set()
+    present = {problem_id for name, (problem_id,) in ids_by_name.items() if name in listed}
+
+    def stored(problem_id: str) -> Transcript | None:
+        return load_transcript(out_dir, problem_id) if problem_id in present else None
+
+    return config, problems, stored
 
 
 def _transcript_name(problem_id: str) -> str:
@@ -559,10 +563,11 @@ class _Gate:
     than `workers` problems are in their understanding stages, a unit is
     free and no sample thread waits for one. It keeps that unit for the
     sample chain its own thread runs; each other sample thread waits in
-    `take` for a unit of its own, and is served before any new problem.
-    Every unit comes back through `release`. Once closed, the gate admits
-    no problem and wakes every thread waiting in `enter`; sample threads of
-    the problems under way still get their units.
+    `take` for a unit of its own, and is served before any new problem; it
+    takes none if its problem has no sample left by then. Every unit comes
+    back through `release`. Once closed, the gate admits no problem and
+    wakes every thread waiting in `enter`; sample threads of the problems
+    under way still get their units.
     """
 
     def __init__(self, workers: int, budget: int):
@@ -600,14 +605,18 @@ class _Gate:
             self._understanding -= 1
             self._changed.notify_all()
 
-    def take(self) -> None:
-        """Wait for a free unit for one sample thread."""
+    def take(self, indices: Iterator[int]) -> int | None:
+        """Wait for a free unit for one sample thread and take it with the next
+        of its problem's sample `indices`; None, taking no unit, if none is left."""
         with self._changed:
             self._taking += 1
             self._changed.wait_for(lambda: self._free)
             self._taking -= 1
-            self._free -= 1
+            index = next(indices, None)
+            if index is not None:
+                self._free -= 1
             self._changed.notify_all()
+            return index
 
     def release(self) -> None:
         """Give one unit back."""
@@ -705,9 +714,13 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     from .reporting import build_report, report_row, write_report
 
     config.validate()
-    _, problems, transcripts = load_run(config.out_dir, config)
-    rows = {pid: report_row(pid, transcript) for pid, transcript in transcripts.items()}
-    del transcripts  # a resumed run keeps only the rows of the problems it skips
+    _, problems, stored = load_run(config.out_dir, config)
+    rows = {}  # a resumed run keeps only the rows of the problems it skips
+    for problem in problems:
+        transcript = stored(problem.id)
+        if transcript is not None:
+            rows[problem.id] = report_row(problem.id, transcript)
+        del transcript  # before the next one is decoded
     out_dir = Path(config.out_dir)
     transcript_dir = out_dir / _TRANSCRIPT_DIR
     transcript_dir.mkdir(parents=True, exist_ok=True)

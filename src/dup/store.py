@@ -15,8 +15,9 @@ load.
 Every file is one compact, key-sorted JSON document ending in a newline.
 Its UTF-8 bytes are written with raw `os` calls to a temp file in the
 target directory, which is then renamed over the target, so readers never
-see a partial file. Cache entries hold the same `dumps` text, as rows of
-the gateway's cache database rather than files.
+see a partial file; `write` makes and writes a dataclass's text a field at
+a time. Cache entries hold the same `dumps` text, as rows of the gateway's
+cache database rather than files.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import types
 import typing
 from enum import Enum, EnumMeta
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 from .grading import NormalizedAnswer
 from .prompts import AnswerType
@@ -39,6 +40,7 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 # What `open(path, "w")` passes, plus O_BINARY where it exists (Windows), so
 # the bytes written are exactly the UTF-8 text, with no newline translation.
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+_LIST_RUN = 32  # rows of a report encoded at once by `write`
 
 _ANSWER_OF = {
     AnswerType.NUMBER: NormalizedAnswer.of_number,
@@ -154,21 +156,38 @@ def read(path: str | Path) -> Any:
         return json.load(handle)
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Replace `path` with the UTF-8 bytes of `text` atomically (temp file,
-    then rename).
+def _pieces(obj: Any) -> Iterator[str]:
+    """`dumps(obj)` of a dataclass in pieces: one per field, or per _LIST_RUN
+    items of a list field, each C-encoded on its own."""
+    yield "{"
+    for i, (key, value) in enumerate(sorted(_default(obj).items())):
+        head = f"{', ' if i else ''}{_ENCODER.encode(key)}: "
+        if not isinstance(value, (list, tuple)) or not value:
+            yield head + _ENCODER.encode(value)
+            continue
+        for start in range(0, len(value), _LIST_RUN):
+            run = _ENCODER.encode(value[start : start + _LIST_RUN])[1:-1]
+            yield f"{head}[{run}" if start == 0 else f", {run}"
+        yield "]"
+    yield "}\n"
+
+
+def write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Replace `path` with the UTF-8 bytes of `text`, or of its pieces one
+    after another, atomically (temp file, then rename).
 
     A write that fails removes its temp file before it raises.
     """
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    data = text.encode("utf-8")
     try:
         fd = os.open(tmp, _WRITE_FLAGS, 0o666)
         try:
-            written = os.write(fd, data)
-            while written < len(data):
-                written += os.write(fd, data[written:])
+            for piece in (text,) if isinstance(text, str) else text:
+                data = piece.encode("utf-8")
+                written = os.write(fd, data)
+                while written < len(data):
+                    written += os.write(fd, data[written:])
         finally:
             os.close(fd)
         os.replace(tmp, path)
@@ -182,4 +201,4 @@ def write_text(path: str | Path, text: str) -> None:
 
 def write(path: str | Path, obj: Any) -> None:
     """Store `obj` at `path` in the one file format, atomically."""
-    write_text(path, dumps(obj))
+    write_text(path, _pieces(obj) if dataclasses.is_dataclass(obj) else dumps(obj))

@@ -213,7 +213,7 @@ def test_criterion_7_error_analysis_aggregation(synthetic_problems):
         }
         report = sample_and_analyze(
             problems,
-            transcripts,
+            transcripts.get,
             k=5,
             seed=0,
             gateway=Gateway(backend=MockBackend(judge_script)),

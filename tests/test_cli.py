@@ -3,6 +3,7 @@
 import json
 import os
 import sqlite3
+import weakref
 from contextlib import closing
 
 import pytest
@@ -308,3 +309,37 @@ class TestRecount:
         capsys.readouterr()
         assert run_cli("recount", "--out-dir", out_dir) == 0
         assert "accuracy       70.0" in capsys.readouterr().out
+
+
+class TestStoredTranscripts:
+    def test_readers_hold_one_decoded_transcript_at_a_time(self, tmp_path, monkeypatch):
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir)) == 0
+        for number in (2, 5, 9):
+            (out_dir / "transcripts" / f"synth10-{number:05d}.json").unlink()
+        judge_path = tmp_path / "judge.json"
+        judge_path.write_text(json.dumps({"default": "2. Calculation error."}), encoding="utf-8")
+        decoded, alive_at_calls = [], []
+        real_load_transcript = runner_module.load_transcript
+
+        def load_transcript(*args):
+            alive_at_calls.append(sum(ref() is not None for ref in decoded))
+            transcript = real_load_transcript(*args)
+            if transcript is not None:
+                decoded.append(weakref.ref(transcript))
+            return transcript
+
+        monkeypatch.setattr(runner_module, "load_transcript", load_transcript)
+        commands = [
+            (["resume", "--out-dir", out_dir], 7),
+            (["recount", "--out-dir", out_dir], 10),
+            (
+                ["analyze-errors", "--out-dir", out_dir, "--sample-size", "4",
+                 "--backend", "mock", "--mock-script", judge_path],
+                4,
+            ),
+        ]
+        for argv, loads in commands:
+            alive_at_calls.clear()
+            assert run_cli(*argv) == 0
+            assert alive_at_calls == [0] * loads, argv[0]

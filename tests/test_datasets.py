@@ -22,6 +22,10 @@ from dup.prompts import AnswerType
 
 from conftest import DATA_DIR, SYNTH_DATASET, SYNTH_IDS
 
+RECORD1 = {"question": "Q1?", "answer": "1"}
+RECORD2 = {"question": "Q2?", "answer": "2"}
+Q1, Q2 = json.dumps(RECORD1), json.dumps(RECORD2)
+
 
 class TestSyntheticFixture:
     def test_loads_ten_problems_in_file_order(self, synthetic_problems):
@@ -100,6 +104,62 @@ class TestFormats:
         with pytest.raises(DatasetFormatError) as excinfo:
             load_dataset(path, "custom", answer_type=AnswerType.NUMBER)
         assert ":2:" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "text, loaded",
+        [
+            ('{"examples": [%s, %s]}' % (Q1, Q2), [("00001", "Q1?"), ("00002", "Q2?")]),
+            (json.dumps({"examples": [RECORD1]}, indent=2), [("00001", "Q1?")]),
+            (json.dumps(RECORD1, indent=2), "JSON object has no recognizable record list"),
+            # One record holding a record list reads as a wrapper; two records do not.
+            (json.dumps({**RECORD1, "data": [RECORD2]}) + "\n", [("00001", "Q2?")]),
+            (
+                json.dumps({**RECORD1, "data": [RECORD2]}) + "\n" + Q2,
+                [("00001", "Q1?"), ("00002", "Q2?")],
+            ),
+            ("\r\n%s\r\n\r\n%s\r\n" % (Q1, Q2), [("00002", "Q1?"), ("00004", "Q2?")]),
+            ("%s\r%s" % (Q1, Q2), [("00001", "Q1?"), ("00002", "Q2?")]),
+            ("%s\n\n{broken\n%s\n" % (Q1, Q2), ":3: invalid JSON"),
+            ("\n{broken\n", ":2: invalid JSON"),
+            ("\ufeff%s\n%s\n" % (Q1, Q2), [("00001", "Q1?"), ("00002", "Q2?")]),
+            ("\ufeff[%s, %s]" % (Q1, Q2), [("00001", "Q1?"), ("00002", "Q2?")]),
+        ],
+        ids=[
+            "compact-wrapper",
+            "pretty-wrapper",
+            "pretty-object-without-records",
+            "one-record-with-data-list",
+            "two-records-first-with-data-list",
+            "blank-lines-and-crlf",
+            "cr",
+            "malformed-line",
+            "malformed-first-line",
+            "jsonl-with-bom",
+            "array-with-bom",
+        ],
+    )
+    def test_format_matrix(self, tmp_path, text, loaded):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        if isinstance(loaded, str):
+            with pytest.raises(DatasetFormatError, match=loaded):
+                load_dataset(path, "custom", answer_type=AnswerType.NUMBER)
+            return
+        problems = load_dataset(path, "custom", answer_type=AnswerType.NUMBER)
+        assert [(p.id, p.question) for p in problems] == [
+            (f"custom-{number}", question) for number, question in loaded
+        ]
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+    def test_line_separator_inside_a_question(self, tmp_path, separator):
+        # JSON Lines ends a line at "\n" only; str.splitlines also breaks at these.
+        question = f"Tom has 3 apples.{separator}How many?"
+        record = json.dumps({"question": question, "answer": "3"}, ensure_ascii=False)
+        path = tmp_path / "data.jsonl"
+        path.write_text(f"{Q1}\n{record}\n{Q2}\n", encoding="utf-8")
+        problems = load_dataset(path, "custom", answer_type=AnswerType.NUMBER)
+        assert [p.id for p in problems] == ["custom-00001", "custom-00002", "custom-00003"]
+        assert problems[1].question == question
 
     def test_missing_field_reports_record(self, tmp_path):
         path = tmp_path / "data.jsonl"

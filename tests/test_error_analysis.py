@@ -97,7 +97,13 @@ class TestSampleAndAnalyze:
                 judge_script["by_tag"][f"error_judge:{problem.id}"] = next(replies)
         gateway = Gateway(backend=MockBackend(judge_script))
         report = sample_and_analyze(
-            problems, transcripts, k=5, seed=0, gateway=gateway, judge_model="judge", method="dup"
+            problems,
+            transcripts.get,
+            k=5,
+            seed=0,
+            gateway=gateway,
+            judge_model="judge",
+            method="dup",
         )
         assert report.sample_size == 5
         assert report.total_failures == 3
@@ -112,7 +118,7 @@ class TestSampleAndAnalyze:
         transcripts = run_transcripts(problems, failing_script(problems, set()))
         gateway = Gateway(backend=MockBackend({"by_tag": {}}))  # would error if called
         report = sample_and_analyze(
-            problems, transcripts, k=4, seed=0, gateway=gateway, judge_model="judge"
+            problems, transcripts.get, k=4, seed=0, gateway=gateway, judge_model="judge"
         )
         assert report.total_failures == 0
         assert gateway.backend.calls == 0
@@ -127,7 +133,12 @@ class TestSampleAndAnalyze:
         def sampled_ids(seed):
             gateway = Gateway(backend=MockBackend(judge_script))
             report = sample_and_analyze(
-                synthetic_problems, transcripts, k=4, seed=seed, gateway=gateway, judge_model="j"
+                synthetic_problems,
+                transcripts.get,
+                k=4,
+                seed=seed,
+                gateway=gateway,
+                judge_model="j",
             )
             return [detail["problem_id"] for detail in report.details]
 
@@ -152,7 +163,9 @@ class TestSampleAndAnalyze:
                 return super().send(request)
 
         gateway = Gateway(backend=RecordingBackend({"default": "2. Calculation error."}))
-        sample_and_analyze([problem], transcripts, k=1, seed=0, gateway=gateway, judge_model="j")
+        sample_and_analyze(
+            [problem], transcripts.get, k=1, seed=0, gateway=gateway, judge_model="j"
+        )
         assert len(prompts) == 1
         assert "Sample 1: the answer is 13." in prompts[0]
         assert "Sample 0" not in prompts[0]
@@ -185,7 +198,7 @@ class TestSampleAndAnalyze:
 
         gateway = Gateway(backend=RecordingBackend({"default": "2. Calculation error."}))
         report = sample_and_analyze(
-            problems, transcripts, k=4, seed=0, gateway=gateway, judge_model="j"
+            problems, transcripts.get, k=4, seed=0, gateway=gateway, judge_model="j"
         )
         assert judged == [f"error_judge:{wrong.id}"]
         assert report.total_failures == 4
@@ -201,7 +214,7 @@ class TestSampleAndAnalyze:
         with pytest.raises(InvalidInputError):
             sample_and_analyze(
                 synthetic_problems[:2],
-                {},
+                {}.get,
                 k=3,
                 seed=0,
                 gateway=Gateway(backend=MockBackend({"default": "x"})),
@@ -213,7 +226,7 @@ class TestSampleAndAnalyze:
         with pytest.raises(InvalidInputError):
             sample_and_analyze(
                 synthetic_problems,
-                {},
+                {}.get,
                 k=-1,
                 seed=0,
                 gateway=Gateway(backend=MockBackend({"default": "x"})),

@@ -579,9 +579,10 @@ class TestAdmissionGate:
         gate = runner_module._Gate(workers=1, budget=2)
         assert gate.enter(0)
         gate.fan_out()
-        gate.take()
+        indices = iter(range(3))
+        assert gate.take(indices) == 0
         took, entered = [], []
-        taker = threading.Thread(target=lambda: took.append(gate.take()), daemon=True)
+        taker = threading.Thread(target=lambda: took.append(gate.take(indices)), daemon=True)
         enterer = threading.Thread(target=lambda: entered.append(gate.enter(1)), daemon=True)
 
         def waiting(threads: int) -> None:
@@ -598,12 +599,41 @@ class TestAdmissionGate:
         waiting(2)
         gate.release()
         taker.join(5)
-        assert not taker.is_alive() and took == [None]
+        assert not taker.is_alive() and took == [1]
         waiting(1)
         assert enterer.is_alive() and entered == []
         gate.release()
         enterer.join(5)
         assert entered == [True]
+
+    def test_a_sample_thread_with_no_sample_left_takes_no_unit(
+        self, tmp_path, synthetic_problems, monkeypatch
+    ):
+        # The problem's own unit is the only one: its own thread runs every
+        # sample while its two other sample threads wait for a unit.
+        problem = synthetic_problems[0]
+        script = sc_correct_script([problem], 3)
+        config = make_run_config(tmp_path, script, n_samples=3, temperature=0.7)
+        ran, released = set(), set()
+        real_run_sample = runner_module._run_sample
+
+        def run_sample(*args):
+            ran.add(threading.get_ident())
+            return real_run_sample(*args)
+
+        class RecordingGate(runner_module._Gate):
+            def release(self):
+                released.add(threading.get_ident())
+                super().release()
+
+        monkeypatch.setattr(runner_module, "_run_sample", run_sample)
+        gate = RecordingGate(workers=1, budget=1)
+        assert gate.enter(0)
+        transcript = run_problem(problem, config, Gateway(backend=MockBackend(script)), gate)
+        assert transcript.graded.correct and len(transcript.votes) == 3
+        # Only a thread that ran a sample held a unit to give back.
+        assert released == ran == {threading.get_ident()}
+        assert (gate._free, gate._taking) == (1, 0)
 
     def test_failed_write_stops_a_run_waiting_at_the_gate(
         self, tmp_path, synthetic_problems, monkeypatch

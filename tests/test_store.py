@@ -7,6 +7,7 @@ import json
 import os
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from dup.gateway import (
     build_messages,
     cache_key,
 )
+from dup.error_analysis import ErrorCategory, ErrorReport
 from dup.grading import GradedResult, NormalizedAnswer
 from dup.consistency import Vote
 from dup.prompts import MethodVariant, render_core_question_prompt
@@ -189,6 +191,9 @@ class TestEncoder:
         assert dumps(value) == json.dumps(expected, sort_keys=True) + "\n"
         assert encode(value) == expected
         assert round_trip(cls, value) == value
+        with tempfile.TemporaryDirectory() as tmp:
+            write(Path(tmp) / "f.json", value)
+            assert (Path(tmp) / "f.json").read_bytes() == dumps(value).encode("utf-8")
 
     @settings(max_examples=50, deadline=None)  # two cache databases per example
     @given(responses)
@@ -279,6 +284,45 @@ class TestFileFormat:
             assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", name
         leftovers = [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
         assert leftovers == []
+
+    def test_write_is_dumps_without_holding_the_text(self, tmp_path):
+        rows = [
+            {
+                "correct": i % 3 == 0,
+                "errors": [f"answer: réponse {i} \u2028 lost"] if i % 7 == 0 else [],
+                "extraction_source": "llm",
+                "predicted": encode(NormalizedAnswer.of_number(i)),
+                "problem_id": f"gen-{i:05d}",
+            }
+            for i in range(1000)
+        ]
+        config = make_run_config(tmp_path, DATA_DIR / "mock_dup.json")
+        report = Report(
+            dataset="gen",
+            method="dup",
+            model="m",
+            config=encode(config),
+            total=1000,
+            correct=334,
+            accuracy=33.4,
+            per_problem=rows,
+            usage={"calls": 4000},
+        )
+        errors = ErrorReport(dataset="gen", method="dup", total_failures=1, sample_size=2)
+        errors.counts[ErrorCategory.STEP_MISSING] = 1
+        errors.details.append({"problem_id": "gen-00001", "judge_reply": "3. Step-missing é"})
+        for value in (config, errors, report):
+            write(tmp_path / "f.json", value)
+            assert (tmp_path / "f.json").read_bytes() == dumps(value).encode("utf-8")
+        text = dumps(report)
+        assert len(text) > 100_000
+        tracemalloc.start()
+        try:
+            write(tmp_path / "f.json", report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) / 2  # the report's text is never held whole
 
     def test_failed_write_keeps_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
         target = tmp_path / "config.json"
