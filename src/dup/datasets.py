@@ -136,21 +136,21 @@ def parse_gold_answer(raw: str, answer_type: AnswerType) -> NormalizedAnswer:
         value = _parse_number_token(text.replace(",", "").rstrip("."))
         if value is None:
             raise DatasetFormatError(f"gold is not a number: {raw!r}")
-        return NormalizedAnswer(kind=AnswerType.NUMBER, number=value)
+        return NormalizedAnswer.of_number(value)
     if answer_type is AnswerType.OPTION:
         letters = re.findall(r"[A-Ea-e]", text)
         if len(text.strip("()[]. ")) != 1 or not letters:
             raise DatasetFormatError(f"gold is not a single option letter: {raw!r}")
-        return NormalizedAnswer(kind=AnswerType.OPTION, option=letters[0].upper())
+        return NormalizedAnswer.of_option(letters[0])
     if answer_type is AnswerType.YES_NO:
         lowered = text.lower().strip(".")
         if lowered not in _YES_NO_MAP:
             raise DatasetFormatError(f"gold is not yes/no: {raw!r}")
-        return NormalizedAnswer(kind=AnswerType.YES_NO, yes_no=_YES_NO_MAP[lowered])
+        return NormalizedAnswer.of_yes_no(_YES_NO_MAP[lowered])
     value = text.lower()
     if not value:
         raise DatasetFormatError("empty string gold")
-    return NormalizedAnswer(kind=AnswerType.STRING, string=value)
+    return NormalizedAnswer.of_string(value)
 
 
 def _resolve_path(record: dict, path: str) -> Any:

@@ -121,6 +121,9 @@ def build_messages(prompt: str, system_message: str | None = None) -> tuple[Chat
 
 @dataclass(frozen=True)
 class ChatResponse:
+    """One completion. Its content must hold more than whitespace, whatever
+    the finish_reason: a blank reply is no answer to any stage."""
+
     content: str
     finish_reason: str = "stop"  # "stop" | "length" | "error"
     prompt_tokens: int = 0
@@ -128,8 +131,8 @@ class ChatResponse:
     cached: bool = False
 
     def __post_init__(self):
-        if self.finish_reason == "stop" and not self.content:
-            raise InvalidInputError("finish_reason 'stop' requires non-empty content")
+        if not isinstance(self.content, str) or not self.content.strip():
+            raise InvalidInputError("content must be text that is not blank")
 
 
 # What a cache row stores of a response: every field but `cached`, which is
@@ -467,8 +470,9 @@ class Gateway:
         A retry waits at least as long as the failed attempt's Retry-After;
         a Retry-After above MAX_RETRY_AFTER_S raises RetriesExhaustedError
         at once.
-        A reply that is not a valid ChatResponse (say, empty content with
-        finish_reason "stop") raises MalformedResponseError and is not retried.
+        A reply that is not a valid ChatResponse (say, content that is blank,
+        whatever its finish_reason) raises MalformedResponseError and is not
+        retried.
         """
         last_exc: TransientBackendError | None = None
         for attempt in range(self.max_retries + 1):

@@ -1,7 +1,8 @@
 """Answer normalization and correctness grading.
 
-Numbers are carried as exact decimals (`decimal.Decimal`) from parse time
-until comparison, so transcripts never accumulate binary-float drift.
+An answer is a kind and one value. Numbers are exact decimals
+(`decimal.Decimal`) from parse time until comparison, so transcripts never
+accumulate binary-float drift; every other kind is a string.
 Normalization failure is signalled by returning ``None``, never by raising:
 a response we cannot parse simply counts as incorrect.
 """
@@ -35,52 +36,38 @@ _YES_NO_MAP = {"yes": "yes", "true": "yes", "no": "no", "false": "no"}
 
 @dataclass(frozen=True)
 class NormalizedAnswer:
-    """A typed final answer with exactly one payload field populated."""
+    """A typed final answer, held as it is stored: a Decimal for NUMBER (text
+    or an int is converted; text that does not parse raises ValueError), a
+    str for every other kind."""
 
     kind: AnswerType
-    number: Decimal | None = None
-    option: str | None = None
-    yes_no: str | None = None
-    string: str | None = None
-
-    _PAYLOAD_FIELDS = {
-        AnswerType.NUMBER: "number",
-        AnswerType.OPTION: "option",
-        AnswerType.YES_NO: "yes_no",
-        AnswerType.STRING: "string",
-    }
+    value: Decimal | str
 
     def __post_init__(self):
-        populated = [
-            name
-            for name in ("number", "option", "yes_no", "string")
-            if getattr(self, name) is not None
-        ]
-        expected = self._PAYLOAD_FIELDS[self.kind]
-        if populated != [expected]:
-            raise ValueError(
-                f"answer of kind {self.kind.value} must populate exactly {expected!r}, got {populated}"
-            )
-
-    @property
-    def value(self) -> Decimal | str:
-        return getattr(self, self._PAYLOAD_FIELDS[self.kind])
+        if self.kind is AnswerType.NUMBER:
+            if not isinstance(self.value, Decimal):
+                try:
+                    object.__setattr__(self, "value", Decimal(str(self.value)))
+                except InvalidOperation:
+                    raise ValueError(f"not a number: {self.value!r}") from None
+        elif not isinstance(self.value, str):
+            raise ValueError(f"answer of kind {self.kind.value} must be a str, got {self.value!r}")
 
     @classmethod
     def of_number(cls, value: Decimal | int | str) -> "NormalizedAnswer":
-        return cls(kind=AnswerType.NUMBER, number=Decimal(str(value)))
+        return cls(AnswerType.NUMBER, value)
 
     @classmethod
     def of_option(cls, letter: str) -> "NormalizedAnswer":
-        return cls(kind=AnswerType.OPTION, option=letter.upper())
+        return cls(AnswerType.OPTION, letter.upper())
 
     @classmethod
     def of_yes_no(cls, value: str) -> "NormalizedAnswer":
-        return cls(kind=AnswerType.YES_NO, yes_no=value.lower())
+        return cls(AnswerType.YES_NO, value.lower())
 
     @classmethod
     def of_string(cls, value: str) -> "NormalizedAnswer":
-        return cls(kind=AnswerType.STRING, string=value)
+        return cls(AnswerType.STRING, value)
 
 
 @dataclass(frozen=True)
@@ -124,23 +111,23 @@ def _normalize_number(text: str, gold: NormalizedAnswer | None) -> NormalizedAns
     if tail.startswith("%") or tail.lower().startswith("percent"):
         # "25%" means 0.25 only when the reference answer itself is a
         # sub-unit fraction; otherwise "%" is just a unit to strip.
-        if gold is None or (gold.kind is AnswerType.NUMBER and abs(gold.number) < 1):
+        if gold is None or (gold.kind is AnswerType.NUMBER and abs(gold.value) < 1):
             value = value / 100
-    return NormalizedAnswer(kind=AnswerType.NUMBER, number=value)
+    return NormalizedAnswer.of_number(value)
 
 
 def _normalize_option(text: str) -> NormalizedAnswer | None:
     match = _OPTION_LETTER_RE.search(text)
     if not match:
         return None
-    return NormalizedAnswer(kind=AnswerType.OPTION, option=match.group(1).upper())
+    return NormalizedAnswer.of_option(match.group(1))
 
 
 def _normalize_yes_no(text: str) -> NormalizedAnswer | None:
     match = _YES_NO_RE.search(text)
     if not match:
         return None
-    return NormalizedAnswer(kind=AnswerType.YES_NO, yes_no=_YES_NO_MAP[match.group(1).lower()])
+    return NormalizedAnswer.of_yes_no(_YES_NO_MAP[match.group(1).lower()])
 
 
 def _normalize_string(text: str) -> NormalizedAnswer | None:
@@ -156,7 +143,7 @@ def _normalize_string(text: str) -> NormalizedAnswer | None:
             break
     if not value:
         return None
-    return NormalizedAnswer(kind=AnswerType.STRING, string=value)
+    return NormalizedAnswer.of_string(value)
 
 
 def normalize(
@@ -233,6 +220,6 @@ def grade(predicted: NormalizedAnswer, gold: NormalizedAnswer) -> bool:
         log.warning("kind mismatch in grade: %s vs %s", predicted.kind.value, gold.kind.value)
         return False
     if predicted.kind is AnswerType.NUMBER:
-        bound = NUMBER_REL_TOLERANCE * max(Decimal(1), abs(gold.number))
-        return abs(predicted.number - gold.number) <= bound
+        bound = NUMBER_REL_TOLERANCE * max(Decimal(1), abs(gold.value))
+        return abs(predicted.value - gold.value) <= bound
     return predicted.value == gold.value

@@ -20,6 +20,7 @@ import logging
 import os
 import queue
 import random
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -69,6 +70,8 @@ MAX_SAMPLE_THREADS = 8
 TRANSCRIPT_BACKLOG = 4
 
 _TRANSCRIPT_DIR = "transcripts"
+# A problem id keeps its letters, digits, "-", "_" and "." in its file name.
+_UNSAFE_NAME_CHAR = re.compile(r"[^\w.\-]")
 _CONFIG_FILE = "config.json"
 
 
@@ -503,8 +506,7 @@ def load_run(
 
 
 def _transcript_name(problem_id: str) -> str:
-    safe_id = "".join(c if c.isalnum() or c in "-_." else "_" for c in problem_id)
-    return f"{safe_id}.json"
+    return f"{_UNSAFE_NAME_CHAR.sub('_', problem_id)}.json"
 
 
 def transcript_path(out_dir: str | Path, problem_id: str) -> Path:

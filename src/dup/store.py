@@ -3,14 +3,15 @@
 Run configs, transcripts, reports, error analyses and cache entries are
 dataclasses, or plain JSON values holding them. One type map, `_default`,
 says how each is stored: a dataclass becomes a dict of its fields, an Enum
-its value, and a NormalizedAnswer keeps its {"kind", "value"} shape; tuples
-are stored as lists. `dumps` hands `_default` to one C `json` encoder built
-at import, so a value is serialized in one pass with no intermediate copy;
-`encode` applies the same map to build the JSON value itself. `decode`
-rebuilds a dataclass from such a dict, driven by the field type hints,
-which are resolved once per class. Missing keys take the field's default
-and unknown keys are ignored, so files written by older versions still
-load.
+its value and a Decimal its text; tuples are stored as lists. `dumps`
+hands `_default` to one C `json` encoder built at import, so a value is
+serialized in one pass with no intermediate copy; `encode` applies the
+same map to build the JSON value itself. `decode` rebuilds a dataclass
+from such a dict, driven by the field type hints, which are resolved once
+per class. Missing keys take the field's default and unknown keys are
+ignored, so files written by older versions still load. The module knows
+no type of the package: a dataclass whose stored fields need checking or
+converting does that in its own `__post_init__`.
 
 Every file is one compact, key-sorted JSON document ending in a newline.
 Its UTF-8 bytes are written with raw `os` calls to a temp file in the
@@ -29,25 +30,16 @@ import os
 import threading
 import types
 import typing
+from decimal import Decimal
 from enum import Enum, EnumMeta
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
-
-from .grading import NormalizedAnswer
-from .prompts import AnswerType
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 # What `open(path, "w")` passes, plus O_BINARY where it exists (Windows), so
 # the bytes written are exactly the UTF-8 text, with no newline translation.
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 _LIST_RUN = 32  # rows of a report encoded at once by `write`
-
-_ANSWER_OF = {
-    AnswerType.NUMBER: NormalizedAnswer.of_number,
-    AnswerType.OPTION: NormalizedAnswer.of_option,
-    AnswerType.YES_NO: NormalizedAnswer.of_yes_no,
-    AnswerType.STRING: NormalizedAnswer.of_string,
-}
 
 
 @functools.cache
@@ -58,12 +50,12 @@ def _field_names(cls: type) -> tuple[str, ...]:
 def _default(obj: Any) -> Any:
     """The JSON value standing for `obj`, one level deep: the type map."""
     cls = type(obj)
-    if cls is NormalizedAnswer:
-        return {"kind": obj.kind.value, "value": str(obj.value)}
     if dataclasses.is_dataclass(cls):
         return {name: getattr(obj, name) for name in _field_names(cls)}
     if isinstance(obj, Enum):
         return obj.value
+    if cls is Decimal:
+        return str(obj)
     raise TypeError(f"cannot store a {cls.__name__}")
 
 
@@ -79,10 +71,6 @@ def encode(obj: Any) -> Any:
     if isinstance(obj, dict):
         return {encode(key): encode(value) for key, value in obj.items()}
     return encode(_default(obj))
-
-
-def _decode_answer(data: dict) -> NormalizedAnswer:
-    return _ANSWER_OF[AnswerType(data["kind"])](data["value"])
 
 
 _Decoder = Callable[[Any], Any]
@@ -128,8 +116,6 @@ def _decoder(hint: Any) -> _Decoder | None:
     if origin is list:
         item = _decoder(typing.get_args(hint)[0])
         return None if item is None else _list_of(item)
-    if hint is NormalizedAnswer:
-        return _decode_answer
     if dataclasses.is_dataclass(hint):
         return _dataclass_decoder(hint)
     if isinstance(hint, EnumMeta):

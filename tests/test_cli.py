@@ -343,3 +343,32 @@ class TestStoredTranscripts:
             alive_at_calls.clear()
             assert run_cli(*argv) == 0
             assert alive_at_calls == [0] * loads, argv[0]
+
+    def test_a_stored_number_that_does_not_parse_is_an_unreadable_transcript(
+        self, tmp_path, monkeypatch, caplog, capsys
+    ):
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir)) == 0
+        path = out_dir / "transcripts" / "synth10-00001.json"
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        stored["predicted"]["value"] = "abc"
+        path.write_text(json.dumps(stored), encoding="utf-8")
+        judge_path = tmp_path / "judge.json"
+        judge_path.write_text(json.dumps({"default": "2. Calculation error."}), encoding="utf-8")
+        assert run_cli(
+            "analyze-errors", "--out-dir", out_dir, "--sample-size", "10",
+            "--backend", "mock", "--mock-script", judge_path,
+        ) == 0
+        assert f"ignoring unreadable transcript {path}" in caplog.text
+        caplog.clear()
+        assert run_cli("recount", "--out-dir", out_dir) == 2
+        assert "completed transcript for synth10-00001" in caplog.text
+        sent = []
+        send = MockBackend.send
+        monkeypatch.setattr(MockBackend, "send", lambda self, r: sent.append(r) or send(self, r))
+        assert run_cli("resume", "--out-dir", out_dir) == 0
+        assert {request.tag.split(":")[1] for request in sent} == {"synth10-00001"}
+        assert len(sent) == 4
+        capsys.readouterr()
+        assert run_cli("recount", "--out-dir", out_dir) == 0
+        assert "accuracy       70.0" in capsys.readouterr().out

@@ -76,7 +76,7 @@ class TestAggregate:
     def test_representative_is_first_of_group(self):
         vote_set = votes_of("10.0000000001", "10", "10")
         result = aggregate(vote_set)
-        assert result.number == Decimal("10.0000000001")
+        assert result.value == Decimal("10.0000000001")
 
     @given(
         st.lists(
@@ -180,10 +180,10 @@ class TestFanOut:
         for problem in synthetic_problems:
             script[f"core_question:{problem.id}"] = "core"
             script[f"solving_info:{problem.id}"] = "info"
-            reasoning = f"{problem.id}: the answer is {problem.gold.number}."
+            reasoning = f"{problem.id}: the answer is {problem.gold.value}."
             for i in range(2):
                 script[f"answer:{problem.id}#{i}"] = reasoning
-                script[f"extraction:{problem.id}#{i}"] = str(problem.gold.number)
+                script[f"extraction:{problem.id}#{i}"] = str(problem.gold.value)
         barrier = threading.Barrier(2, timeout=5)
 
         class BarrierBackend(MockBackend):

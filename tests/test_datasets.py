@@ -31,8 +31,8 @@ class TestSyntheticFixture:
     def test_loads_ten_problems_in_file_order(self, synthetic_problems):
         assert [p.id for p in synthetic_problems] == SYNTH_IDS
         assert all(p.answer_type is AnswerType.NUMBER for p in synthetic_problems)
-        assert synthetic_problems[0].gold.number == Decimal(18)
-        assert synthetic_problems[-1].gold.number == Decimal(32)
+        assert synthetic_problems[0].gold.value == Decimal(18)
+        assert synthetic_problems[-1].gold.value == Decimal(32)
 
     def test_gold_delimiter_respected(self, synthetic_problems):
         # The gold field holds reasoning plus "#### n"; only n is the answer.
@@ -42,28 +42,28 @@ class TestSyntheticFixture:
 
 class TestGoldParsing:
     def test_number_with_delimiter(self):
-        assert parse_gold_answer("Some steps.\n#### 18", AnswerType.NUMBER).number == 18
-        assert parse_gold_answer("#### 1,234", AnswerType.NUMBER).number == 1234
-        assert parse_gold_answer("#### -3.5", AnswerType.NUMBER).number == Decimal("-3.5")
+        assert parse_gold_answer("Some steps.\n#### 18", AnswerType.NUMBER).value == 18
+        assert parse_gold_answer("#### 1,234", AnswerType.NUMBER).value == 1234
+        assert parse_gold_answer("#### -3.5", AnswerType.NUMBER).value == Decimal("-3.5")
 
     def test_number_without_delimiter(self):
-        assert parse_gold_answer("42", AnswerType.NUMBER).number == 42
-        assert parse_gold_answer("5.0", AnswerType.NUMBER).number == Decimal("5")
+        assert parse_gold_answer("42", AnswerType.NUMBER).value == 42
+        assert parse_gold_answer("5.0", AnswerType.NUMBER).value == Decimal("5")
 
     def test_number_fraction(self):
-        assert parse_gold_answer("1/4", AnswerType.NUMBER).number == Decimal("0.25")
+        assert parse_gold_answer("1/4", AnswerType.NUMBER).value == Decimal("0.25")
 
     def test_option_forms(self):
-        assert parse_gold_answer("B", AnswerType.OPTION).option == "B"
-        assert parse_gold_answer("(c)", AnswerType.OPTION).option == "C"
+        assert parse_gold_answer("B", AnswerType.OPTION).value == "B"
+        assert parse_gold_answer("(c)", AnswerType.OPTION).value == "C"
 
     def test_yes_no_forms(self):
-        assert parse_gold_answer("yes", AnswerType.YES_NO).yes_no == "yes"
-        assert parse_gold_answer("False", AnswerType.YES_NO).yes_no == "no"
-        assert parse_gold_answer("true", AnswerType.YES_NO).yes_no == "yes"
+        assert parse_gold_answer("yes", AnswerType.YES_NO).value == "yes"
+        assert parse_gold_answer("False", AnswerType.YES_NO).value == "no"
+        assert parse_gold_answer("true", AnswerType.YES_NO).value == "yes"
 
     def test_string_lowercased(self):
-        assert parse_gold_answer("NK", AnswerType.STRING).string == "nk"
+        assert parse_gold_answer("NK", AnswerType.STRING).value == "nk"
 
     def test_unparseable_gold_is_an_error(self):
         with pytest.raises(DatasetFormatError):
@@ -86,7 +86,7 @@ class TestFormats:
             json.dumps({"examples": [{"question": "Q1?", "answer": "2"}]}), encoding="utf-8"
         )
         problems = load_dataset(path, "custom", answer_type=AnswerType.NUMBER)
-        assert problems[0].gold.number == 2
+        assert problems[0].gold.value == 2
 
     def test_empty_file_is_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -201,7 +201,7 @@ class TestKnownDatasets:
             json.dumps({"question": "Q?", "answer": "steps\n#### 7"}) + "\n", encoding="utf-8"
         )
         problems = load_dataset(path, "gsm8k")
-        assert problems[0].gold.number == 7
+        assert problems[0].gold.value == 7
 
     def test_count_mismatch_warns_but_loads(self, tmp_path, caplog):
         path = tmp_path / "gsm8k.jsonl"
@@ -233,7 +233,7 @@ class TestKnownDatasets:
         )
         problems = load_dataset(path, "multiarith")
         assert problems[0].id == "3"
-        assert problems[0].gold.number == 12
+        assert problems[0].gold.value == 12
 
     def test_aqua_options_folded_into_question(self, tmp_path):
         path = tmp_path / "aqua.jsonl"
@@ -245,7 +245,7 @@ class TestKnownDatasets:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         problems = load_dataset(path, "aqua")
         problem = problems[0]
-        assert problem.gold.option == "B"
+        assert problem.gold.value == "B"
         assert problem.options is not None and len(problem.options) == 5
         assert "Answer Choices:" in problem.question
         assert "(B) 5" in problem.question
@@ -267,7 +267,7 @@ class TestKnownDatasets:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         problems = load_dataset(path, "csqa")
         assert problems[0].id == "q1"
-        assert problems[0].gold.option == "C"
+        assert problems[0].gold.value == "C"
         assert "(C) library" in problems[0].question
 
     def test_strategyqa_boolean_answer(self, tmp_path):
@@ -275,7 +275,7 @@ class TestKnownDatasets:
         record = {"qid": "s1", "question": "Is fire hot?", "answer": True}
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         problems = load_dataset(path, "strategyqa")
-        assert problems[0].gold.yes_no == "yes"
+        assert problems[0].gold.value == "yes"
         assert problems[0].id == "s1"
 
 
@@ -321,7 +321,7 @@ class TestManifest:
         )
         problems = load_from_manifest(load_manifest(manifest_path), "mine")
         assert problems[0].id == "k1"
-        assert problems[0].gold.number == 9
+        assert problems[0].gold.value == 9
 
 
 class TestProblemInvariants:

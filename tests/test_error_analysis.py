@@ -71,7 +71,7 @@ def run_transcripts(problems, script, **config_overrides):
 def failing_script(problems, wrong_ids):
     script = {"by_tag": {}}
     for problem in problems:
-        value = problem.gold.number + 1 if problem.id in wrong_ids else problem.gold.number
+        value = problem.gold.value + 1 if problem.id in wrong_ids else problem.gold.value
         script["by_tag"][f"core_question:{problem.id}"] = "core"
         script["by_tag"][f"solving_info:{problem.id}"] = "info"
         script["by_tag"][f"answer:{problem.id}"] = f"The answer is {value}"

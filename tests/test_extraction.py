@@ -51,7 +51,7 @@ def test_gold_hint_reaches_percent_rule():
         replying("25%"),
         gold=NormalizedAnswer.of_number("0.25"),
     )
-    assert outcome.answer.number == Decimal("0.25")
+    assert outcome.answer.value == Decimal("0.25")
 
 
 def test_what_ask_raises_propagates():

@@ -313,6 +313,26 @@ class TestCache:
         gateway.commit()
         assert json.loads(cache_rows(tmp_path)[cache_key(req)])["response"]["content"] == "good"
 
+    @pytest.mark.parametrize("content, finish_reason", [(" \n", "stop"), ("", "length")])
+    def test_blank_entry_is_evicted_and_sent_again(self, tmp_path, content, finish_reason):
+        # A row an older version cached from a blank reply.
+        req = request()
+        Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path).close()
+        response = {"completion_tokens": 0, "content": content, "finish_reason": finish_reason}
+        with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
+            db.execute(
+                "insert into entries (digest, entry) values (?, ?)",
+                (cache_key(req), json.dumps({"response": {**response, "prompt_tokens": 5}})),
+            )
+            db.commit()
+        backend = MockBackend({"default": "good"})
+        gateway = Gateway(backend=backend, cache_dir=tmp_path)
+        sent = gateway.complete_cached(req)
+        assert sent.content == "good" and not sent.cached
+        assert backend.calls == 1
+        gateway.commit()
+        assert json.loads(cache_rows(tmp_path)[cache_key(req)])["response"]["content"] == "good"
+
     def test_gateways_share_one_cache(self, tmp_path):
         # As for gateways in two processes: each sees the rows the other has
         # committed, whenever it opened, but not the rows still pending.
@@ -671,6 +691,15 @@ class TestHttpBackend:
         backend, _ = http_backend([StubResponse(200, {"choices": []})], monkeypatch)
         with pytest.raises(MalformedResponseError):
             backend.send(request())
+
+    @pytest.mark.parametrize("content, finish_reason", [(" \n", "stop"), ("", "length")])
+    def test_blank_reply_is_malformed_and_not_retried(self, monkeypatch, content, finish_reason):
+        body = {"choices": [{"message": {"content": content}, "finish_reason": finish_reason}]}
+        backend, session = http_backend([StubResponse(200, body)], monkeypatch)
+        gateway = Gateway(backend=backend, max_retries=5)
+        with pytest.raises(MalformedResponseError, match="invalid completion"):
+            gateway.complete(request())
+        assert len(session.requests) == 1
 
     def test_gateway_retries_http_rate_limits(self, monkeypatch, no_sleep):
         backend, session = http_backend(

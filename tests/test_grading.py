@@ -99,13 +99,17 @@ def test_grade_exact_kinds():
     assert grade(NormalizedAnswer.of_string("nk"), NormalizedAnswer.of_string("nk"))
 
 
-def test_normalized_answer_payload_validation():
+def test_normalized_answer_value_validation():
     with pytest.raises(ValueError):
-        NormalizedAnswer(kind=AnswerType.NUMBER, option="A")
+        NormalizedAnswer(kind=AnswerType.NUMBER, value="abc")
     with pytest.raises(ValueError):
-        NormalizedAnswer(kind=AnswerType.NUMBER)
-    with pytest.raises(ValueError):
-        NormalizedAnswer(kind=AnswerType.OPTION, option="A", string="x")
+        NormalizedAnswer.of_number("1/3")
+    for kind in (AnswerType.OPTION, AnswerType.YES_NO, AnswerType.STRING):
+        with pytest.raises(ValueError):
+            NormalizedAnswer(kind=kind, value=1)
+    answers = [NormalizedAnswer(AnswerType.NUMBER, v) for v in (18, "18", Decimal("18"))]
+    assert answers[0] == answers[1] == answers[2] == NormalizedAnswer.of_number(18)
+    assert all(type(a.value) is Decimal for a in answers)
 
 
 def test_normalized_answer_round_trip():
@@ -133,10 +137,10 @@ def test_normalize_handles_none_text():
 def test_percent_only_divides_for_subunit_gold():
     gold_small = NormalizedAnswer.of_number("0.4")
     gold_big = NormalizedAnswer.of_number("40")
-    assert normalize("40%", AnswerType.NUMBER, gold_small).number == Decimal("0.4")
-    assert normalize("40%", AnswerType.NUMBER, gold_big).number == Decimal("40")
+    assert normalize("40%", AnswerType.NUMBER, gold_small).value == Decimal("0.4")
+    assert normalize("40%", AnswerType.NUMBER, gold_big).value == Decimal("40")
     # No gold hint at all: treat % as a fraction.
-    assert normalize("40%", AnswerType.NUMBER).number == Decimal("0.4")
+    assert normalize("40%", AnswerType.NUMBER).value == Decimal("0.4")
 
 
 @given(
@@ -147,7 +151,7 @@ def test_percent_only_divides_for_subunit_gold():
 def test_number_normalization_round_trips_decimals(value):
     result = normalize(f"The answer is {value}", AnswerType.NUMBER)
     assert result is not None
-    assert result.number == value
+    assert result.value == value
 
 
 @given(st.integers(min_value=0, max_value=10**12))
@@ -155,7 +159,7 @@ def test_thousands_separators_are_transparent(value):
     plain = normalize(str(value), AnswerType.NUMBER)
     grouped = normalize(f"{value:,}", AnswerType.NUMBER)
     assert plain is not None and grouped is not None
-    assert plain.number == grouped.number == Decimal(value)
+    assert plain.value == grouped.value == Decimal(value)
 
 
 @given(st.text(max_size=200))

@@ -28,7 +28,14 @@ from dup.exceptions import (
     MalformedResponseError,
     TransientBackendError,
 )
-from dup.gateway import CACHE_FILE, Gateway, HttpBackend, MockBackend, build_messages
+from dup.gateway import (
+    CACHE_FILE,
+    ChatResponse,
+    Gateway,
+    HttpBackend,
+    MockBackend,
+    build_messages,
+)
 from dup.grading import NormalizedAnswer
 from dup.prompts import (
     COT_INSTRUCTION,
@@ -64,8 +71,8 @@ def correct_script(problems):
     for p in problems:
         script["by_tag"][f"core_question:{p.id}"] = "core question text"
         script["by_tag"][f"solving_info:{p.id}"] = "1. useful fact"
-        script["by_tag"][f"answer:{p.id}"] = f"Reasoning. The answer is {p.gold.number}."
-        script["by_tag"][f"extraction:{p.id}"] = str(p.gold.number)
+        script["by_tag"][f"answer:{p.id}"] = f"Reasoning. The answer is {p.gold.value}."
+        script["by_tag"][f"extraction:{p.id}"] = str(p.gold.value)
     return script
 
 
@@ -314,6 +321,45 @@ class TestFailureContainment:
             assert transcript is not None and not transcript.graded.correct
             assert "core_question: invalid completion" in transcript.errors[0]
 
+
+    @pytest.mark.parametrize(
+        "stage, content, finish_reason, calls_before",
+        [
+            ("core_question", " \n", "stop", 0),
+            ("answer", "", "length", 2),
+            ("extraction", "\t", "stop", 3),
+        ],
+    )
+    def test_a_blank_reply_fails_only_its_problem(
+        self, tmp_path, dup_script, stage, content, finish_reason, calls_before
+    ):
+        blank_tag = f"{stage}:synth10-00002"
+
+        class OneBlankReply(MockBackend):
+            def send(self, request):
+                if request.tag == blank_tag:
+                    self.blank_sends += 1
+                    return ChatResponse(content=content, finish_reason=finish_reason)
+                return super().send(request)
+
+        cache_dir = tmp_path / "cache"
+        for run in ("first", "again"):  # the second run reads the first one's cache
+            backend = OneBlankReply(dup_script)
+            backend.blank_sends = 0
+            config = make_run_config(tmp_path / run, dup_script)
+            gateway = Gateway(backend=backend, cache_dir=cache_dir)
+            report = run_experiment(config, gateway)
+            gateway.close()
+            assert report.total == 10
+            errors = {row["problem_id"]: row["errors"] for row in report.per_problem}
+            blank_error = f"{stage}: invalid completion: content must be text that is not blank"
+            assert errors.pop("synth10-00002") == [blank_error]
+            assert not any(errors.values())
+            assert backend.blank_sends == 1  # never cached, so sent again
+            # 9 problems of 4 calls, and synth10-00002's calls before the blank one.
+            assert backend.calls == (36 + calls_before if run == "first" else 0)
+        rows = cache_rows(cache_dir).values()
+        assert all(json.loads(row)["response"]["content"].strip() for row in rows)
 
     def test_extraction_error_is_recorded(self, tmp_path, dup_script):
         del dup_script["by_tag"]["extraction:synth10-00002"]
@@ -1146,7 +1192,7 @@ class TestTranscript:
         transcript = run_problem(
             problem, RunConfig(dataset="synth10"), Gateway(backend=MockBackend(script))
         )
-        assert transcript.answer_text == f"Reasoning. The answer is {problem.gold.number}."
+        assert transcript.answer_text == f"Reasoning. The answer is {problem.gold.value}."
 
     def test_sc_votes_persisted(self, synthetic_problems):
         problem = synthetic_problems[0]

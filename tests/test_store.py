@@ -2,6 +2,7 @@
 by the previous format (tests/data/parent_run, a trimmed copy of a run over
 synthetic_number.jsonl with mock_dup.json and a cache directory)."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -145,7 +146,8 @@ reports = st.builds(
 
 responses = st.builds(
     ChatResponse,
-    content=st.text(min_size=1, max_size=12),
+    # A reply that holds nothing but whitespace is not a valid response.
+    content=st.text(min_size=1, max_size=12).filter(str.strip),
     finish_reason=st.sampled_from(["stop", "length", "error"]),
     prompt_tokens=ints,
     completion_tokens=ints,
@@ -181,6 +183,29 @@ class TestRoundTrip:
 
     def test_missing_fields_take_defaults_and_unknown_keys_are_ignored(self):
         assert decode(RunConfig, {"dataset": "d", "retired_option": 1}) == RunConfig(dataset="d")
+
+
+    @pytest.mark.parametrize(
+        "stored",
+        [
+            {"kind": "number", "value": "abc"},
+            {"kind": "number", "value": ""},
+            {"kind": "number", "value": [18]},
+            {"kind": "option", "value": 1},
+        ],
+    )
+    def test_an_answer_that_does_not_fit_its_kind_raises_value_error(self, stored):
+        with pytest.raises(ValueError):
+            decode(NormalizedAnswer, stored)
+
+    def test_the_store_imports_nothing_from_the_package(self):
+        tree = ast.parse(Path(store_module.__file__).read_text(encoding="utf-8"))
+        imported = [
+            node.module or ""
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("dup"))
+        ]
+        assert imported == []
 
 
 class TestEncoder:
