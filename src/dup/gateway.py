@@ -10,7 +10,6 @@ SQLite file) makes runs resumable without re-spending tokens.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -19,7 +18,6 @@ import random
 import threading
 import time
 from dataclasses import InitVar, dataclass, field, fields, replace
-from datetime import timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -35,6 +33,16 @@ from .store import decode, dumps
 
 if TYPE_CHECKING:
     import sqlite3
+
+# The interpreter's own SHA-256, as `random` takes its SHA-512: `hashlib`
+# would load OpenSSL's libcrypto (about 3.5 MB) to hash 2 kB a call.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10, 3.11
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256 as _sha256
 
 log = logging.getLogger(__name__)
 
@@ -122,7 +130,8 @@ def build_messages(prompt: str, system_message: str | None = None) -> tuple[Chat
 @dataclass(frozen=True)
 class ChatResponse:
     """One completion. Its content must hold more than whitespace, whatever
-    the finish_reason: a blank reply is no answer to any stage."""
+    the finish_reason: a blank reply is no answer to any stage. The
+    finish_reason is text and each token count an int of 0 or more."""
 
     content: str
     finish_reason: str = "stop"  # "stop" | "length" | "error"
@@ -133,6 +142,11 @@ class ChatResponse:
     def __post_init__(self):
         if not isinstance(self.content, str) or not self.content.strip():
             raise InvalidInputError("content must be text that is not blank")
+        if not isinstance(self.finish_reason, str):
+            raise InvalidInputError(f"finish_reason {self.finish_reason!r} is not text")
+        for count in (self.prompt_tokens, self.completion_tokens):
+            if type(count) is not int or count < 0:  # bool is an int subclass
+                raise InvalidInputError(f"token count {count!r} is not an int of 0 or more")
 
 
 # What a cache row stores of a response: every field but `cached`, which is
@@ -161,7 +175,7 @@ def cache_key(request: ChatRequest) -> str:
     platforms. `tag` is deliberately excluded.
     """
     blob = _KEY_ENCODER.encode(_canonical_request_payload(request))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _estimate_tokens(text: str) -> int:
@@ -241,6 +255,8 @@ def _retry_after_s(value: str | None) -> float | None:
         except (TypeError, ValueError):
             return None
         if when.tzinfo is None:  # "-0000": UTC, source zone unknown
+            from datetime import timezone  # loaded by parsedate_to_datetime
+
             when = when.replace(tzinfo=timezone.utc)
         seconds = max(0.0, when.timestamp() - time.time())
     return seconds if 0 <= seconds < math.inf else None
@@ -303,23 +319,37 @@ class HttpBackend:
         try:
             body = response.json()
             choice = body["choices"][0]
-            content = choice["message"]["content"]
-            if not isinstance(content, str):
-                raise TypeError("content is not a string")
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            content = choice["message"]["content"]  # TypeError unless choice is an object
+            usage = body.get("usage")
+            if usage is None:
+                usage = {}
+            elif not isinstance(usage, dict):
+                raise TypeError("usage is not an object")
+            finish_reason = choice.get("finish_reason")
+            # ChatResponse checks each field; a count or finish_reason that
+            # is absent or null reads as its default.
+            prompt_tokens, completion_tokens = (
+                0 if usage.get(key) is None else usage[key]
+                for key in ("prompt_tokens", "completion_tokens")
+            )
+            return ChatResponse(
+                content=content,
+                finish_reason="stop" if finish_reason in (None, "") else finish_reason,
+                prompt_tokens=prompt_tokens,
+                completion_tokens=completion_tokens,
+            )
+        except InvalidInputError as exc:
+            raise MalformedResponseError(f"invalid completion: {exc}") from exc
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise MalformedResponseError(f"cannot parse completion payload: {exc}") from exc
-        usage = body.get("usage") or {}
-        return ChatResponse(
-            content=content,
-            finish_reason=choice.get("finish_reason") or "stop",
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
-        )
 
 
 def _open_cache(cache_dir: Path) -> sqlite3.Connection:
     """Connect to the cache database in `cache_dir`, creating it when absent."""
-    import sqlite3  # here, not at the top: runs without a cache skip the import
+    # Here, not at the top: runs without a cache skip the import. The C core
+    # of `sqlite3`, not the package around it, whose date adapters (unused
+    # here) load `datetime`.
+    import _sqlite3 as sqlite3
 
     path = cache_dir / CACHE_FILE
     db = None
@@ -442,7 +472,7 @@ class Gateway:
         and afterwards only if it was rewritten meanwhile. A failed commit
         leaves every row pending and raises DupError.
         """
-        import sqlite3
+        import _sqlite3 as sqlite3
 
         with self._pending_lock:
             rows = list(self._pending.items())

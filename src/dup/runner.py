@@ -24,7 +24,6 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -76,7 +75,9 @@ _CONFIG_FILE = "config.json"
 
 
 def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    """The time in UTC, as `datetime.now(timezone.utc).isoformat(timespec="seconds")`
+    writes it, without loading `datetime`."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 @dataclass(frozen=True)

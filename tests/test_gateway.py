@@ -1,21 +1,24 @@
 """Gateway behavior: request validation, retries, cache, mock routing."""
 
 import hashlib
+import importlib.util
 import json
 import sqlite3
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dup.gateway as gateway_module
 from dup.exceptions import (
     AuthenticationError,
     DupError,
+    GatewayError,
     InvalidInputError,
     MalformedResponseError,
     RetriesExhaustedError,
@@ -83,7 +86,53 @@ class TestChatRequest:
         assert [m.role for m in build_messages("q", "s")] == ["system", "user"]
 
 
+@pytest.fixture(scope="module")
+def hashlib_gateway():
+    """A second copy of dup.gateway, loaded where no built-in SHA-256 module
+    imports: its cache_key hashes with `hashlib`."""
+    spec = importlib.util.spec_from_file_location("dup._gateway_on_hashlib", gateway_module.__file__)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {"_sha2": None, "_sha256": None, spec.name: module}):
+        spec.loader.exec_module(module)
+    assert module._sha256 is hashlib.sha256
+    return module
+
+
+# Digests of existing caches: a change to any of them orphans every row.
+GOLDEN_KEYS = [
+    (
+        ChatRequest(model="gpt-3.5-turbo", messages=build_messages("What is 2 + 2?")),
+        "7d5a3c061fea577f93756c2c6e243d5842a710cb4668a254e00c6c8274027503",
+    ),
+    (
+        ChatRequest(
+            model="gpt-3.5-turbo",
+            messages=build_messages("What is 2 + 2?", "You are a careful solver."),
+        ),
+        "c163529bde6f7405f7daac65c4af92da50ccd982b4e03cbf69b2071ac410da6c",
+    ),
+    (
+        ChatRequest(
+            model="gpt-3.5-turbo",
+            messages=build_messages("Q: Jan has 3 apples and buys 5 more. How many? «é»"),
+            temperature=0.7,
+            max_tokens=256,
+            sample_index=3,
+            tag="answer:p7",
+        ),
+        "8c5634b50f4b17e42232a8fd5484b47336fcab61182ab37d7cca339be13ef6c4",
+    ),
+]
+
+
 class TestCacheKey:
+    @pytest.mark.parametrize(
+        "req, digest", GOLDEN_KEYS, ids=["greedy", "system-message", "sample-3"]
+    )
+    def test_digest_is_pinned(self, req, digest, hashlib_gateway):
+        assert cache_key(req) == digest
+        assert hashlib_gateway.cache_key(req) == digest
+
     def test_tag_excluded(self):
         assert cache_key(request(tag="a")) == cache_key(request(tag="b"))
 
@@ -108,7 +157,7 @@ class TestCacheKey:
         sample_index=st.integers(0, 9),
     )
     def test_digest_is_the_sha256_of_the_canonical_payload(
-        self, prompt, system, model, temperature, max_tokens, sample_index
+        self, hashlib_gateway, prompt, system, model, temperature, max_tokens, sample_index
     ):
         if temperature == 0:
             sample_index = 0
@@ -128,7 +177,8 @@ class TestCacheKey:
             "sample_index": sample_index,
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-        assert cache_key(req) == hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        assert cache_key(req) == hashlib_gateway.cache_key(req) == digest
 
 
 class TestMockBackend:
@@ -313,16 +363,16 @@ class TestCache:
         gateway.commit()
         assert json.loads(cache_rows(tmp_path)[cache_key(req)])["response"]["content"] == "good"
 
-    @pytest.mark.parametrize("content, finish_reason", [(" \n", "stop"), ("", "length")])
-    def test_blank_entry_is_evicted_and_sent_again(self, tmp_path, content, finish_reason):
-        # A row an older version cached from a blank reply.
+    @staticmethod
+    def send_over_a_stored_row(tmp_path, response):
+        """Complete request() over a cache that holds `response` for it, as an
+        older version may have stored it; the row must be evicted and sent again."""
         req = request()
         Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path).close()
-        response = {"completion_tokens": 0, "content": content, "finish_reason": finish_reason}
         with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
             db.execute(
                 "insert into entries (digest, entry) values (?, ?)",
-                (cache_key(req), json.dumps({"response": {**response, "prompt_tokens": 5}})),
+                (cache_key(req), json.dumps({"response": {"prompt_tokens": 5, **response}})),
             )
             db.commit()
         backend = MockBackend({"default": "good"})
@@ -332,6 +382,26 @@ class TestCache:
         assert backend.calls == 1
         gateway.commit()
         assert json.loads(cache_rows(tmp_path)[cache_key(req)])["response"]["content"] == "good"
+
+    @pytest.mark.parametrize("content, finish_reason", [(" \n", "stop"), ("", "length")])
+    def test_blank_entry_is_evicted_and_sent_again(self, tmp_path, content, finish_reason):
+        # A row an older version cached from a blank reply.
+        response = {"completion_tokens": 0, "content": content, "finish_reason": finish_reason}
+        self.send_over_a_stored_row(tmp_path, response)
+
+    @pytest.mark.parametrize(
+        "odd",
+        [
+            {"finish_reason": 7},
+            {"finish_reason": ["stop"]},
+            {"prompt_tokens": -1},
+            {"prompt_tokens": "5"},
+            {"completion_tokens": True},
+            {"completion_tokens": 2.5},
+        ],
+    )
+    def test_row_with_odd_fields_is_evicted_and_sent_again(self, tmp_path, odd):
+        self.send_over_a_stored_row(tmp_path, {"content": "old", "finish_reason": "stop", **odd})
 
     def test_gateways_share_one_cache(self, tmp_path):
         # As for gateways in two processes: each sees the rows the other has
@@ -637,6 +707,51 @@ def http_backend(outcomes, monkeypatch=None, token=None):
 # The clock the Retry-After tests read HTTP dates against.
 RETRY_AFTER_NOW = 1792567650.0  # Wed, 21 Oct 2026 07:27:30 GMT
 
+# Any JSON value, huge numbers included; and bodies of the expected shape
+# with any JSON value, or none, at each of its keys.
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**30), json.loads("1e400"), -0.0])
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def _or_any(strategy):
+    return strategy | json_values
+
+
+reply_bodies = json_values | st.fixed_dictionaries(
+    {
+        "choices": _or_any(
+            st.lists(
+                _or_any(
+                    st.fixed_dictionaries(
+                        {"message": _or_any(st.fixed_dictionaries({"content": _or_any(st.text())}))},
+                        optional={"finish_reason": _or_any(st.sampled_from(["stop", "length"]))},
+                    )
+                ),
+                max_size=2,
+            )
+        )
+    },
+    optional={
+        "usage": _or_any(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "prompt_tokens": _or_any(st.integers(0, 10**6)),
+                    "completion_tokens": _or_any(st.integers(0, 10**6)),
+                },
+            )
+        )
+    },
+)
+
 OK_BODY = {
     "choices": [{"message": {"content": "The answer is 4."}, "finish_reason": "stop"}],
     "usage": {"prompt_tokens": 11, "completion_tokens": 5},
@@ -692,6 +807,15 @@ class TestHttpBackend:
         with pytest.raises(MalformedResponseError):
             backend.send(request())
 
+    def test_too_deeply_nested_body_is_malformed(self, monkeypatch):
+        class DeepResponse(StubResponse):
+            def json(self):
+                return json.loads("[" * 10**5 + "]" * 10**5)
+
+        backend, _ = http_backend([DeepResponse(200)], monkeypatch)
+        with pytest.raises(MalformedResponseError):
+            backend.send(request())
+
     @pytest.mark.parametrize("content, finish_reason", [(" \n", "stop"), ("", "length")])
     def test_blank_reply_is_malformed_and_not_retried(self, monkeypatch, content, finish_reason):
         body = {"choices": [{"message": {"content": content}, "finish_reason": finish_reason}]}
@@ -700,6 +824,65 @@ class TestHttpBackend:
         with pytest.raises(MalformedResponseError, match="invalid completion"):
             gateway.complete(request())
         assert len(session.requests) == 1
+
+    @pytest.mark.parametrize(
+        "usage, finish_reason",
+        [
+            (5, "stop"),
+            ("many", "stop"),
+            ([11, 5], "stop"),
+            ({"prompt_tokens": "x"}, "stop"),
+            ({"prompt_tokens": json.loads("1e400")}, "stop"),
+            ({"prompt_tokens": 2.0}, "stop"),
+            ({"prompt_tokens": -1}, "stop"),
+            ({"completion_tokens": True}, "stop"),
+            (None, 7),
+            (None, ["stop"]),
+            (None, {"reason": "stop"}),
+            (None, True),
+        ],
+    )
+    def test_odd_usage_or_finish_reason_is_malformed(self, monkeypatch, usage, finish_reason):
+        choice = {"message": {"content": "4"}, "finish_reason": finish_reason}
+        body = {"choices": [choice], "usage": usage}
+        backend, _ = http_backend([StubResponse(200, body)], monkeypatch)
+        with pytest.raises(MalformedResponseError):
+            backend.send(request())
+
+    @pytest.mark.parametrize(
+        "usage", [None, {}, {"prompt_tokens": None, "completion_tokens": None}]
+    )
+    def test_absent_or_null_counts_read_as_zero(self, monkeypatch, usage):
+        choice = {"message": {"content": "4"}, "finish_reason": None}
+        backend, _ = http_backend(
+            [StubResponse(200, {"choices": [choice], "usage": usage})], monkeypatch
+        )
+        response = backend.send(request())
+        assert (response.finish_reason, response.prompt_tokens, response.completion_tokens) == (
+            "stop",
+            0,
+            0,
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        status=st.just(200) | st.integers(100, 599),
+        body=reply_bodies,
+        retry_after=st.none() | st.text(max_size=40),
+    )
+    def test_any_reply_is_a_valid_response_or_a_gateway_error(self, status, body, retry_after):
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        backend = HttpBackend("https://api.test/v1", session=StubSession([]))
+        backend.session.outcomes.append(StubResponse(status, body, headers=headers))
+        try:
+            response = backend.send(request())
+        except GatewayError:
+            return
+        assert status == 200
+        assert isinstance(response.content, str) and response.content.strip()
+        assert isinstance(response.finish_reason, str)
+        for count in (response.prompt_tokens, response.completion_tokens):
+            assert type(count) is int and count >= 0
 
     def test_gateway_retries_http_rate_limits(self, monkeypatch, no_sleep):
         backend, session = http_backend(

@@ -1,10 +1,13 @@
 """The package surface: what `import dup` exports and loads, and the README's library use."""
 
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
+
+import pytest
 
 from conftest import DATA_DIR
 
@@ -25,6 +28,35 @@ def test_import_exports_three_names_and_loads_no_command_module():
     assert exported == ["RunConfig", "build_run_gateway", "run_experiment"]
     assert "dup.error_analysis" not in loaded
     assert "dup.cli" not in loaded
+
+
+def test_a_cached_run_loads_neither_openssl_nor_datetime(tmp_path):
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no built-in SHA-256; cache keys use hashlib")
+    code = (
+        "import json, sys; from dup.cli import main; code = main(sys.argv[1:]); "
+        "print(json.dumps([code, sorted({'_hashlib', 'hashlib', 'datetime'} & set(sys.modules))]))"
+    )
+    run = [
+        *("run", "--dataset", "synth10", "--answer-type", "number", "--backend", "mock"),
+        *("--dataset-path", str(DATA_DIR / "synthetic_number.jsonl")),
+        *("--mock-script", str(DATA_DIR / "mock_dup.json")),
+        *("--cache-dir", str(tmp_path / "cache")),
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    for out in ("first", "second"):  # a cold cache, then a warm one
+        out_dir = tmp_path / out
+        result = subprocess.run(
+            [sys.executable, "-c", code, *run, "--out-dir", str(out_dir)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert json.loads(result.stdout.splitlines()[-1]) == [0, []]
+    usage = json.loads((tmp_path / "second" / "report.json").read_text())["usage"]
+    assert usage["cached_calls"] == usage["calls"] > 0
 
 
 def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):

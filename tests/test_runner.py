@@ -12,6 +12,7 @@ import time
 import weakref
 from contextlib import closing
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest.mock import patch
 
@@ -1209,3 +1210,22 @@ class TestTranscript:
         restored = decode(Transcript, json.loads(dumps(transcript)))
         assert len(restored.votes) == 3
         assert restored.predicted == NormalizedAnswer.of_number(18)
+
+
+@pytest.mark.parametrize("instant", [0.0, 951782400.0, 1792567650.75, 4102444799.0])
+def test_utc_now_writes_what_isoformat_wrote(monkeypatch, instant):
+    gmtime = time.gmtime
+    monkeypatch.setattr(
+        runner_module.time, "gmtime", lambda secs=None: gmtime(instant if secs is None else secs)
+    )
+    text = runner_module._utc_now()
+    when = datetime.fromtimestamp(instant, timezone.utc)
+    assert text == when.isoformat(timespec="seconds")
+    assert datetime.fromisoformat(text) == when.replace(microsecond=0)
+
+
+def test_utc_now_reads_the_clock_in_utc():
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    when = datetime.fromisoformat(runner_module._utc_now())
+    assert when.utcoffset() == timedelta(0)
+    assert before <= when <= datetime.now(timezone.utc)

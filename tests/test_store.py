@@ -149,8 +149,9 @@ responses = st.builds(
     # A reply that holds nothing but whitespace is not a valid response.
     content=st.text(min_size=1, max_size=12).filter(str.strip),
     finish_reason=st.sampled_from(["stop", "length", "error"]),
-    prompt_tokens=ints,
-    completion_tokens=ints,
+    # Nor is a negative token count.
+    prompt_tokens=st.integers(0, 10**9),
+    completion_tokens=st.integers(0, 10**9),
     cached=st.booleans(),
 )
 stored_values = st.one_of(
