@@ -91,8 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help=(
             f"request budget: concurrency x min(N, {MAX_SAMPLE_THREADS}) requests in flight at "
-            "most, N being --self-consistency; a problem starts when one is free and no sample "
-            "thread waits for one, so more than concurrency problems may be under way"
+            "most, N being --self-consistency; a free unit goes to the oldest problem under way "
+            "that waits, and a problem starts only when none waits, so more than concurrency "
+            "problems may be under way"
         ),
     )
     run.add_argument("--max-tokens", type=int, default=1024)

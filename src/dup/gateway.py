@@ -19,7 +19,7 @@ import threading
 import time
 from dataclasses import InitVar, dataclass, field, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .exceptions import (
     AuthenticationError,
@@ -172,10 +172,12 @@ def cache_key(request: ChatRequest) -> str:
 
     Serialization is canonical (sorted keys, fixed separators), so the
     digest is insensitive to field ordering and stable across runs and
-    platforms. `tag` is deliberately excluded.
+    platforms. `tag` is deliberately excluded. A lone surrogate, which
+    `json.loads` reads from a `\\ud800` escape, is hashed as its
+    `surrogatepass` bytes; text without one hashes as plain UTF-8.
     """
     blob = _KEY_ENCODER.encode(_canonical_request_payload(request))
-    return _sha256(blob.encode("utf-8")).hexdigest()
+    return _sha256(blob.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def _estimate_tokens(text: str) -> int:
@@ -376,14 +378,16 @@ class _Flight:
     """A request sent for a digest that missed the cache.
 
     Requests for the same digest wait on `done`, made by the first of them,
-    and then find `response`: None if the request failed.
+    and then find `response`: None if the request failed. None joins a
+    flight while it is `resting`; the next request for its digest replaces it.
     """
 
-    __slots__ = ("done", "response")
+    __slots__ = ("done", "response", "resting")
 
     def __init__(self):
         self.done: threading.Event | None = None
         self.response: ChatResponse | None = None
+        self.resting = False  # the sender is in a caller's `pause`
 
 
 @dataclass
@@ -494,12 +498,14 @@ class Gateway:
                 if self._pending.get(digest) is text:
                     del self._pending[digest]
 
-    def complete(self, request: ChatRequest) -> ChatResponse:
+    def complete(
+        self, request: ChatRequest, pause: Callable[[float], object] | None = None
+    ) -> ChatResponse:
         """Send a request, retrying transient failures with backoff + jitter.
 
         A retry waits at least as long as the failed attempt's Retry-After;
         a Retry-After above MAX_RETRY_AFTER_S raises RetriesExhaustedError
-        at once.
+        at once. Each backoff is `pause(seconds)`, `time.sleep` by default.
         A reply that is not a valid ChatResponse (say, content that is blank,
         whatever its finish_reason) raises MalformedResponseError and is not
         retried.
@@ -516,7 +522,7 @@ class Gateway:
                     ) from last_exc
                 delay = self.retry_base_delay_s * (2 ** (attempt - 1))
                 delay += self._rng.uniform(0, self.retry_base_delay_s)
-                time.sleep(max(delay, retry_after))
+                (pause or time.sleep)(max(delay, retry_after))
             try:
                 return self.backend.send(request)
             except TransientBackendError as exc:
@@ -592,7 +598,9 @@ class Gateway:
             finally:
                 self._commit_lock.release()
 
-    def complete_cached(self, request: ChatRequest) -> ChatResponse:
+    def complete_cached(
+        self, request: ChatRequest, pause: Callable[[float], object] | None = None
+    ) -> ChatResponse:
         """Serve from the cache when possible; otherwise complete and persist.
 
         Without a cache_dir this is plain `complete`. Each response is
@@ -603,11 +611,14 @@ class Gateway:
         A miss whose digest is already being requested waits for that
         request and is served its response as a cache hit, as it would be
         once the response is stored. If that request fails, the waiter sends
-        its own. A request that misses just as an identical one finishes
-        may still reach the backend.
+        its own, and so does a miss whose identical request is in a `pause`
+        (see `complete`): a caller may give back in `pause` what it needs to
+        send again, so nothing may wait for it then. A sender that others
+        wait for backs off with `time.sleep`. A request that misses just as
+        an identical one finishes may still reach the backend.
         """
         if self.cache_dir is None:
-            return self.complete(request)
+            return self.complete(request, pause)
         digest = cache_key(request)
         hit = self._read_cache(digest)
         if hit is not None:
@@ -615,7 +626,7 @@ class Gateway:
         while True:
             with self._flights_lock:
                 flight = self._flights.get(digest)
-                if flight is None:
+                if flight is None or flight.resting:
                     flight = self._flights[digest] = _Flight()
                     break
                 if flight.done is None:
@@ -623,13 +634,21 @@ class Gateway:
             flight.done.wait()
             if flight.response is not None:
                 return replace(flight.response, cached=True)
+
+        def rest(seconds: float) -> None:
+            with self._flights_lock:
+                flight.resting = flight.done is None
+            (pause if flight.resting else time.sleep)(seconds)
+            flight.resting = False
+
         response = None
         try:
-            response = self.complete(request)
+            response = self.complete(request, rest if pause else None)
             self._write_cache(digest, response)
         finally:
             with self._flights_lock:
-                del self._flights[digest]
+                if self._flights.get(digest) is flight:
+                    del self._flights[digest]
                 flight.response = response
             if flight.done is not None:
                 flight.done.set()

@@ -16,6 +16,7 @@ which keeps calls cache-friendly.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import os
 import queue
@@ -215,7 +216,7 @@ def resolve_method(config: RunConfig, dataset: str) -> MethodVariant:
 
 
 def _call(
-    gateway: Gateway,
+    ticket: _Ticket,
     sink: Transcript | _Sample,
     stage: str,
     prompt: str,
@@ -227,8 +228,10 @@ def _call(
 ) -> str:
     """Issue one stage completion and append its record to `sink.records`.
 
-    `sink` is the transcript or one sample chain; a failure is also listed
-    in `sink.errors` and re-raised. Returns the content. The request
+    The request goes through the gateway of the calling thread's `ticket`,
+    once the ticket has a unit of the request budget (see `_Gate`). `sink`
+    is the transcript or one sample chain; a failure is also listed in
+    `sink.errors` and re-raised. Returns the content. The request
     carries `sample_index` only when sampling (temperature > 0): greedy
     requests all carry 0, so with a cache the extraction calls of samples
     that read the same text share one entry and one flight. Durations are
@@ -244,9 +247,10 @@ def _call(
     )
     record = StageRecord(stage=stage, prompt=prompt, sample_index=sample_index)
     sink.records.append(record)
+    ticket.ready()
     start = time.perf_counter()
     try:
-        response = gateway.complete_cached(request)
+        response = ticket.gateway.complete_cached(request, ticket.pause)
     except GatewayError as exc:
         record.duration_s = round(time.perf_counter() - start, 6)
         record.error = str(exc)
@@ -262,7 +266,7 @@ def _call(
 
 
 def _answer_prompts(
-    problem, config: RunConfig, method: MethodVariant, gateway: Gateway, transcript: Transcript
+    problem, config: RunConfig, method: MethodVariant, ticket: _Ticket, transcript: Transcript
 ) -> str:
     """Run any enabled extraction stages and return the answer-stage prompt."""
     question = problem.question
@@ -279,14 +283,14 @@ def _answer_prompts(
     if config.stages.stage1:
         prompt = render_core_question_prompt(question)
         tag = f"{STAGE_CORE}:{problem.id}"
-        core = _call(gateway, transcript, STAGE_CORE, prompt, extractor, config, tag).strip()
+        core = _call(ticket, transcript, STAGE_CORE, prompt, extractor, config, tag).strip()
     if config.stages.stage2:
         # Without stage 1 there is no extracted core question; the original
         # question stands in so stage 2 can still run alone.
         core_ref = core if config.stages.stage1 else question
         prompt = render_info_extraction_prompt(question, core_ref)
         tag = f"{STAGE_INFO}:{problem.id}"
-        info = _call(gateway, transcript, STAGE_INFO, prompt, extractor, config, tag).strip()
+        info = _call(ticket, transcript, STAGE_INFO, prompt, extractor, config, tag).strip()
     return render_final_answer_prompt(
         question,
         core_question=core,
@@ -309,7 +313,7 @@ def _run_sample(
     problem,
     config: RunConfig,
     method: MethodVariant,
-    gateway: Gateway,
+    ticket: _Ticket,
     answer_prompt: str,
     index: int,
 ) -> _Sample:
@@ -320,12 +324,12 @@ def _run_sample(
     def ask(prompt: str) -> str:
         tag = f"{STAGE_EXTRACTION}:{problem.id}{suffix}"
         return _call(
-            gateway, sample, STAGE_EXTRACTION, prompt, config.model, config, tag, sample_index=index
+            ticket, sample, STAGE_EXTRACTION, prompt, config.model, config, tag, sample_index=index
         )
 
     try:
         reasoning = _call(
-            gateway,
+            ticket,
             sample,
             STAGE_ANSWER,
             answer_prompt,
@@ -350,45 +354,45 @@ def _run_samples(
     problem,
     config: RunConfig,
     method: MethodVariant,
-    gateway: Gateway,
+    ticket: _Ticket,
     answer_prompt: str,
-    gate: _Gate,
 ) -> list[_Sample]:
     """Every sample chain, in sample order.
 
     min(N, MAX_SAMPLE_THREADS) threads take sample indices in order until
-    none is left. The calling thread runs on the unit of the request budget
-    its problem was admitted with; each other thread first takes a unit of
-    its own from `gate`, with its first index, or stops if none is left.
-    Every thread gives its unit back when it stops. The first exception a
-    thread raises is raised once every thread is done.
+    none is left. The calling thread goes on with its problem's `ticket`;
+    each other thread waits on a ticket that `_Ticket.fan_out` queued, whose
+    unit comes with the thread's first index, or with neither if none is
+    left. Every thread gives its unit back when it stops. The first
+    exception a thread raises is raised once every thread is done.
     """
     samples: list[_Sample] = [None] * config.n_samples
     indices = iter(range(config.n_samples))  # next() is atomic under the GIL
+    first = next(indices)
     errors: list[BaseException] = []
 
-    def chain(index: int | None) -> None:
+    def chain(ticket: _Ticket, index: int | None) -> None:
         try:
             while index is not None:
-                samples[index] = _run_sample(problem, config, method, gateway, answer_prompt, index)
+                samples[index] = _run_sample(problem, config, method, ticket, answer_prompt, index)
                 index = next(indices, None)
         except BaseException as exc:
             errors.append(exc)
         finally:
-            gate.release()
+            ticket.release()
 
-    def helper() -> None:
-        index = gate.take(indices)
-        if index is not None:
-            chain(index)
+    def helper(own: _Ticket) -> None:
+        own.granted.acquire()  # its first grant
+        if own.index is not None:
+            chain(own, own.index)
 
     helpers = [
-        threading.Thread(target=helper, name=f"dup-sample-{problem.id}")
-        for _ in range(min(config.n_samples, MAX_SAMPLE_THREADS) - 1)
+        threading.Thread(target=helper, args=(own,), name=f"dup-sample-{problem.id}")
+        for own in ticket.fan_out(indices, min(config.n_samples, MAX_SAMPLE_THREADS) - 1)
     ]
     for thread in helpers:
         thread.start()
-    chain(next(indices, None))
+    chain(ticket, first)
     for thread in helpers:
         thread.join()
     if errors:
@@ -397,7 +401,7 @@ def _run_samples(
 
 
 def run_problem(
-    problem, config: RunConfig, gateway: Gateway, gate: _Gate | None = None
+    problem, config: RunConfig, gateway: Gateway, ticket: _Ticket | None = None
 ) -> Transcript:
     """Run the full pipeline for one problem and grade the outcome.
 
@@ -405,14 +409,13 @@ def run_problem(
     error, the problem grades incorrect, and the caller moves on. Sample
     chains run concurrently, so when one fails the others' calls may
     already have been sent; every chain's records are kept, in sample order.
-    `gate` has admitted the problem and hands its sample threads their units
-    of the request budget; a direct call admits the problem to a gate of its
-    own, with min(N, MAX_SAMPLE_THREADS) units.
+    `ticket` is the one `_Gate.enter` started the problem with, on a gate
+    around `gateway`; a direct call starts the problem at a gate of its own,
+    with min(N, MAX_SAMPLE_THREADS) units.
     """
     config.validate()
-    if gate is None:
-        gate = _Gate(1, min(config.n_samples, MAX_SAMPLE_THREADS))
-        gate.enter(0)
+    if ticket is None:
+        ticket = _Gate(1, min(config.n_samples, MAX_SAMPLE_THREADS), gateway).enter(0)
     method = resolve_method(config, problem.dataset)
     transcript = Transcript(
         problem_id=problem.id,
@@ -423,14 +426,12 @@ def run_problem(
     predicted = None
     source = "none"
     try:
-        answer_prompt = _answer_prompts(problem, config, method, gateway, transcript)
+        answer_prompt = _answer_prompts(problem, config, method, ticket, transcript)
     except GatewayError:
-        gate.fan_out()
-        gate.release()  # the problem's own unit: no sample chain follows
+        ticket.release()  # no sample chain follows
         samples = []
     else:
-        gate.fan_out()
-        samples = _run_samples(problem, config, method, gateway, answer_prompt, gate)
+        samples = _run_samples(problem, config, method, ticket, answer_prompt)
     for sample in samples:
         transcript.records.extend(sample.records)
         transcript.errors.extend(sample.errors)
@@ -560,77 +561,149 @@ def stored_config(out_dir: str | Path) -> RunConfig:
 
 
 class _Gate:
-    """Hands out a run's request budget: `budget` units, one per request in flight.
+    """Hands out the request budget of sends through `gateway`: `budget` units,
+    one per request in flight, each held by one thread's `_Ticket`.
 
-    A problem takes a unit to start (`enter`), in problem order, while fewer
-    than `workers` problems are in their understanding stages, a unit is
-    free and no sample thread waits for one. It keeps that unit for the
-    sample chain its own thread runs; each other sample thread waits in
-    `take` for a unit of its own, and is served before any new problem; it
-    takes none if its problem has no sample left by then. Every unit comes
-    back through `release`. Once closed, the gate admits no problem and
-    wakes every thread waiting in `enter`; sample threads of the problems
-    under way still get their units.
+    A unit that comes free goes to the waiting ticket of the oldest problem,
+    first come first served within a problem. The next problem comes after
+    all of them: it starts (`enter`), in problem order, while fewer than
+    `workers` problems are in their understanding stages. Once closed, the
+    gate starts no problem and wakes every thread waiting in `enter`.
     """
 
-    def __init__(self, workers: int, budget: int):
+    def __init__(self, workers: int, budget: int, gateway: Gateway):
+        self.gateway = gateway
         self._workers = workers
         self._free = budget
         self._understanding = 0
-        self._taking = 0  # sample threads waiting for a unit
-        self._turn = 0
+        self._turn = 0  # the next problem to start
         self._closed = False
-        self._changed = threading.Condition()
+        self._lock = threading.Lock()
+        self._waiting: list[tuple[int, int, _Ticket]] = []  # a heap of (turn, arrival, ticket)
+        self._arrivals = 0
 
-    def enter(self, turn: int) -> bool:
-        """Wait until problem `turn` (0-based) may start; False once the gate is closed."""
-        with self._changed:
-            self._changed.wait_for(
-                lambda: self._closed
-                or (
-                    turn == self._turn
-                    and self._understanding < self._workers
-                    and self._free
-                    and not self._taking
-                )
-            )
+    def enter(self, turn: int) -> _Ticket | None:
+        """Wait until problem `turn` (0-based) may start; its ticket holds a unit
+        and an understanding place. None once the gate is closed."""
+        ticket = _Ticket(self, turn)
+        with self._lock:
             if self._closed:
-                return False
-            self._turn += 1
-            self._understanding += 1
-            self._free -= 1
-            self._changed.notify_all()
-            return True
-
-    def fan_out(self) -> None:
-        """The understanding stages of one problem are over."""
-        with self._changed:
-            self._understanding -= 1
-            self._changed.notify_all()
-
-    def take(self, indices: Iterator[int]) -> int | None:
-        """Wait for a free unit for one sample thread and take it with the next
-        of its problem's sample `indices`; None, taking no unit, if none is left."""
-        with self._changed:
-            self._taking += 1
-            self._changed.wait_for(lambda: self._free)
-            self._taking -= 1
-            index = next(indices, None)
-            if index is not None:
-                self._free -= 1
-            self._changed.notify_all()
-            return index
-
-    def release(self) -> None:
-        """Give one unit back."""
-        with self._changed:
-            self._free += 1
-            self._changed.notify_all()
+                return None
+            self._queue(ticket)
+            self._grant()
+        ticket.granted.acquire()
+        return ticket if ticket.understanding else None
 
     def close(self) -> None:
-        with self._changed:
+        with self._lock:
+            if self._closed:
+                return
             self._closed = True
-            self._changed.notify_all()
+            for _, _, ticket in self._waiting:
+                if ticket.turn >= self._turn:  # a problem not started: `enter` returns None
+                    ticket.granted.release()
+
+    def _queue(self, ticket: _Ticket) -> None:
+        """Make `ticket` wait for a unit; the caller holds the lock."""
+        self._arrivals += 1
+        heapq.heappush(self._waiting, (ticket.turn, self._arrivals, ticket))
+
+    def _grant(self) -> None:
+        """Hand each free unit to the first waiting ticket; the caller holds the lock."""
+        while self._free and self._waiting:
+            ticket = self._waiting[0][2]
+            if ticket.turn >= self._turn:  # a problem to start, in turn, if it may
+                if ticket.turn > self._turn or self._closed:
+                    return
+                if self._understanding >= self._workers:
+                    return
+                self._turn += 1
+                self._understanding += 1
+                ticket.understanding = True
+            heapq.heappop(self._waiting)
+            if ticket.indices is not None:  # a sample thread's first unit comes with its index
+                ticket.index = next(ticket.indices, None)
+                ticket.indices = None
+                if ticket.index is None:
+                    ticket.granted.release()
+                    continue
+            self._free -= 1
+            ticket.granted.release()
+
+
+class _Ticket:
+    """One thread's claim on the units of a `_Gate`, for the problem of turn `turn`.
+
+    The gate releases `granted` at each grant, and at its close for a problem
+    not started. A ticket that `fan_out` queued
+    takes its thread's first sample `index` with its first unit, or neither
+    when none is left. `understanding` says whether it holds its problem's
+    place in the understanding stages.
+    """
+
+    __slots__ = ("_gate", "gateway", "turn", "understanding", "indices", "index", "granted")
+
+    def __init__(self, gate: _Gate, turn: int, indices: Iterator[int] | None = None):
+        self._gate = gate
+        self.gateway = gate.gateway
+        self.turn = turn
+        self.understanding = False
+        self.indices = indices
+        self.index: int | None = None
+        self.granted = threading.Lock()
+        self.granted.acquire()
+
+    def ready(self) -> None:
+        """Before a call: keep the unit, unless an older problem's ticket waits;
+        then hand it over and wait for one at this problem's turn."""
+        gate = self._gate
+        if not gate._waiting:  # read without the lock: a ticket queued meanwhile waits a call more
+            return
+        with gate._lock:
+            if not gate._waiting or gate._waiting[0][0] >= self.turn:
+                return
+            gate._free += 1
+            gate._queue(self)
+            gate._grant()
+        self.granted.acquire()
+
+    def pause(self, seconds: float) -> None:
+        """A retry backoff of `seconds`, holding neither the unit nor the
+        understanding place. The place comes back after it whatever the count,
+        as the `workers` cap holds back only new problems; the unit comes at
+        this problem's turn."""
+        place = self.understanding
+        self.release()
+        time.sleep(seconds)
+        gate = self._gate
+        with gate._lock:
+            self.understanding = place
+            gate._understanding += place
+            gate._queue(self)
+            gate._grant()
+        self.granted.acquire()
+
+    def fan_out(self, indices: Iterator[int], helpers: int) -> list[_Ticket]:
+        """Leave the understanding stages and queue tickets for `helpers` more
+        sample threads, in one step."""
+        gate = self._gate
+        tickets = [_Ticket(gate, self.turn, indices) for _ in range(helpers)]
+        with gate._lock:
+            gate._understanding -= 1
+            self.understanding = False
+            for ticket in tickets:
+                gate._queue(ticket)
+            gate._grant()
+        return tickets
+
+    def release(self) -> None:
+        """Give back the unit, and the understanding place if held."""
+        gate = self._gate
+        with gate._lock:
+            gate._free += 1
+            gate._understanding -= self.understanding
+            self.understanding = False
+            gate._grant()
 
 
 def _request_budget(config: RunConfig) -> int:
@@ -737,7 +810,7 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     )
 
     budget = _request_budget(config)
-    gate = _Gate(config.workers, budget)
+    gate = _Gate(config.workers, budget, gateway)
     writer = _TranscriptWriter(gate)
     turns = enumerate(todo)  # next() is atomic under the GIL
     raised: dict[int, BaseException] = {}
@@ -746,10 +819,11 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     def _run_turns() -> None:
         try:
             for turn, (name, problem) in turns:
-                if not gate.enter(turn):
+                ticket = gate.enter(turn)
+                if ticket is None:
                     return  # a problem raised, a transcript was lost or the run was interrupted
                 try:
-                    transcript = run_problem(problem, config, gateway, gate)
+                    transcript = run_problem(problem, config, gateway, ticket)
                     text = dumps(transcript)
                     rows[problem.id] = report_row(problem.id, transcript)
                     del transcript  # the writer needs only the text, the report only the row

@@ -92,6 +92,31 @@ class TestRun:
         assert run_cli(*dup_run_args(out_dir), "--max-tokens", "0") == 2
         assert not (out_dir / "config.json").exists()
 
+    def test_cached_run_over_a_lone_surrogate(self, tmp_path):
+        # json.loads reads the escape \ud800 as a lone surrogate, which UTF-8 cannot encode.
+        dataset = tmp_path / "odd.jsonl"
+        dataset.write_text(
+            '{"question": "One \\ud800?", "answer": "3"}\n{"question": "Two?", "answer": "3"}\n',
+            encoding="utf-8",
+        )
+        script = tmp_path / "script.json"
+        script.write_text('{"default": "The answer is 3."}', encoding="utf-8")
+        args = [
+            "run",
+            "--dataset", "odd",
+            "--dataset-path", dataset,
+            "--answer-type", "number",
+            "--backend", "mock",
+            "--mock-script", script,
+            "--cache-dir", tmp_path / "cache",
+        ]
+        for out in ("first", "second"):
+            assert run_cli(*args, "--out-dir", tmp_path / out) == 0
+        report = json.loads((tmp_path / "second" / "report.json").read_text(encoding="utf-8"))
+        assert report["usage"]["cached_calls"] == report["usage"]["calls"] == 8
+        assert report["correct"] == 2
+        assert run_cli("recount", "--out-dir", tmp_path / "second") == 0
+
     def test_unknown_method_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli(*dup_run_args(tmp_path / "run"), "--method", "telepathy")

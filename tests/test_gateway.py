@@ -133,6 +133,11 @@ class TestCacheKey:
         assert cache_key(req) == digest
         assert hashlib_gateway.cache_key(req) == digest
 
+    def test_lone_surrogate_is_hashed(self):
+        # json.loads reads the escape \ud800 as a lone surrogate, which UTF-8 cannot encode.
+        odd = request("Half a pair: \ud800")
+        assert cache_key(odd) == cache_key(odd) != cache_key(request("Half a pair: "))
+
     def test_tag_excluded(self):
         assert cache_key(request(tag="a")) == cache_key(request(tag="b"))
 
@@ -268,6 +273,29 @@ class TestRetries:
         # Exponential base with jitter in [0, base): delay_k in [b*2^k, b*2^k + b).
         assert 0.5 <= no_sleep[0] < 1.0
         assert 1.0 <= no_sleep[1] < 1.5
+
+    def test_pause_receives_every_backoff(self, no_sleep):
+        pauses = []
+        backend = FlakyBackend(failures=2)
+        gateway = Gateway(backend=backend, max_retries=5, retry_base_delay_s=0.5)
+        assert gateway.complete(request(), pause=pauses.append).content == "ok"
+        assert backend.sends == 3 and no_sleep == []
+        assert 0.5 <= pauses[0] < 1.0
+        assert 1.0 <= pauses[1] < 1.5
+
+    def test_complete_cached_passes_the_pause_on(self, tmp_path, no_sleep):
+        for cache_dir in (None, tmp_path):
+            pauses = []
+            gateway = Gateway(backend=FlakyBackend(failures=1), cache_dir=cache_dir)
+            assert gateway.complete_cached(request(), pause=pauses.append).content == "ok"
+            assert len(pauses) == 1
+        assert no_sleep == []
+
+    def test_default_pause_sleeps(self, tmp_path, no_sleep):
+        for cache_dir in (None, tmp_path):
+            gateway = Gateway(backend=FlakyBackend(failures=1), cache_dir=cache_dir)
+            assert gateway.complete_cached(request()).content == "ok"
+        assert len(no_sleep) == 2
 
     def test_exhaustion_raises_with_last_status(self, no_sleep):
         backend = FlakyBackend(failures=99, exc=TransientBackendError("x", status=503))
@@ -635,6 +663,50 @@ class TestCache:
         assert (response.content, response.cached) == ("x", False)
         assert gateway.complete_cached(request()).cached
 
+    def test_no_request_waits_for_one_in_a_pause(self, tmp_path):
+        # A caller may give back in `pause` what a request waiting for its
+        # flight would hold: an identical request meanwhile sends its own.
+        backend = FlakyBackend(failures=1)
+        gateway = Gateway(backend=backend, cache_dir=tmp_path, retry_base_delay_s=0.01)
+        during = []
+
+        def pause(seconds):
+            other = threading.Thread(
+                target=lambda: during.append(gateway.complete_cached(request())), daemon=True
+            )
+            other.start()
+            other.join(5)
+
+        first = gateway.complete_cached(request(), pause=pause)
+        assert backend.sends == 3
+        assert [(r.content, r.cached) for r in (*during, first)] == [("ok", False), ("ok", False)]
+
+    def test_a_request_others_wait_for_backs_off_with_sleep(self, tmp_path, no_sleep):
+        sending, release = threading.Event(), threading.Event()
+
+        class FailFirstBackend(MockBackend):
+            def send(self, req):
+                response = super().send(req)
+                if self.calls == 1:
+                    sending.set()
+                    release.wait(5)
+                    raise TransientBackendError("first send fails", status=503)
+                return response
+
+        backend = FailFirstBackend({"default": "x"})
+        gateway = Gateway(backend=backend, cache_dir=tmp_path)
+        pauses = []
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first = pool.submit(gateway.complete_cached, request(), pauses.append)
+            assert sending.wait(5)
+            second = pool.submit(gateway.complete_cached, request())
+            threading.Event().wait(0.1)  # the second waits for the first
+            release.set()
+            responses = [first.result(5), second.result(5)]
+        assert pauses == [] and len(no_sleep) == 1
+        assert backend.calls == 2
+        assert [(r.content, r.cached) for r in responses] == [("x", False), ("x", True)]
+
     def test_row_echoing_its_request_is_served(self, tmp_path, synthetic_problems):
         # Older versions stored the request beside the response in each row.
         prompt = render_core_question_prompt(synthetic_problems[0].question)
@@ -944,6 +1016,16 @@ class TestHttpBackend:
             gateway.complete(request())
         assert excinfo.value.last_status == 429
         assert len(session.requests) == 1 and no_sleep == []
+
+    def test_retry_after_beyond_the_cap_fails_before_any_pause(self, monkeypatch, no_sleep):
+        backend, session = http_backend(
+            [StubResponse(429, headers={"Retry-After": "86400"}), StubResponse(200, OK_BODY)],
+            monkeypatch,
+        )
+        pauses = []
+        with pytest.raises(RetriesExhaustedError):
+            Gateway(backend=backend).complete(request(), pause=pauses.append)
+        assert len(session.requests) == 1 and pauses == no_sleep == []
 
     def test_retry_after_at_the_cap_is_honoured(self, monkeypatch, no_sleep):
         header = f"{MAX_RETRY_AFTER_S:g}"

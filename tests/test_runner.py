@@ -89,20 +89,30 @@ def sc_correct_script(problems, n_samples):
 
 
 class SleepingMock(MockBackend):
-    """A mock that takes `delay_s` per send and records the most sends in flight."""
+    """A mock that takes `delay_s` per send, or `delays[tag]`, and fails the
+    first send of each tag in `fail_once` with a retryable error. It records
+    the most sends in flight and, in `sent`, the tag of every send in order."""
 
-    def __init__(self, script, delay_s):
+    def __init__(self, script, delay_s, delays=None, fail_once=()):
         super().__init__(script)
         self.delay_s = delay_s
+        self.delays = delays or {}
+        self.fail_once = set(fail_once)
         self.in_flight = self.peak = 0
+        self.sent = []
 
     def send(self, request):
         with self._lock:
+            self.sent.append(request.tag)
             self.in_flight += 1
             self.peak = max(self.peak, self.in_flight)
-        time.sleep(self.delay_s)
+            fail = request.tag in self.fail_once
+            self.fail_once.discard(request.tag)
+        time.sleep(self.delays.get(request.tag, self.delay_s))
         with self._lock:
             self.in_flight -= 1
+        if fail:
+            raise TransientBackendError(f"{request.tag} fails once", status=503)
         return super().send(request)
 
 
@@ -608,7 +618,7 @@ class TestAdmissionGate:
         # Every unit a problem or a sample thread took was given back once.
         (gate,) = gates
         assert gate._free == runner_module._request_budget(config)
-        assert (gate._understanding, gate._taking, gate._turn) == (0, 0, 10)
+        assert (gate._understanding, gate._waiting, gate._turn) == (0, [], 10)
 
     def test_gate_alone_holds_the_budget(self, tmp_path, synthetic_problems):
         # A gateway with no bound of its own: only the gate holds sends back.
@@ -622,36 +632,68 @@ class TestAdmissionGate:
             assert report.accuracy == 100.0
             assert backend.peak == runner_module._request_budget(config) == 6
 
-    def test_sample_threads_come_before_new_problems(self):
-        gate = runner_module._Gate(workers=1, budget=2)
-        assert gate.enter(0)
-        gate.fan_out()
-        indices = iter(range(3))
-        assert gate.take(indices) == 0
-        took, entered = [], []
-        taker = threading.Thread(target=lambda: took.append(gate.take(indices)), daemon=True)
-        enterer = threading.Thread(target=lambda: entered.append(gate.enter(1)), daemon=True)
+    def test_sample_threads_come_before_new_problems(
+        self, tmp_path, synthetic_problems, monkeypatch
+    ):
+        # One problem in its understanding stages at a time, and a budget of
+        # N: the units left when a problem fans out go to its other samples,
+        # and the next problem starts after they are all sent.
+        sent = []
+        real_run_problem = runner_module.run_problem
 
-        def waiting(threads: int) -> None:
-            """Wait until `threads` threads wait at the gate's condition."""
-            deadline = time.monotonic() + 5
-            while len(gate._changed._waiters) != threads:
-                assert time.monotonic() < deadline, "threads did not reach the gate"
-                time.sleep(0.001)
+        def run_problem(problem, *args):
+            sent.append(f"start:{problem.id}")
+            return real_run_problem(problem, *args)
 
-        # The problem waits first, so it is the first woken by a release.
-        enterer.start()
-        waiting(1)
-        taker.start()
-        waiting(2)
-        gate.release()
-        taker.join(5)
-        assert not taker.is_alive() and took == [1]
-        waiting(1)
-        assert enterer.is_alive() and entered == []
-        gate.release()
-        enterer.join(5)
-        assert entered == [True]
+        monkeypatch.setattr(runner_module, "run_problem", run_problem)
+        for n_samples in (2, 3):
+            script = sc_correct_script(synthetic_problems, n_samples)
+            config = make_run_config(
+                tmp_path / str(n_samples), script, workers=1, n_samples=n_samples, temperature=0.7
+            )
+            backend = SleepingMock(script, 0.01)
+            backend.sent = sent = []  # starts and sends, in order
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # a thread woken at the gate runs at once
+            try:
+                report = run_bounded(config, Gateway(backend=backend))
+            finally:
+                sys.setswitchinterval(interval)
+            assert report.accuracy == 100.0
+            for older, newer in zip(synthetic_problems, synthetic_problems[1:]):
+                last_sample = sent.index(f"answer:{older.id}#{n_samples - 1}")
+                assert last_sample < sent.index(f"start:{newer.id}"), n_samples
+
+    def test_older_problems_samples_are_granted_first(self, tmp_path, synthetic_problems):
+        # workers=2, N=2: a budget of 4, held from 60 ms on by problem 0,
+        # both samples of problem 1 (300 ms each) and problem 2. Problem 2
+        # fans out at 120 ms, problem 0 (a slow stage 2) at 165 ms. When
+        # problem 2's own thread ends its first sample at 180 ms, the older
+        # problem 0's second sample is sent before problem 2's.
+        first, second, third = synthetic_problems[:3]
+        script = sc_correct_script(synthetic_problems, 2)
+        config = make_run_config(tmp_path, script, workers=2, n_samples=2, temperature=0.7)
+        slow = {f"solving_info:{first.id}": 0.135}
+        slow.update({f"answer:{second.id}#{i}": 0.3 for i in range(2)})
+        backend = SleepingMock(script, 0.03, delays=slow)
+        report = run_bounded(config, Gateway(backend=backend))
+        assert report.accuracy == 100.0
+        sent = backend.sent
+        assert sent.index(f"answer:{first.id}#1") < sent.index(f"answer:{third.id}#1")
+
+    def test_a_call_in_backoff_holds_no_unit(self, tmp_path, synthetic_problems):
+        # workers=1, N=2: a budget of 2 and two problem threads. While the
+        # first problem's stage 1 backs off, it holds neither a unit nor its
+        # understanding place, so the second problem starts.
+        first, second = synthetic_problems[:2]
+        script = sc_correct_script(synthetic_problems, 2)
+        config = make_run_config(tmp_path, script, workers=1, n_samples=2, temperature=0.7)
+        retried = f"core_question:{first.id}"
+        backend = SleepingMock(script, 0.01, fail_once=[retried])
+        report = run_bounded(config, Gateway(backend=backend, retry_base_delay_s=0.2))
+        assert report.accuracy == 100.0
+        retry = backend.sent.index(retried, 1)
+        assert backend.sent.index(f"core_question:{second.id}") < retry
 
     def test_a_sample_thread_with_no_sample_left_takes_no_unit(
         self, tmp_path, synthetic_problems, monkeypatch
@@ -663,24 +705,25 @@ class TestAdmissionGate:
         config = make_run_config(tmp_path, script, n_samples=3, temperature=0.7)
         ran, released = set(), set()
         real_run_sample = runner_module._run_sample
+        real_release = runner_module._Ticket.release
 
         def run_sample(*args):
             ran.add(threading.get_ident())
             return real_run_sample(*args)
 
-        class RecordingGate(runner_module._Gate):
-            def release(self):
-                released.add(threading.get_ident())
-                super().release()
+        def release(ticket):
+            released.add(threading.get_ident())
+            real_release(ticket)
 
         monkeypatch.setattr(runner_module, "_run_sample", run_sample)
-        gate = RecordingGate(workers=1, budget=1)
-        assert gate.enter(0)
-        transcript = run_problem(problem, config, Gateway(backend=MockBackend(script)), gate)
+        monkeypatch.setattr(runner_module._Ticket, "release", release)
+        gateway = Gateway(backend=MockBackend(script))
+        gate = runner_module._Gate(workers=1, budget=1, gateway=gateway)
+        transcript = run_problem(problem, config, gateway, gate.enter(0))
         assert transcript.graded.correct and len(transcript.votes) == 3
         # Only a thread that ran a sample held a unit to give back.
         assert released == ran == {threading.get_ident()}
-        assert (gate._free, gate._taking) == (1, 0)
+        assert (gate._free, gate._waiting) == (1, [])
 
     def test_failed_write_stops_a_run_waiting_at_the_gate(
         self, tmp_path, synthetic_problems, monkeypatch
@@ -1091,24 +1134,19 @@ class TestProblemThreads:
         script = correct_script(synthetic_problems)
         cache_dir = tmp_path / "cache"
         config = make_run_config(tmp_path, script, workers=2, cache_dir=str(cache_dir))
-        admitted, at_close, finished, waits = [], [], [], []
+        admitted, finished, waits = [], [], []
         closed = threading.Event()
 
         class RecordingGate(runner_module._Gate):
-            # Both hold the gate's own lock, so an entry is listed before or after the close.
-            def enter(self, turn):
-                with self._changed:
-                    entered = super().enter(turn)
-                    if entered:
-                        admitted.append(turn)
-                    return entered
+            # Under the gate's own lock: each problem started, and whether the gate was closed.
+            def _grant(self):
+                turn = self._turn
+                super()._grant()
+                admitted.extend((started, self._closed) for started in range(turn, self._turn))
 
             def close(self):
-                with self._changed:
-                    if not closed.is_set():
-                        at_close.extend(admitted)
-                        closed.set()
-                    super().close()
+                super().close()
+                closed.set()
 
         real_run_problem = runner_module.run_problem
         third = synthetic_problems[2].id
@@ -1129,7 +1167,8 @@ class TestProblemThreads:
         with pytest.raises(KeyboardInterrupt):
             run_experiment(config, Gateway(backend=MockBackend(script), cache_dir=cache_dir))
         assert waits and all(waits)
-        assert admitted == at_close and len(admitted) < len(synthetic_problems)
+        assert admitted and not any(was_closed for _, was_closed in admitted)
+        assert len(admitted) < len(synthetic_problems)
         written = {path.name for path in (tmp_path / "out" / "transcripts").iterdir()}
         assert written == {transcript_path("", pid).name for pid in finished}
         assert not (tmp_path / "out" / "report.json").exists()
