@@ -18,6 +18,7 @@ import random
 import threading
 import time
 from dataclasses import InitVar, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -207,6 +208,9 @@ class MockBackend:
             raise InvalidInputError("mock script must be a JSON object")
         self.default = script.get("default")
         if set(script) <= {"by_tag", "by_digest", "default"}:
+            for key in ("by_tag", "by_digest"):
+                if not isinstance(script.get(key, {}), dict):
+                    raise InvalidInputError(f"mock script {key!r} must be a JSON object")
             self.by_tag = dict(script.get("by_tag", {}))
             self.by_digest = dict(script.get("by_digest", {}))
         else:
@@ -346,6 +350,10 @@ class HttpBackend:
             raise MalformedResponseError(f"cannot parse completion payload: {exc}") from exc
 
 
+# A caller's hook around a wait that sends nothing: `idle(wait)` runs `wait`.
+Idle = Callable[[Callable[[], object]], object]
+
+
 def _open_cache(cache_dir: Path) -> sqlite3.Connection:
     """Connect to the cache database in `cache_dir`, creating it when absent."""
     # Here, not at the top: runs without a cache skip the import. The C core
@@ -378,16 +386,14 @@ class _Flight:
     """A request sent for a digest that missed the cache.
 
     Requests for the same digest wait on `done`, made by the first of them,
-    and then find `response`: None if the request failed. None joins a
-    flight while it is `resting`; the next request for its digest replaces it.
+    and then find `response`: None if the request failed.
     """
 
-    __slots__ = ("done", "response", "resting")
+    __slots__ = ("done", "response")
 
     def __init__(self):
         self.done: threading.Event | None = None
         self.response: ChatResponse | None = None
-        self.resting = False  # the sender is in a caller's `pause`
 
 
 @dataclass
@@ -417,11 +423,12 @@ class Gateway:
     process has rewritten it since.
 
     Shareable across threads, with no bound of its own on the requests in
-    flight (a run bounds them at `runner._Gate`); one lock guards the cache
-    connection. Runs in several processes on one host may share a cache
-    directory; SQLite serializes their writes. The directory must be on a
-    local filesystem: the database runs in WAL mode, whose shared memory
-    does not work on a network filesystem or across hosts.
+    flight (a run bounds them at `runner._Gate`, whose tickets give back
+    their unit in every wait that sends nothing, through `idle`); one lock
+    guards the cache connection. Runs in several processes on one host may
+    share a cache directory; SQLite serializes their writes. The directory
+    must be on a local filesystem: the database runs in WAL mode, whose
+    shared memory does not work on a network filesystem or across hosts.
     """
 
     backend: MockBackend | HttpBackend
@@ -498,17 +505,15 @@ class Gateway:
                 if self._pending.get(digest) is text:
                     del self._pending[digest]
 
-    def complete(
-        self, request: ChatRequest, pause: Callable[[float], object] | None = None
-    ) -> ChatResponse:
+    def complete(self, request: ChatRequest, idle: Idle | None = None) -> ChatResponse:
         """Send a request, retrying transient failures with backoff + jitter.
 
         A retry waits at least as long as the failed attempt's Retry-After;
         a Retry-After above MAX_RETRY_AFTER_S raises RetriesExhaustedError
-        at once. Each backoff is `pause(seconds)`, `time.sleep` by default.
-        A reply that is not a valid ChatResponse (say, content that is blank,
-        whatever its finish_reason) raises MalformedResponseError and is not
-        retried.
+        at once. Each backoff is a `time.sleep`, run as `idle(wait)` when
+        `idle` is given. A reply that is not a valid ChatResponse (say,
+        content that is blank, whatever its finish_reason) raises
+        MalformedResponseError and is not retried.
         """
         last_exc: TransientBackendError | None = None
         for attempt in range(self.max_retries + 1):
@@ -522,7 +527,8 @@ class Gateway:
                     ) from last_exc
                 delay = self.retry_base_delay_s * (2 ** (attempt - 1))
                 delay += self._rng.uniform(0, self.retry_base_delay_s)
-                (pause or time.sleep)(max(delay, retry_after))
+                wait = partial(time.sleep, max(delay, retry_after))
+                idle(wait) if idle else wait()
             try:
                 return self.backend.send(request)
             except TransientBackendError as exc:
@@ -598,9 +604,7 @@ class Gateway:
             finally:
                 self._commit_lock.release()
 
-    def complete_cached(
-        self, request: ChatRequest, pause: Callable[[float], object] | None = None
-    ) -> ChatResponse:
+    def complete_cached(self, request: ChatRequest, idle: Idle | None = None) -> ChatResponse:
         """Serve from the cache when possible; otherwise complete and persist.
 
         Without a cache_dir this is plain `complete`. Each response is
@@ -609,16 +613,14 @@ class Gateway:
         entries are evicted and treated as misses.
 
         A miss whose digest is already being requested waits for that
-        request and is served its response as a cache hit, as it would be
-        once the response is stored. If that request fails, the waiter sends
-        its own, and so does a miss whose identical request is in a `pause`
-        (see `complete`): a caller may give back in `pause` what it needs to
-        send again, so nothing may wait for it then. A sender that others
-        wait for backs off with `time.sleep`. A request that misses just as
-        an identical one finishes may still reach the backend.
+        request, also through its backoffs, and is served its response as a
+        cache hit, as it would be once the response is stored. If that
+        request fails, the waiter sends its own. The wait runs as
+        `idle(wait)`, like a backoff (see `complete`). A request that misses
+        just as an identical one finishes may still reach the backend.
         """
         if self.cache_dir is None:
-            return self.complete(request, pause)
+            return self.complete(request, idle)
         digest = cache_key(request)
         hit = self._read_cache(digest)
         if hit is not None:
@@ -626,24 +628,17 @@ class Gateway:
         while True:
             with self._flights_lock:
                 flight = self._flights.get(digest)
-                if flight is None or flight.resting:
+                if flight is None:
                     flight = self._flights[digest] = _Flight()
                     break
                 if flight.done is None:
                     flight.done = threading.Event()
-            flight.done.wait()
+            idle(flight.done.wait) if idle else flight.done.wait()
             if flight.response is not None:
                 return replace(flight.response, cached=True)
-
-        def rest(seconds: float) -> None:
-            with self._flights_lock:
-                flight.resting = flight.done is None
-            (pause if flight.resting else time.sleep)(seconds)
-            flight.resting = False
-
         response = None
         try:
-            response = self.complete(request, rest if pause else None)
+            response = self.complete(request, idle)
             self._write_cache(digest, response)
         finally:
             with self._flights_lock:

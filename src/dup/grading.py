@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, getcontext
 
 from .prompts import AnswerType
 
@@ -37,8 +37,8 @@ _YES_NO_MAP = {"yes": "yes", "true": "yes", "no": "no", "false": "no"}
 @dataclass(frozen=True)
 class NormalizedAnswer:
     """A typed final answer, held as it is stored: a Decimal for NUMBER (text
-    or an int is converted; text that does not parse raises ValueError), a
-    str for every other kind."""
+    or an int is converted; text that does not parse, or a number that
+    `grade` cannot compare, raises ValueError), a str for every other kind."""
 
     kind: AnswerType
     value: Decimal | str
@@ -50,6 +50,8 @@ class NormalizedAnswer:
                     object.__setattr__(self, "value", Decimal(str(self.value)))
                 except InvalidOperation:
                     raise ValueError(f"not a number: {self.value!r}") from None
+            if not _gradable(self.value):
+                raise ValueError(f"not a number grade can compare: {self.value!r}")
         elif not isinstance(self.value, str):
             raise ValueError(f"answer of kind {self.kind.value} must be a str, got {self.value!r}")
 
@@ -84,15 +86,19 @@ class GradedResult:
             raise ValueError("absent prediction must grade incorrect with extraction_source='none'")
 
 
+def _gradable(value: Decimal) -> bool:
+    """Finite and below 10**Emax: the difference `grade` takes cannot overflow."""
+    return value.is_finite() and value.adjusted() < getcontext().Emax
+
+
 def _parse_number_token(token: str) -> Decimal | None:
-    token = token.replace(" ", "")
+    """The token's value; None unless it is a number `grade` can compare."""
+    numerator, slash, denominator = token.replace(" ", "").partition("/")
     try:
-        if "/" in token:
-            numerator, denominator = token.split("/", 1)
-            return Decimal(numerator) / Decimal(denominator)
-        return Decimal(token)
-    except (InvalidOperation, ZeroDivisionError):
+        value = Decimal(numerator) / Decimal(denominator) if slash else Decimal(numerator)
+    except ArithmeticError:
         return None
+    return value if _gradable(value) else None
 
 
 def _normalize_number(text: str, gold: NormalizedAnswer | None) -> NormalizedAnswer | None:

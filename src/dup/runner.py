@@ -26,7 +26,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 from .consistency import Vote, aggregate
 from .datasets import (
@@ -215,48 +215,56 @@ def resolve_method(config: RunConfig, dataset: str) -> MethodVariant:
     return config.method
 
 
-def _call(
-    ticket: _Ticket,
-    sink: Transcript | _Sample,
-    stage: str,
-    prompt: str,
-    model: str,
-    config: RunConfig,
-    tag: str,
-    temperature: float = 0.0,
-    sample_index: int = 0,
-) -> str:
-    """Issue one stage completion and append its record to `sink.records`.
+def _request(
+    config: RunConfig, stage: str, prompt: str, problem_id: str, index: int
+) -> ChatRequest:
+    """The request of a stage call of problem `problem_id`, for sample `index`.
 
-    The request goes through the gateway of the calling thread's `ticket`,
-    once the ticket has a unit of the request budget (see `_Gate`). `sink`
-    is the transcript or one sample chain; a failure is also listed in
-    `sink.errors` and re-raised. Returns the content. The request
-    carries `sample_index` only when sampling (temperature > 0): greedy
-    requests all carry 0, so with a cache the extraction calls of samples
-    that read the same text share one entry and one flight. Durations are
-    kept to the microsecond.
-    """
-    request = ChatRequest(
-        model=model,
+    Stages 1-2 ask the extractor model, the others the run's model. Only the
+    answer stage samples, at the run's temperature, and carries `index`:
+    greedy requests carry 0, so with a cache the extraction calls of samples
+    that read the same text share one entry and one flight. Answer and
+    extraction tags end in "#index" when the run takes N > 1 samples."""
+    understanding = stage in (STAGE_CORE, STAGE_INFO)
+    temperature = config.temperature if stage == STAGE_ANSWER else 0.0
+    suffix = f"#{index}" if config.n_samples > 1 and not understanding else ""
+    return ChatRequest(
+        model=(config.extractor_model or config.model) if understanding else config.model,
         messages=build_messages(prompt, config.system_message),
         temperature=temperature,
         max_tokens=config.max_tokens,
-        sample_index=sample_index if temperature > 0 else 0,
-        tag=tag,
+        sample_index=index if temperature > 0 else 0,
+        tag=f"{stage}:{problem_id}{suffix}",
     )
-    record = StageRecord(stage=stage, prompt=prompt, sample_index=sample_index)
+
+
+def _call(
+    ticket: _Ticket,
+    sink: Transcript | _Sample,
+    config: RunConfig,
+    problem_id: str,
+    stage: str,
+    prompt: str,
+    index: int = 0,
+) -> str:
+    """Send the stage's request (see `_request`) through the gateway of the
+    calling thread's `ticket`, once it holds a unit of the request budget, and
+    append its record to `sink.records`: the transcript's or one sample
+    chain's. A failure is also listed in `sink.errors` and re-raised.
+    Returns the content; durations are kept to the microsecond."""
+    request = _request(config, stage, prompt, problem_id, index)
+    record = StageRecord(stage=stage, prompt=prompt, sample_index=index)
     sink.records.append(record)
     ticket.ready()
     start = time.perf_counter()
     try:
-        response = ticket.gateway.complete_cached(request, ticket.pause)
+        response = ticket.gateway.complete_cached(request, ticket.idle)
     except GatewayError as exc:
-        record.duration_s = round(time.perf_counter() - start, 6)
         record.error = str(exc)
         sink.errors.append(f"{stage}: {exc}")
         raise
-    record.duration_s = round(time.perf_counter() - start, 6)
+    finally:
+        record.duration_s = round(time.perf_counter() - start, 6)
     record.response = response.content
     record.artifact = response.content.strip()
     record.cached = response.cached
@@ -277,20 +285,16 @@ def _answer_prompts(
     if method is MethodVariant.LAST_LETTER_SIMPLIFIED:
         return render_last_letter_prompt(question)
 
-    extractor = config.extractor_model or config.model
-    core = ""
-    info = ""
+    core = info = ""
     if config.stages.stage1:
         prompt = render_core_question_prompt(question)
-        tag = f"{STAGE_CORE}:{problem.id}"
-        core = _call(ticket, transcript, STAGE_CORE, prompt, extractor, config, tag).strip()
+        core = _call(ticket, transcript, config, problem.id, STAGE_CORE, prompt).strip()
     if config.stages.stage2:
         # Without stage 1 there is no extracted core question; the original
         # question stands in so stage 2 can still run alone.
         core_ref = core if config.stages.stage1 else question
         prompt = render_info_extraction_prompt(question, core_ref)
-        tag = f"{STAGE_INFO}:{problem.id}"
-        info = _call(ticket, transcript, STAGE_INFO, prompt, extractor, config, tag).strip()
+        info = _call(ticket, transcript, config, problem.id, STAGE_INFO, prompt).strip()
     return render_final_answer_prompt(
         question,
         core_question=core,
@@ -319,26 +323,12 @@ def _run_sample(
 ) -> _Sample:
     """Sample one reasoning path and extract its answer; gateway errors end the chain."""
     sample = _Sample()
-    suffix = f"#{index}" if config.n_samples > 1 else ""
 
     def ask(prompt: str) -> str:
-        tag = f"{STAGE_EXTRACTION}:{problem.id}{suffix}"
-        return _call(
-            ticket, sample, STAGE_EXTRACTION, prompt, config.model, config, tag, sample_index=index
-        )
+        return _call(ticket, sample, config, problem.id, STAGE_EXTRACTION, prompt, index)
 
     try:
-        reasoning = _call(
-            ticket,
-            sample,
-            STAGE_ANSWER,
-            answer_prompt,
-            config.model,
-            config,
-            f"{STAGE_ANSWER}:{problem.id}{suffix}",
-            temperature=config.temperature,
-            sample_index=index,
-        )
+        reasoning = _call(ticket, sample, config, problem.id, STAGE_ANSWER, answer_prompt, index)
         if method is MethodVariant.DUP_S:
             reasoning = dup_s_answer_segment(reasoning)
         outcome = extract_answer(reasoning, problem.answer_type, ask, problem.gold)
@@ -359,40 +349,35 @@ def _run_samples(
 ) -> list[_Sample]:
     """Every sample chain, in sample order.
 
-    min(N, MAX_SAMPLE_THREADS) threads take sample indices in order until
-    none is left. The calling thread goes on with its problem's `ticket`;
-    each other thread waits on a ticket that `_Ticket.fan_out` queued, whose
-    unit comes with the thread's first index, or with neither if none is
-    left. Every thread gives its unit back when it stops. The first
-    exception a thread raises is raised once every thread is done.
+    Sample i runs on thread i mod T, where T = min(N, MAX_SAMPLE_THREADS).
+    Thread 0 is the calling thread, which goes on with its problem's
+    `ticket`; each other thread waits for the first unit of a ticket that
+    `_Ticket.fan_out` queued, then runs its samples in order. Every thread
+    gives its unit back when it stops. The first exception a thread raises
+    is raised once every thread is done.
     """
     samples: list[_Sample] = [None] * config.n_samples
-    indices = iter(range(config.n_samples))  # next() is atomic under the GIL
-    first = next(indices)
+    threads = min(config.n_samples, MAX_SAMPLE_THREADS)
     errors: list[BaseException] = []
 
-    def chain(ticket: _Ticket, index: int | None) -> None:
+    def chain(ticket: _Ticket, first: int) -> None:
         try:
-            while index is not None:
+            if first:
+                ticket.granted.acquire()  # a helper's first unit
+            for index in range(first, config.n_samples, threads):
                 samples[index] = _run_sample(problem, config, method, ticket, answer_prompt, index)
-                index = next(indices, None)
         except BaseException as exc:
             errors.append(exc)
         finally:
             ticket.release()
 
-    def helper(own: _Ticket) -> None:
-        own.granted.acquire()  # its first grant
-        if own.index is not None:
-            chain(own, own.index)
-
     helpers = [
-        threading.Thread(target=helper, args=(own,), name=f"dup-sample-{problem.id}")
-        for own in ticket.fan_out(indices, min(config.n_samples, MAX_SAMPLE_THREADS) - 1)
+        threading.Thread(target=chain, args=(own, k), name=f"dup-sample-{problem.id}")
+        for k, own in enumerate(ticket.fan_out(threads - 1), 1)
     ]
     for thread in helpers:
         thread.start()
-    chain(ticket, first)
+    chain(ticket, 0)
     for thread in helpers:
         thread.join()
     if errors:
@@ -537,12 +522,17 @@ def _persist_config(config: RunConfig, out_dir: Path) -> None:
     """Store `config` in `out_dir`, or check it against the one stored there.
 
     The stored `out_dir` is left out of the check and kept as written, so a
-    run directory that was moved still resumes.
+    run directory that was moved still resumes. A stored file that is not a
+    JSON object raises DupError naming it.
     """
     path = out_dir / _CONFIG_FILE
     if path.exists():
         expected = encode(config)
-        if {**read(path), "out_dir": expected["out_dir"]} != expected:
+        try:
+            stored = {**read(path), "out_dir": expected["out_dir"]}
+        except (OSError, TypeError, ValueError) as exc:
+            raise DupError(f"cannot read stored config at {path}: {exc}") from exc
+        if stored != expected:
             raise DupError(
                 f"{path} holds a different run configuration; use a fresh --out-dir "
                 "or resume with the stored settings"
@@ -613,20 +603,12 @@ class _Gate:
         while self._free and self._waiting:
             ticket = self._waiting[0][2]
             if ticket.turn >= self._turn:  # a problem to start, in turn, if it may
-                if ticket.turn > self._turn or self._closed:
-                    return
-                if self._understanding >= self._workers:
+                if ticket.turn > self._turn or self._closed or self._understanding >= self._workers:
                     return
                 self._turn += 1
                 self._understanding += 1
                 ticket.understanding = True
             heapq.heappop(self._waiting)
-            if ticket.indices is not None:  # a sample thread's first unit comes with its index
-                ticket.index = next(ticket.indices, None)
-                ticket.indices = None
-                if ticket.index is None:
-                    ticket.granted.release()
-                    continue
             self._free -= 1
             ticket.granted.release()
 
@@ -635,21 +617,17 @@ class _Ticket:
     """One thread's claim on the units of a `_Gate`, for the problem of turn `turn`.
 
     The gate releases `granted` at each grant, and at its close for a problem
-    not started. A ticket that `fan_out` queued
-    takes its thread's first sample `index` with its first unit, or neither
-    when none is left. `understanding` says whether it holds its problem's
-    place in the understanding stages.
+    not started. `understanding` says whether it holds its problem's place in
+    the understanding stages.
     """
 
-    __slots__ = ("_gate", "gateway", "turn", "understanding", "indices", "index", "granted")
+    __slots__ = ("_gate", "gateway", "turn", "understanding", "granted")
 
-    def __init__(self, gate: _Gate, turn: int, indices: Iterator[int] | None = None):
+    def __init__(self, gate: _Gate, turn: int):
         self._gate = gate
         self.gateway = gate.gateway
         self.turn = turn
         self.understanding = False
-        self.indices = indices
-        self.index: int | None = None
         self.granted = threading.Lock()
         self.granted.acquire()
 
@@ -667,14 +645,14 @@ class _Ticket:
             gate._grant()
         self.granted.acquire()
 
-    def pause(self, seconds: float) -> None:
-        """A retry backoff of `seconds`, holding neither the unit nor the
-        understanding place. The place comes back after it whatever the count,
-        as the `workers` cap holds back only new problems; the unit comes at
-        this problem's turn."""
+    def idle(self, wait: Callable[[], object]) -> None:
+        """Run `wait`, a wait of the gateway's that sends nothing, holding
+        neither the unit nor the understanding place. The place comes back
+        after it whatever the count, as the `workers` cap holds back only new
+        problems; the unit comes at this problem's turn."""
         place = self.understanding
         self.release()
-        time.sleep(seconds)
+        wait()
         gate = self._gate
         with gate._lock:
             self.understanding = place
@@ -683,11 +661,11 @@ class _Ticket:
             gate._grant()
         self.granted.acquire()
 
-    def fan_out(self, indices: Iterator[int], helpers: int) -> list[_Ticket]:
+    def fan_out(self, helpers: int) -> list[_Ticket]:
         """Leave the understanding stages and queue tickets for `helpers` more
         sample threads, in one step."""
         gate = self._gate
-        tickets = [_Ticket(gate, self.turn, indices) for _ in range(helpers)]
+        tickets = [_Ticket(gate, self.turn) for _ in range(helpers)]
         with gate._lock:
             gate._understanding -= 1
             self.understanding = False
@@ -798,9 +776,10 @@ def run_experiment(config: RunConfig, gateway: Gateway):
             rows[problem.id] = report_row(problem.id, transcript)
         del transcript  # before the next one is decoded
     out_dir = Path(config.out_dir)
-    transcript_dir = out_dir / _TRANSCRIPT_DIR
-    transcript_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _persist_config(config, out_dir)
+    transcript_dir = out_dir / _TRANSCRIPT_DIR
+    transcript_dir.mkdir(exist_ok=True)
     todo = [(_transcript_name(p.id), p) for p in problems if p.id not in rows]
     log.info(
         "running %d problems (%d already complete) on %s",

@@ -92,6 +92,23 @@ class TestRun:
         assert run_cli(*dup_run_args(out_dir), "--max-tokens", "0") == 2
         assert not (out_dir / "config.json").exists()
 
+    @pytest.mark.parametrize("gold", ["#### NaN", "#### Infinity"])
+    def test_gold_grade_cannot_compare_is_refused_before_writing(self, tmp_path, gold):
+        dataset = tmp_path / "data.jsonl"
+        rows = [{"question": "One?", "answer": "#### 18"}, {"question": "Two?", "answer": gold}]
+        dataset.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir), "--dataset-path", dataset) == 2
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("script", [{"by_tag": [1, 2]}, {"by_tag": "x"}, {"by_digest": 3}])
+    def test_mock_script_with_a_table_that_is_not_an_object_exits_2(self, tmp_path, script):
+        script_path = tmp_path / "script.json"
+        script_path.write_text(json.dumps(script), encoding="utf-8")
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir, script=script_path)) == 2
+        assert not out_dir.exists()
+
     def test_cached_run_over_a_lone_surrogate(self, tmp_path):
         # json.loads reads the escape \ud800 as a lone surrogate, which UTF-8 cannot encode.
         dataset = tmp_path / "odd.jsonl"

@@ -161,6 +161,17 @@ class TestFormats:
         assert [p.id for p in problems] == ["custom-00001", "custom-00002", "custom-00003"]
         assert problems[1].question == question
 
+    @pytest.mark.parametrize("gold", ["#### NaN", "#### Infinity", "-inf", "sNaN", "1e999999999"])
+    def test_gold_that_grade_cannot_compare_reports_its_line(self, tmp_path, gold):
+        # NaN would stop `grade`, Infinity would grade every number correct,
+        # and 1e999999999 would overflow the difference `grade` takes.
+        path = tmp_path / "data.jsonl"
+        rows = [{"question": "Q?", "answer": "1"}, {"question": "R?", "answer": gold}]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        with pytest.raises(DatasetFormatError) as excinfo:
+            load_dataset(path, "custom", answer_type=AnswerType.NUMBER)
+        assert f"{path}:2:" in str(excinfo.value)
+
     def test_missing_field_reports_record(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"question": "Q?"}\n', encoding="utf-8")

@@ -232,6 +232,14 @@ class TestMockBackend:
         with pytest.raises(InvalidInputError):
             MockBackend(path)
 
+    @pytest.mark.parametrize(
+        "script", [{"by_tag": [1, 2]}, {"by_tag": "x"}, {"by_digest": 3}, {"by_tag": None}]
+    )
+    def test_rejects_a_routing_table_that_is_not_an_object(self, script):
+        (key,) = script
+        with pytest.raises(InvalidInputError, match=key):
+            MockBackend(script)
+
     def test_unreadable_script_is_invalid_input(self, tmp_path):
         missing = tmp_path / "missing.json"
         with pytest.raises(InvalidInputError, match="missing.json"):
@@ -275,21 +283,29 @@ class TestRetries:
         assert 1.0 <= no_sleep[1] < 1.5
 
     def test_pause_receives_every_backoff(self, no_sleep):
-        pauses = []
+        # Each backoff is a wait that the caller's `idle` runs: its sleep
+        # happens inside `idle`, not around it.
+        idled = []
+
+        def idle(wait):
+            slept = len(no_sleep)
+            wait()
+            idled.append(no_sleep[slept:])
+
         backend = FlakyBackend(failures=2)
         gateway = Gateway(backend=backend, max_retries=5, retry_base_delay_s=0.5)
-        assert gateway.complete(request(), pause=pauses.append).content == "ok"
-        assert backend.sends == 3 and no_sleep == []
-        assert 0.5 <= pauses[0] < 1.0
-        assert 1.0 <= pauses[1] < 1.5
+        assert gateway.complete(request(), idle).content == "ok"
+        assert backend.sends == 3 and len(idled) == len(no_sleep) == 2
+        assert 0.5 <= idled[0][0] < 1.0
+        assert 1.0 <= idled[1][0] < 1.5
 
     def test_complete_cached_passes_the_pause_on(self, tmp_path, no_sleep):
         for cache_dir in (None, tmp_path):
-            pauses = []
+            idled = []
             gateway = Gateway(backend=FlakyBackend(failures=1), cache_dir=cache_dir)
-            assert gateway.complete_cached(request(), pause=pauses.append).content == "ok"
-            assert len(pauses) == 1
-        assert no_sleep == []
+            assert gateway.complete_cached(request(), idled.append).content == "ok"
+            assert len(idled) == 1 and callable(idled[0])
+        assert no_sleep == []  # each wait was handed to `idle`, which never ran it
 
     def test_default_pause_sleeps(self, tmp_path, no_sleep):
         for cache_dir in (None, tmp_path):
@@ -663,25 +679,34 @@ class TestCache:
         assert (response.content, response.cached) == ("x", False)
         assert gateway.complete_cached(request()).cached
 
-    def test_no_request_waits_for_one_in_a_pause(self, tmp_path):
-        # A caller may give back in `pause` what a request waiting for its
-        # flight would hold: an identical request meanwhile sends its own.
+    def test_a_request_waits_for_its_twin_in_backoff(self, tmp_path):
+        # An identical request that misses while the first one backs off waits
+        # for it, in its own `idle`, and is served the retry's response: one
+        # send per attempt.
         backend = FlakyBackend(failures=1)
-        gateway = Gateway(backend=backend, cache_dir=tmp_path, retry_base_delay_s=0.01)
-        during = []
+        gateway = Gateway(backend=backend, cache_dir=tmp_path)
+        waiting, served = threading.Event(), []
 
-        def pause(seconds):
-            other = threading.Thread(
-                target=lambda: during.append(gateway.complete_cached(request())), daemon=True
-            )
-            other.start()
-            other.join(5)
+        def twin_idle(wait):
+            waiting.set()
+            wait()
 
-        first = gateway.complete_cached(request(), pause=pause)
-        assert backend.sends == 3
-        assert [(r.content, r.cached) for r in (*during, first)] == [("ok", False), ("ok", False)]
+        twin = threading.Thread(
+            target=lambda: served.append(gateway.complete_cached(request(), twin_idle)), daemon=True
+        )
 
-    def test_a_request_others_wait_for_backs_off_with_sleep(self, tmp_path, no_sleep):
+        def idle(wait):
+            twin.start()
+            assert waiting.wait(5)
+            wait()
+
+        first = gateway.complete_cached(request(), idle)
+        twin.join(5)
+        assert not twin.is_alive()
+        assert backend.sends == 2
+        assert [(r.content, r.cached) for r in (first, *served)] == [("ok", False), ("ok", True)]
+
+    def test_a_wait_for_an_identical_request_runs_through_idle(self, tmp_path, no_sleep):
         sending, release = threading.Event(), threading.Event()
 
         class FailFirstBackend(MockBackend):
@@ -695,15 +720,25 @@ class TestCache:
 
         backend = FailFirstBackend({"default": "x"})
         gateway = Gateway(backend=backend, cache_dir=tmp_path)
-        pauses = []
+        idled = {"first": [], "second": []}
+
+        def idle_of(name):
+            def idle(wait):
+                idled[name].append(wait)
+                wait()
+
+            return idle
+
         with ThreadPoolExecutor(max_workers=2) as pool:
-            first = pool.submit(gateway.complete_cached, request(), pauses.append)
+            first = pool.submit(gateway.complete_cached, request(), idle_of("first"))
             assert sending.wait(5)
-            second = pool.submit(gateway.complete_cached, request())
+            second = pool.submit(gateway.complete_cached, request(), idle_of("second"))
             threading.Event().wait(0.1)  # the second waits for the first
             release.set()
             responses = [first.result(5), second.result(5)]
-        assert pauses == [] and len(no_sleep) == 1
+        # The first's backoff and the second's wait for the first each ran in
+        # their caller's `idle`, so neither held what the caller gives back.
+        assert len(idled["first"]) == len(idled["second"]) == len(no_sleep) == 1
         assert backend.calls == 2
         assert [(r.content, r.cached) for r in responses] == [("x", False), ("x", True)]
 
@@ -1022,10 +1057,10 @@ class TestHttpBackend:
             [StubResponse(429, headers={"Retry-After": "86400"}), StubResponse(200, OK_BODY)],
             monkeypatch,
         )
-        pauses = []
+        idled = []
         with pytest.raises(RetriesExhaustedError):
-            Gateway(backend=backend).complete(request(), pause=pauses.append)
-        assert len(session.requests) == 1 and pauses == no_sleep == []
+            Gateway(backend=backend).complete(request(), idled.append)
+        assert len(session.requests) == 1 and idled == no_sleep == []
 
     def test_retry_after_at_the_cap_is_honoured(self, monkeypatch, no_sleep):
         header = f"{MAX_RETRY_AFTER_S:g}"

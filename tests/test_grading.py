@@ -112,6 +112,27 @@ def test_normalized_answer_value_validation():
     assert all(type(a.value) is Decimal for a in answers)
 
 
+@pytest.mark.parametrize(
+    "value", ["NaN", "sNaN", "Infinity", "-Infinity", "1e999999999", Decimal("-inf")]
+)
+def test_number_answer_refuses_what_grade_cannot_compare(value):
+    with pytest.raises(ValueError):
+        NormalizedAnswer.of_number(value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/0." + "0" * 1_000_000 + "1",  # a quotient past the decimal context's exponent range
+        "The answer is 1" + "0" * 1_000_000 + ".",
+    ],
+    ids=["quotient", "integer"],
+)
+def test_number_too_large_to_compare_does_not_normalize(text):
+    assert normalize(text, AnswerType.NUMBER) is None
+    assert extract_rule_based(text, AnswerType.NUMBER) is None
+
+
 def test_normalized_answer_round_trip():
     for answer in (
         NormalizedAnswer.of_number("12.5"),

@@ -11,14 +11,16 @@ from dup.gateway import Gateway, MockBackend
 from dup.prompts import MethodVariant
 from dup.reporting import (
     Report,
+    build_report,
     compare_report_sets,
     compare_runs,
     load_report,
     recount,
+    report_row,
     round_accuracy,
     write_report,
 )
-from dup.runner import run_experiment, transcript_path
+from dup.runner import load_run, run_experiment, transcript_path
 from dup.store import encode
 
 from conftest import make_run_config
@@ -175,6 +177,15 @@ class TestRecount:
         path.write_text(json.dumps(data), encoding="utf-8")
         regraded = recount(config.out_dir)
         assert regraded.correct == original.correct - 1
+
+    def test_report_without_a_row_for_a_problem_is_an_error(self, tmp_path, synthetic_problems):
+        script = correct_script(synthetic_problems)
+        config, _ = run_synth(tmp_path, script)
+        _, problems, stored = load_run(config.out_dir)
+        missing = problems[2].id
+        rows = {p.id: report_row(p.id, stored(p.id)) for p in problems if p.id != missing}
+        with pytest.raises(DupError, match=f"missing transcript for problem {missing}"):
+            build_report(config, problems, rows)
 
     def test_missing_transcript_is_an_error(self, tmp_path, synthetic_problems):
         script = correct_script(synthetic_problems)

@@ -695,35 +695,94 @@ class TestAdmissionGate:
         retry = backend.sent.index(retried, 1)
         assert backend.sent.index(f"core_question:{second.id}") < retry
 
-    def test_a_sample_thread_with_no_sample_left_takes_no_unit(
-        self, tmp_path, synthetic_problems, monkeypatch
-    ):
-        # The problem's own unit is the only one: its own thread runs every
-        # sample while its two other sample threads wait for a unit.
+    def test_sample_i_runs_on_thread_i_mod_t(self, tmp_path, synthetic_problems, monkeypatch):
+        # N = 10 on T = 8 threads and a budget of 2: samples 8 and 9 follow
+        # samples 0 and 1 on their threads, whichever thread gets a unit
+        # first. Each thread gives back one unit, once its samples are done.
         problem = synthetic_problems[0]
-        script = sc_correct_script([problem], 3)
-        config = make_run_config(tmp_path, script, n_samples=3, temperature=0.7)
-        ran, released = set(), set()
+        n_samples = MAX_SAMPLE_THREADS + 2
+        script = sc_correct_script([problem], n_samples)
+        config = make_run_config(tmp_path, script, n_samples=n_samples, temperature=0.7)
+        ran, released = {}, []
         real_run_sample = runner_module._run_sample
         real_release = runner_module._Ticket.release
 
         def run_sample(*args):
-            ran.add(threading.get_ident())
+            ran[args[-1]] = threading.current_thread()
             return real_run_sample(*args)
 
         def release(ticket):
-            released.add(threading.get_ident())
+            released.append(threading.current_thread())
             real_release(ticket)
 
         monkeypatch.setattr(runner_module, "_run_sample", run_sample)
         monkeypatch.setattr(runner_module._Ticket, "release", release)
         gateway = Gateway(backend=MockBackend(script))
-        gate = runner_module._Gate(workers=1, budget=1, gateway=gateway)
+        gate = runner_module._Gate(workers=1, budget=2, gateway=gateway)
         transcript = run_problem(problem, config, gateway, gate.enter(0))
-        assert transcript.graded.correct and len(transcript.votes) == 3
-        # Only a thread that ran a sample held a unit to give back.
-        assert released == ran == {threading.get_ident()}
-        assert (gate._free, gate._waiting) == (1, [])
+        assert transcript.graded.correct and len(transcript.votes) == n_samples
+        assert ran[0] is threading.current_thread()
+        assert [ran[i] for i in range(n_samples)] == [
+            ran[i % MAX_SAMPLE_THREADS] for i in range(n_samples)
+        ]
+        assert len(released) == len(set(released)) == MAX_SAMPLE_THREADS
+        assert set(released) == set(ran.values())
+        assert (gate._free, gate._waiting) == (2, [])
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["own-thread", "helper-thread"])
+    def test_a_sample_that_raises_fails_its_problem_once_every_chain_ends(
+        self, tmp_path, synthetic_problems, monkeypatch, failing
+    ):
+        # An exception that is not a GatewayError in sample 0 (the problem's
+        # own thread) or sample 1 (a helper) reaches the caller only after
+        # the other chains are done, with every unit given back.
+        class Broken(Exception):
+            pass
+
+        problem = synthetic_problems[0]
+        script = sc_correct_script([problem], 3)
+        config = make_run_config(tmp_path, script, n_samples=3, temperature=0.7)
+        ended = []
+        real_run_sample = runner_module._run_sample
+
+        def run_sample(*args):
+            if args[-1] == failing:
+                raise Broken(f"sample {failing}")
+            time.sleep(0.05)  # the other chains end after the raise
+            sample = real_run_sample(*args)
+            ended.append(args[-1])
+            return sample
+
+        monkeypatch.setattr(runner_module, "_run_sample", run_sample)
+        gateway = Gateway(backend=MockBackend(script))
+        gate = runner_module._Gate(workers=1, budget=3, gateway=gateway)
+        with pytest.raises(Broken):
+            run_problem(problem, config, gateway, gate.enter(0))
+        assert sorted(ended) == sorted({0, 1, 2} - {failing})
+        assert (gate._free, gate._understanding, gate._waiting) == (3, 0, [])
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["own-thread", "helper-thread"])
+    def test_a_sample_that_raises_fails_the_run_without_a_report(
+        self, tmp_path, synthetic_problems, monkeypatch, failing
+    ):
+        class Broken(Exception):
+            pass
+
+        script = sc_correct_script(synthetic_problems, 3)
+        config = make_run_config(tmp_path, script, workers=2, n_samples=3, temperature=0.7)
+        broken = synthetic_problems[4].id
+        real_run_sample = runner_module._run_sample
+
+        def run_sample(problem, *args):
+            if problem.id == broken and args[-1] == failing:
+                raise Broken(problem.id)
+            return real_run_sample(problem, *args)
+
+        monkeypatch.setattr(runner_module, "_run_sample", run_sample)
+        outcome = run_bounded(config, Gateway(backend=MockBackend(script)))
+        assert isinstance(outcome, Broken) and str(outcome) == broken
+        assert not (tmp_path / "out" / "report.json").exists()
+        assert not transcript_path(config.out_dir, broken).exists()
 
     def test_failed_write_stops_a_run_waiting_at_the_gate(
         self, tmp_path, synthetic_problems, monkeypatch
@@ -853,6 +912,35 @@ class TestPersistenceAndResume:
         run_experiment(config, gateway)
         assert gateway.backend.calls == 4
         assert f"ignoring unreadable transcript {corrupt}" in caplog.text
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e999999999"])
+    def test_stored_number_grade_cannot_compare_is_rerun(
+        self, tmp_path, synthetic_problems, caplog, value
+    ):
+        script = correct_script(synthetic_problems)
+        config = make_run_config(tmp_path, script)
+        run_experiment(config, Gateway(backend=MockBackend(script)))
+        path = transcript_path(config.out_dir, synthetic_problems[0].id)
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        stored["predicted"]["value"] = value
+        path.write_text(json.dumps(stored), encoding="utf-8")
+        gateway = Gateway(backend=MockBackend(script))
+        assert run_experiment(config, gateway).accuracy == 100.0
+        assert gateway.backend.calls == 4
+        assert f"ignoring unreadable transcript {path}" in caplog.text
+
+    @pytest.mark.parametrize("stored", ["{oops", "[1, 2]"])
+    def test_unreadable_stored_config_is_refused_before_writing(
+        self, tmp_path, synthetic_problems, stored
+    ):
+        script = correct_script(synthetic_problems)
+        config = make_run_config(tmp_path, script)
+        out_dir = Path(config.out_dir)
+        out_dir.mkdir()
+        (out_dir / "config.json").write_text(stored, encoding="utf-8")
+        with pytest.raises(DupError, match=re.escape(str(out_dir / "config.json"))):
+            run_experiment(config, Gateway(backend=MockBackend(script)))
+        assert [path.name for path in out_dir.iterdir()] == ["config.json"]
 
     def test_conflicting_config_rejected(self, tmp_path, synthetic_problems):
         script = correct_script(synthetic_problems)
