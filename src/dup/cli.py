@@ -11,7 +11,7 @@ from contextlib import closing
 from pathlib import Path
 
 from .error_analysis import sample_and_analyze
-from .exceptions import DupError
+from .exceptions import DupError, InvalidInputError
 from .prompts import MethodVariant
 from .reporting import compare_report_sets, load_report, recount
 from .runner import (
@@ -209,6 +209,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_analyze_errors(args) -> int:
+    for flag, value in (("--base-url", args.base_url), ("--mock-script", args.mock_script)):
+        if value and not args.backend:
+            raise InvalidInputError(f"{flag} takes effect only with --backend")
     config, problems, stored = load_run(args.out_dir)
     if args.backend:
         config.backend = args.backend

@@ -8,10 +8,10 @@ thread per run, which writes out_dir/transcripts/<id>.json (atomic rename)
 while the thread goes on to the next problem. At most TRANSCRIPT_BACKLOG
 writes wait at once, and the run drains them before it returns or raises,
 so an interrupted run resumes by skipping completed ids; only a crash of
-the process can lose the waiting ones. Resume, recount and analyze-errors
-decode stored transcripts one at a time. Stage calls are independent
-stateless completions: every prompt carries all the context it needs,
-which keeps calls cache-friendly.
+the process can lose the waiting ones. A write that fails fails its
+problem. Resume, recount and analyze-errors decode stored transcripts one
+at a time. Stage calls are independent stateless completions: every prompt
+carries all the context it needs, which keeps calls cache-friendly.
 """
 
 from __future__ import annotations
@@ -706,64 +706,25 @@ def build_run_gateway(config: RunConfig) -> Gateway:
     return Gateway(backend=backend, cache_dir=Path(config.cache_dir) if config.cache_dir else None)
 
 
-class _TranscriptWriter:
-    """Writes encoded transcripts on one background thread, in the order given.
-
-    `put` blocks while TRANSCRIPT_BACKLOG writes are queued or under way.
-    The first failed write is logged, kept in `error` and closes `gate`;
-    later writes are still tried. `close` waits until every queued write is
-    done.
-    """
-
-    def __init__(self, gate: _Gate):
-        self.error: DupError | None = None
-        self._gate = gate
-        self._slots = threading.Semaphore(TRANSCRIPT_BACKLOG)
-        self._queue = queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._drain, name="dup-transcript-writer")
-        self._thread.start()
-
-    def put(self, path: Path, text: str) -> None:
-        self._slots.acquire()
-        self._queue.put((path, text))
-
-    def _drain(self) -> None:
-        while (item := self._queue.get()) is not None:
-            path, text = item
-            try:
-                write_text(path, text)
-            except Exception as exc:  # the thread must outlive a failed write
-                if self.error is None:
-                    log.error("cannot write transcript %s: %s", path, exc)
-                    self.error = DupError(f"cannot write transcript {path}: {exc}")
-                    self._gate.close()
-            finally:
-                self._slots.release()
-
-    def close(self) -> None:
-        self._queue.put(None)
-        self._thread.join()
-
-
 def run_experiment(config: RunConfig, gateway: Gateway):
     """Run every selected problem, persist transcripts, and emit the report.
 
     Up to `_request_budget` threads take problems in order, each starting
     once the request budget has room for it (see `_Gate`); the caller waits.
     The run keeps only the `reporting.report_row` of a finished problem, in
-    problem order. Once a problem raises, a transcript is lost, or the run
-    is interrupted, no further problem starts; those already under way
-    finish, and the first exception in problem order is raised.
+    problem order. A problem fails when it raises or its transcript cannot
+    be written (DupError names the file). Once one fails or the run is
+    interrupted, no further problem starts; those already under way finish
+    and their transcripts are written. Then an interrupt is raised, or else
+    the failure of the earliest problem, and no report is written.
 
     Fully resumable: problems whose transcript file is already complete are
     skipped, so re-running with the same out_dir finishes an interrupted
     run without re-issuing their requests. Every problem that finished is
     on disk, and every response the gateway cached is committed, when this
-    returns or raises. If a transcript cannot be written, no further
-    problem starts and DupError names the file; no report is written then.
-    If the cached responses cannot be committed, DupError names the cache
-    file, unless another error is already on its way out: that one is
-    raised, and the failed commit is logged.
+    returns or raises. If the cached responses cannot be committed, DupError
+    names the cache file, unless a failure above is raised: then the failed
+    commit is logged.
     """
     from .reporting import build_report, report_row, write_report
 
@@ -790,10 +751,13 @@ def run_experiment(config: RunConfig, gateway: Gateway):
 
     budget = _request_budget(config)
     gate = _Gate(config.workers, budget, gateway)
-    writer = _TranscriptWriter(gate)
     turns = enumerate(todo)  # next() is atomic under the GIL
+    # The run's one record of failure: each exception by the turn of its
+    # problem, a lost transcript under its problem's, an interrupt under -1.
     raised: dict[int, BaseException] = {}
     ended = threading.Semaphore(0)  # released by each thread once it takes no more turns
+    backlog = threading.Semaphore(TRANSCRIPT_BACKLOG)
+    to_write = queue.SimpleQueue()  # (turn, path, text) of each transcript, then None
 
     def _run_turns() -> None:
         try:
@@ -806,7 +770,8 @@ def run_experiment(config: RunConfig, gateway: Gateway):
                     text = dumps(transcript)
                     rows[problem.id] = report_row(problem.id, transcript)
                     del transcript  # the writer needs only the text, the report only the row
-                    writer.put(transcript_dir / name, text)
+                    backlog.acquire()
+                    to_write.put((turn, transcript_dir / name, text))
                 except BaseException as exc:
                     gate.close()
                     raised[turn] = exc
@@ -814,35 +779,47 @@ def run_experiment(config: RunConfig, gateway: Gateway):
         finally:
             ended.release()
 
+    def _write_transcripts() -> None:
+        while (item := to_write.get()) is not None:
+            turn, path, text = item
+            try:
+                write_text(path, text)
+            except Exception as exc:  # the thread must outlive a failed write
+                log.error("cannot write transcript %s: %s", path, exc)
+                raised[turn] = DupError(f"cannot write transcript {path}: {exc}")
+                gate.close()
+            finally:
+                backlog.release()
+
     # The calling thread waits at `ended`, not in Thread.join: on CPython, a
     # Ctrl-C that interrupts a join can mark a thread still running as stopped.
     threads = [threading.Thread(target=_run_turns, name="dup-run") for _ in todo[:budget]]
-    failure = None
+    writer = threading.Thread(target=_write_transcripts, name="dup-transcript-writer")
     try:
+        writer.start()
         for thread in threads:
             thread.start()
         for _ in threads:
             while not ended.acquire(timeout=0.1):  # in slices: a Ctrl-C is seen on every platform
                 pass
-        if raised:
-            raise raised[min(raised)]
     except BaseException as exc:
-        failure = exc
+        raised[-1] = exc
         gate.close()  # the threads finish the problems under way and start no other
         for thread in threads:
             if thread.is_alive():
                 thread.join()
-        raise
     finally:
-        writer.close()
+        to_write.put(None)
+        if writer.is_alive():  # not if its start failed
+            writer.join()
         try:
             gateway.commit()
         except DupError as exc:
-            if failure is None and writer.error is None:
+            if not raised:
                 raise
             log.error("%s", exc)  # the earlier error is the one raised
-    if writer.error is not None:
-        raise writer.error
+    if raised:
+        raise raised[min(raised)]
 
     report = build_report(config, problems, rows)
     write_report(report, out_dir)

@@ -330,6 +330,27 @@ class TestAnalyzeErrors:
         printed = capsys.readouterr().out
         assert "Total failures" in printed
 
+    @pytest.mark.parametrize("flag", ["--mock-script", "--base-url"])
+    def test_backend_flag_without_backend_exits_2(self, tmp_path, monkeypatch, caplog, flag):
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir)) == 0
+        judge_path = tmp_path / "judge.json"
+        judge_path.write_text(json.dumps({"default": "2. Calculation error."}), encoding="utf-8")
+        value = judge_path if flag == "--mock-script" else "http://127.0.0.1:9/v1"
+        sends = []
+        real_send = MockBackend.send
+
+        def send(self, request):
+            sends.append(request)
+            return real_send(self, request)
+
+        monkeypatch.setattr(MockBackend, "send", send)
+        code = run_cli("analyze-errors", "--out-dir", out_dir, "--sample-size", "10", flag, value)
+        assert code == 2
+        assert f"{flag} takes effect only with --backend" in caplog.text
+        assert sends == []
+        assert not (out_dir / "error_analysis.json").exists()
+
     def test_negative_sample_size_exits_2(self, tmp_path):
         out_dir = tmp_path / "run"
         assert run_cli(*dup_run_args(out_dir)) == 0

@@ -1126,6 +1126,57 @@ class TestTranscriptWriter:
         # TRANSCRIPT_BACKLOG problems ran after the one whose write failed.
         assert gateway.backend.calls <= 4 * (4 + TRANSCRIPT_BACKLOG)
 
+    def test_lost_write_outranks_a_later_problems_exception(
+        self, tmp_path, synthetic_problems, monkeypatch
+    ):
+        script = correct_script(synthetic_problems)
+        config = make_run_config(tmp_path, script, workers=2)
+        first, later = synthetic_problems[0].id, synthetic_problems[1].id
+        lost = transcript_path(config.out_dir, first)
+        later_raised = threading.Event()
+        real_write_text, real_run_problem = runner_module.write_text, runner_module.run_problem
+
+        def write_text(path, text):
+            if path == lost:
+                assert later_raised.wait(timeout=5)  # the later problem fails first
+                raise OSError(28, "No space left on device")
+            real_write_text(path, text)
+
+        def run_problem(problem, *args):
+            if problem.id == later:
+                later_raised.set()
+                raise RuntimeError("a later problem")
+            return real_run_problem(problem, *args)
+
+        monkeypatch.setattr(runner_module, "write_text", write_text)
+        monkeypatch.setattr(runner_module, "run_problem", run_problem)
+        with pytest.raises(DupError, match=re.escape(str(lost))):
+            run_experiment(config, Gateway(backend=MockBackend(script)))
+        out_dir = Path(config.out_dir)
+        assert not (out_dir / "report.json").exists()
+        assert not lost.exists()
+        assert list(out_dir.rglob("*.tmp")) == []
+
+    def test_no_writer_outlives_a_run_that_cannot_build_its_threads(
+        self, tmp_path, synthetic_problems, monkeypatch
+    ):
+        script = correct_script(synthetic_problems)
+        config = make_run_config(tmp_path, script)
+        real_init = threading.Thread.__init__
+
+        def init(self, *args, **kwargs):
+            if kwargs.get("name") == "dup-run":
+                raise RuntimeError("can't start new thread")
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "__init__", init)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            run_experiment(config, Gateway(backend=MockBackend(script)))
+        monkeypatch.undo()
+        writers = [t for t in threading.enumerate() if t.name == "dup-transcript-writer"]
+        assert writers == []
+        assert not (Path(config.out_dir) / "report.json").exists()
+
     @pytest.mark.parametrize("interrupt", [RuntimeError, KeyboardInterrupt])
     def test_interrupted_run_keeps_finished_transcripts(
         self, tmp_path, synthetic_problems, monkeypatch, interrupt
