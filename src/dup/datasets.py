@@ -43,15 +43,21 @@ class FieldMap:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FieldMap":
-        question = data.get("question", ("question",))
-        if isinstance(question, str):
-            question = (question,)
-        return cls(
-            question=tuple(question),
+        """The field map a manifest gives; ValueError unless it is an object of paths."""
+        if not isinstance(data, dict):
+            raise ValueError("field_map must be an object")
+        question = data.get("question", "question")
+        field_map = cls(
+            question=tuple(question) if isinstance(question, list) else (question,),
             answer=data.get("answer", "answer"),
             id=data.get("id"),
             options=data.get("options"),
         )
+        optional = [path for path in (field_map.id, field_map.options) if path is not None]
+        paths = (*field_map.question, field_map.answer, *optional)
+        if not all(isinstance(path, str) for path in paths):
+            raise ValueError("field_map paths must be strings")
+        return field_map
 
 
 @dataclass(frozen=True)
@@ -311,32 +317,42 @@ def load_dataset(
 def load_manifest(path: str | Path) -> dict[str, dict]:
     """Read a manifest mapping dataset id -> {path, answer_type?, field_map?}.
 
-    Paths are resolved relative to the manifest file's directory.
+    Returns each entry as {path, answer_type, field_map}: the path resolved
+    relative to the manifest file's directory, the other two as an
+    AnswerType and a FieldMap, or None where the entry gives none. An
+    entry that does not have that shape raises DatasetFormatError naming
+    the manifest and the entry.
     """
     manifest_path = Path(path)
     try:
         data = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DatasetFormatError(f"cannot read manifest {path}: {exc}") from exc
-    entries = data.get("datasets", data)
+    entries = data.get("datasets", data) if isinstance(data, dict) else data
     if not isinstance(entries, dict):
         raise DatasetFormatError(f"manifest {path}: expected an object of datasets")
     resolved: dict[str, dict] = {}
     for name, entry in entries.items():
-        if not isinstance(entry, dict) or "path" not in entry:
-            raise DatasetFormatError(f"manifest {path}: entry {name!r} needs a 'path'")
-        entry = dict(entry)
-        entry["path"] = str((manifest_path.parent / entry["path"]).resolve())
-        resolved[canonical_dataset_id(name)] = entry
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+            raise DatasetFormatError(f"manifest {path}: entry {name!r} needs a 'path' string")
+        answer_type, field_map = entry.get("answer_type"), entry.get("field_map")
+        try:
+            resolved[canonical_dataset_id(name)] = {
+                "path": str((manifest_path.parent / entry["path"]).resolve()),
+                "answer_type": None if answer_type is None else AnswerType(answer_type),
+                "field_map": None if field_map is None else FieldMap.from_dict(field_map),
+            }
+        except ValueError as exc:
+            raise DatasetFormatError(f"manifest {path}: entry {name!r}: {exc}") from None
     return resolved
 
 
 def load_from_manifest(manifest: dict[str, dict], dataset: str) -> list[Problem]:
-    """Load one dataset through manifest settings."""
+    """Load one dataset through the settings `load_manifest` read."""
     dataset_id = canonical_dataset_id(dataset)
     if dataset_id not in manifest:
         raise DatasetFormatError(f"dataset {dataset!r} not in manifest")
     entry = manifest[dataset_id]
-    answer_type = AnswerType(entry["answer_type"]) if "answer_type" in entry else None
-    field_map = FieldMap.from_dict(entry["field_map"]) if "field_map" in entry else None
-    return load_dataset(entry["path"], dataset_id, answer_type=answer_type, field_map=field_map)
+    return load_dataset(
+        entry["path"], dataset_id, answer_type=entry["answer_type"], field_map=entry["field_map"]
+    )

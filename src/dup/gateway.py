@@ -355,7 +355,7 @@ Idle = Callable[[Callable[[], object]], object]
 
 
 def _open_cache(cache_dir: Path) -> sqlite3.Connection:
-    """Connect to the cache database in `cache_dir`, creating it when absent."""
+    """Connect to the cache database in `cache_dir`, creating both when absent."""
     # Here, not at the top: runs without a cache skip the import. The C core
     # of `sqlite3`, not the package around it, whose date adapters (unused
     # here) load `datetime`.
@@ -364,6 +364,7 @@ def _open_cache(cache_dir: Path) -> sqlite3.Connection:
     path = cache_dir / CACHE_FILE
     db = None
     try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
         db = sqlite3.connect(
             path,
             timeout=CACHE_BUSY_TIMEOUT_S,
@@ -455,7 +456,6 @@ class Gateway:
         self._rng = random.Random()
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
             self._db = _open_cache(self.cache_dir)
 
     def close(self) -> None:

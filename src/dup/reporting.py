@@ -90,14 +90,15 @@ def report_row(problem_id: str, transcript) -> ReportRow:
     )
 
 
-def build_report(config, problems, rows: dict[str, ReportRow]) -> Report:
-    """Fold `rows`, the `report_row` of each problem by id, into a Report, in problem order."""
+def build_report(config, problem_ids: list[str], rows: dict[str, ReportRow]) -> Report:
+    """Fold `rows`, the `report_row` of each problem by id, into a Report,
+    in the order of `problem_ids`: the run's problem ids in run order."""
     try:
-        ordered = [rows[problem.id] for problem in problems]
+        ordered = [rows[problem_id] for problem_id in problem_ids]
     except KeyError as exc:
         raise DupError(f"missing transcript for problem {exc.args[0]}") from None
     correct = sum(row.per_problem["correct"] for row in ordered)
-    total = len(problems)
+    total = len(problem_ids)
     return Report(
         dataset=config.dataset,
         method=encode(config.method),
@@ -157,7 +158,7 @@ def recount(out_dir: str | Path) -> Report:
         )
         rows[problem.id] = report_row(problem.id, transcript)
         del transcript  # before the next one is decoded
-    report = build_report(config, problems, rows)
+    report = build_report(config, [problem.id for problem in problems], rows)
     write_report(report, out_dir)
     return report
 

@@ -462,12 +462,16 @@ def load_run(
     then the manifest, and is subsampled per `select_problems`. Raises
     DupError when two selected problems would share a transcript file, since
     one would overwrite the other and the report would count the survivor
-    twice.
+    twice; when the configuration's answer type is not an AnswerType; and
+    when `out_dir` or its transcript directory is not a directory.
     """
     if config is None:
         config = stored_config(out_dir)
     if config.dataset_path:
-        answer_type = AnswerType(config.answer_type) if config.answer_type else None
+        try:
+            answer_type = AnswerType(config.answer_type) if config.answer_type else None
+        except ValueError as exc:
+            raise DupError(f"run config {Path(out_dir) / _CONFIG_FILE}: {exc}") from None
         problems = load_dataset(config.dataset_path, config.dataset, answer_type=answer_type)
     elif config.manifest:
         problems = load_from_manifest(load_manifest(config.manifest), config.dataset)
@@ -484,6 +488,8 @@ def load_run(
         listed = set(os.listdir(Path(out_dir) / _TRANSCRIPT_DIR))
     except FileNotFoundError:
         listed = set()
+    except OSError as exc:  # a regular file in the way: out_dir or its transcripts
+        raise DupError(f"cannot use run directory {out_dir}: {exc}") from None
     present = {problem_id for name, (problem_id,) in ids_by_name.items() if name in listed}
 
     def stored(problem_id: str) -> Transcript | None:
@@ -711,12 +717,14 @@ def run_experiment(config: RunConfig, gateway: Gateway):
 
     Up to `_request_budget` threads take problems in order, each starting
     once the request budget has room for it (see `_Gate`); the caller waits.
-    The run keeps only the `reporting.report_row` of a finished problem, in
-    problem order. A problem fails when it raises or its transcript cannot
-    be written (DupError names the file). Once one fails or the run is
-    interrupted, no further problem starts; those already under way finish
-    and their transcripts are written. Then an interrupt is raised, or else
-    the failure of the earliest problem, and no report is written.
+    The run keeps its problem ids in order and, of a finished problem, only
+    its `reporting.report_row`: a problem is held from when a thread takes
+    its turn until its transcript text and row exist. A problem fails when
+    it raises or its transcript cannot be written (DupError names the
+    file). Once one fails or the run is interrupted, no further problem
+    starts; those already under way finish and their transcripts are
+    written. Then an interrupt is raised, or else the failure of the
+    earliest problem, and no report is written.
 
     Fully resumable: problems whose transcript file is already complete are
     skipped, so re-running with the same out_dir finishes an interrupted
@@ -730,18 +738,24 @@ def run_experiment(config: RunConfig, gateway: Gateway):
 
     config.validate()
     _, problems, stored = load_run(config.out_dir, config)
+    problem_ids = [p.id for p in problems]
     rows = {}  # a resumed run keeps only the rows of the problems it skips
-    for problem in problems:
-        transcript = stored(problem.id)
+    for problem_id in problem_ids:
+        transcript = stored(problem_id)
         if transcript is not None:
-            rows[problem.id] = report_row(problem.id, transcript)
+            rows[problem_id] = report_row(problem_id, transcript)
         del transcript  # before the next one is decoded
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _persist_config(config, out_dir)
     transcript_dir = out_dir / _TRANSCRIPT_DIR
     transcript_dir.mkdir(exist_ok=True)
-    todo = [(_transcript_name(p.id), p) for p in problems if p.id not in rows]
+    # Each thread pop()s its next (turn, file name, problem), atomic under the
+    # GIL, and is then the problem's only holder; so the list runs last turn first.
+    pending = (p for p in problems if p.id not in rows)
+    todo = [(turn, _transcript_name(p.id), p) for turn, p in enumerate(pending)]
+    todo.reverse()
+    del problems
     log.info(
         "running %d problems (%d already complete) on %s",
         len(todo),
@@ -751,7 +765,6 @@ def run_experiment(config: RunConfig, gateway: Gateway):
 
     budget = _request_budget(config)
     gate = _Gate(config.workers, budget, gateway)
-    turns = enumerate(todo)  # next() is atomic under the GIL
     # The run's one record of failure: each exception by the turn of its
     # problem, a lost transcript under its problem's, an interrupt under -1.
     raised: dict[int, BaseException] = {}
@@ -761,7 +774,11 @@ def run_experiment(config: RunConfig, gateway: Gateway):
 
     def _run_turns() -> None:
         try:
-            for turn, (name, problem) in turns:
+            while True:
+                try:
+                    turn, name, problem = todo.pop()
+                except IndexError:
+                    return  # every turn is taken
                 ticket = gate.enter(turn)
                 if ticket is None:
                     return  # a problem raised, a transcript was lost or the run was interrupted
@@ -821,6 +838,6 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     if raised:
         raise raised[min(raised)]
 
-    report = build_report(config, problems, rows)
+    report = build_report(config, problem_ids, rows)
     write_report(report, out_dir)
     return report

@@ -109,6 +109,42 @@ class TestRun:
         assert run_cli(*dup_run_args(out_dir, script=script_path)) == 2
         assert not out_dir.exists()
 
+    def test_malformed_manifest_exits_2_before_writing(self, tmp_path, caplog):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"path": str(SYNTH_DATASET)}]), encoding="utf-8")
+        out_dir = tmp_path / "run"
+        code = run_cli(
+            "run",
+            "--dataset", "gsm8k",
+            "--manifest", manifest,
+            "--backend", "mock",
+            "--mock-script", DATA_DIR / "mock_dup.json",
+            "--out-dir", out_dir,
+        )
+        assert code == 2
+        assert f"manifest {manifest}" in caplog.text
+        assert not (out_dir / "config.json").exists()
+
+    @pytest.mark.parametrize("in_the_way", ["out-dir", "transcripts", "cache-dir"])
+    def test_a_regular_file_as_a_run_path_exits_2_before_writing(
+        self, tmp_path, caplog, in_the_way
+    ):
+        out_dir = tmp_path / "run"
+        extra = {}
+        if in_the_way == "out-dir":
+            blocker = out_dir
+        elif in_the_way == "transcripts":
+            out_dir.mkdir()
+            blocker = out_dir / "transcripts"
+        else:
+            blocker = tmp_path / "cache"
+            extra["--cache-dir"] = blocker
+        blocker.write_text("in the way\n", encoding="utf-8")
+        assert run_cli(*dup_run_args(out_dir, **extra)) == 2
+        assert str(blocker) in caplog.text
+        assert blocker.read_text(encoding="utf-8") == "in the way\n"
+        assert not (out_dir / "config.json").exists()
+
     def test_cached_run_over_a_lone_surrogate(self, tmp_path):
         # json.loads reads the escape \ud800 as a lone surrogate, which UTF-8 cannot encode.
         dataset = tmp_path / "odd.jsonl"
@@ -187,6 +223,21 @@ class TestResume:
         assert run_cli("resume", "--out-dir", out_dir) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["resume", "recount", "analyze-errors"])
+    def test_a_stored_answer_type_that_is_not_one_exits_2(self, tmp_path, caplog, command):
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir)) == 0
+        path = out_dir / "config.json"
+        config = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**config, "answer_type": "bogus"}), encoding="utf-8")
+        before = {file: file.read_bytes() for file in out_dir.rglob("*") if file.is_file()}
+        argv = [command, "--out-dir", out_dir]
+        if command == "analyze-errors":
+            argv += ["--backend", "mock", "--mock-script", DATA_DIR / "mock_dup.json"]
+        assert run_cli(*argv) == 2
+        assert f"run config {path}: 'bogus' is not a valid AnswerType" in caplog.text
+        after = {file: file.read_bytes() for file in out_dir.rglob("*") if file.is_file()}
+        assert after == before
 
     def test_failed_transcript_write_exits_2(self, tmp_path, monkeypatch, capsys):
         def no_space(path, text):

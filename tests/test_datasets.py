@@ -312,6 +312,31 @@ class TestManifest:
         with pytest.raises(DatasetFormatError):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "manifest, fault",
+        [
+            ([{"path": "data.jsonl"}], "expected an object of datasets"),
+            ("data.jsonl", "expected an object of datasets"),
+            ({"mine": {"path": "data.jsonl", "field_map": 5}}, "entry 'mine': field_map must be an object"),
+            (
+                {"mine": {"path": "data.jsonl", "answer_type": "bogus"}},
+                "entry 'mine': 'bogus' is not a valid AnswerType",
+            ),
+            ({"mine": {"path": 5}}, "entry 'mine' needs a 'path' string"),
+            (
+                {"mine": {"path": "data.jsonl", "field_map": {"question": 5}}},
+                "entry 'mine': field_map paths must be strings",
+            ),
+        ],
+        ids=["array", "string", "field-map-number", "answer-type", "path-number", "question-number"],
+    )
+    def test_malformed_manifest_names_itself_and_the_entry(self, tmp_path, manifest, fault):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(DatasetFormatError) as raised:
+            load_from_manifest(load_manifest(path), "mine")
+        assert str(raised.value) == f"manifest {path}: {fault}"
+
     def test_field_map_override(self, tmp_path):
         data = tmp_path / "data.jsonl"
         data.write_text(json.dumps({"q": "Q?", "a": "9", "key": "k1"}) + "\n", encoding="utf-8")

@@ -185,7 +185,7 @@ class TestRecount:
         missing = problems[2].id
         rows = {p.id: report_row(p.id, stored(p.id)) for p in problems if p.id != missing}
         with pytest.raises(DupError, match=f"missing transcript for problem {missing}"):
-            build_report(config, problems, rows)
+            build_report(config, [p.id for p in problems], rows)
 
     def test_missing_transcript_is_an_error(self, tmp_path, synthetic_problems):
         script = correct_script(synthetic_problems)

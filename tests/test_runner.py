@@ -1,6 +1,7 @@
 """Pipeline orchestration: call shapes, ablation, resume, containment."""
 
 import _thread
+import gc
 import itertools
 import json
 import re
@@ -1041,7 +1042,7 @@ class TestPersistenceAndResume:
             for pid, transcript in serial.items()
         }
         rows = {pid: report_row(pid, transcript) for pid, transcript in serial.items()}
-        assert report.per_problem == build_report(config, synthetic_problems, rows).per_problem
+        assert report.per_problem == build_report(config, SYNTH_IDS, rows).per_problem
 
 
 class FaultyMock(MockBackend):
@@ -1266,6 +1267,49 @@ class TestProblemThreads:
         assert report.total == report.correct == len(alive_at_calls) == 10
         # At most one transcript per problem thread, between its return and its hand-off.
         assert max(alive_at_calls) <= runner_module._request_budget(config)
+
+    @pytest.mark.parametrize("n_samples", [1, 3])
+    def test_a_problem_is_freed_once_it_has_run(
+        self, tmp_path, synthetic_problems, monkeypatch, n_samples
+    ):
+        if n_samples == 1:
+            script, temperature = correct_script(synthetic_problems), 0.0
+        else:
+            script, temperature = sc_correct_script(synthetic_problems, n_samples), 0.7
+        config = make_run_config(
+            tmp_path, script, workers=1, n_samples=n_samples, temperature=temperature
+        )
+        loaded = []  # a weak reference to each Problem the run loads, in run order
+        real_load_run = runner_module.load_run
+
+        def load_run(*args):
+            stored_config, problems, stored = real_load_run(*args)
+            loaded.extend(weakref.ref(problem) for problem in problems)
+            return stored_config, problems, stored
+
+        turn_of = {problem_id: k for k, problem_id in enumerate(SYNTH_IDS)}
+        held = {}  # by problem k: the problems before k - 1 still alive at k's first call
+        deadline = time.monotonic() + 5
+
+        class Watching(MockBackend):
+            def send(self, request):
+                k = turn_of[request.tag.split(":", 1)[1].partition("#")[0]]
+                if k not in held:
+                    # With N > 1, problem k - 2's thread may still be finishing
+                    # its transcript after it gave back its units: let it.
+                    while True:
+                        gc.collect()
+                        alive = [i for i in range(k - 1) if loaded[i]() is not None]
+                        if not alive or time.monotonic() > deadline:
+                            break
+                        time.sleep(0.001)
+                    held[k] = alive
+                return super().send(request)
+
+        monkeypatch.setattr(runner_module, "load_run", load_run)
+        report = run_bounded(config, Gateway(backend=Watching(script)))
+        assert report.total == report.correct == len(loaded) == len(held) == 10
+        assert held == {k: [] for k in range(10)}
 
     def test_ctrl_c_starts_no_problem_and_keeps_what_finished(
         self, tmp_path, synthetic_problems, monkeypatch
