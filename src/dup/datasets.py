@@ -10,7 +10,6 @@ parsed whole; a leading UTF-8 byte-order mark is skipped.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import re
 from dataclasses import dataclass, field
@@ -20,6 +19,7 @@ from typing import Any, Iterator
 from .exceptions import DatasetFormatError, InvalidInputError
 from .grading import _YES_NO_MAP, NormalizedAnswer, _parse_number_token
 from .prompts import AnswerType
+from .store import loads, read
 
 log = logging.getLogger(__name__)
 
@@ -175,7 +175,7 @@ def _raw_to_text(value: Any) -> str:
         value = value[0]
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, float) and value == int(value):
+    if isinstance(value, float) and value.is_integer():  # not for inf or nan
         return str(int(value))
     return str(value)
 
@@ -210,15 +210,15 @@ def _read_records(path: Path) -> Iterator[tuple[int, Any]]:
         if not first:
             return
         try:
-            record, line_error = json.loads(first), None
-        except json.JSONDecodeError as exc:
+            record, line_error = loads(first), None
+        except ValueError as exc:
             line_error = exc
         array = first.lstrip()[0] == "["
         if array or line_error or (ahead := next(lines, None)) is None:
             # One JSON value: an array, a wrapper object or one JSON Lines record.
             try:
-                value = json.loads(f"{first}\n{handle.read()}".strip())
-            except json.JSONDecodeError as exc:
+                value = loads(f"{first}\n{handle.read()}".strip())
+            except ValueError as exc:
                 if array:
                     raise DatasetFormatError(f"invalid JSON array in {path}: {exc}") from exc
                 message = f"{path}:{first_no}: invalid JSON: {line_error}"
@@ -236,8 +236,8 @@ def _read_records(path: Path) -> Iterator[tuple[int, Any]]:
         yield first_no, record
         for line_no, line in itertools.chain([ahead], lines):
             try:
-                yield line_no, json.loads(line)
-            except json.JSONDecodeError as exc:
+                yield line_no, loads(line)
+            except ValueError as exc:
                 raise DatasetFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
 
 
@@ -325,8 +325,8 @@ def load_manifest(path: str | Path) -> dict[str, dict]:
     """
     manifest_path = Path(path)
     try:
-        data = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = read(manifest_path)
+    except (OSError, ValueError) as exc:
         raise DatasetFormatError(f"cannot read manifest {path}: {exc}") from exc
     entries = data.get("datasets", data) if isinstance(data, dict) else data
     if not isinstance(entries, dict):

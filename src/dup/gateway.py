@@ -30,7 +30,7 @@ from .exceptions import (
     RetriesExhaustedError,
     TransientBackendError,
 )
-from .store import decode, dumps
+from .store import decode, dumps, loads, read
 
 if TYPE_CHECKING:
     import sqlite3
@@ -200,8 +200,7 @@ class MockBackend:
     def __init__(self, script: Path | str | dict):
         if isinstance(script, (str, Path)):
             try:
-                with open(script, encoding="utf-8") as handle:
-                    script = json.load(handle)
+                script = read(script)
             except (OSError, ValueError) as exc:
                 raise InvalidInputError(f"cannot read mock script {script}: {exc}") from exc
         if not isinstance(script, dict):
@@ -411,12 +410,12 @@ class Gateway:
 
     A new row waits in memory, where it is served at once, and is committed
     with the others waiting by the first write that finds CACHE_COMMIT_ROWS
-    waiting or the oldest waiting CACHE_COMMIT_AFTER_S or more. Other
-    gateways, in this process or another, see a row once it is committed.
-    Library callers must `close()` or `commit()` when done, or lose the
-    rows still waiting: fewer than CACHE_COMMIT_ROWS, unless writes went on
-    while a commit was under way or failing. `run_experiment` commits when
-    it returns or raises.
+    waiting or the oldest waiting CACHE_COMMIT_AFTER_S or more, and the
+    connection free. Other gateways, in this process or another, see a row
+    once it is committed. Library callers must `close()` or `commit()` when
+    done, or lose the rows still waiting: fewer than CACHE_COMMIT_ROWS,
+    unless writes went on while the connection was busy or a commit was
+    failing. `run_experiment` commits when it returns or raises.
 
     A read that finds its row also fetches the rows written after it, up
     to CACHE_READ_AHEAD_ROWS in all, and keeps them in memory until they
@@ -425,11 +424,16 @@ class Gateway:
 
     Shareable across threads, with no bound of its own on the requests in
     flight (a run bounds them at `runner._Gate`, whose tickets give back
-    their unit in every wait that sends nothing, through `idle`); one lock
-    guards the cache connection. Runs in several processes on one host may
-    share a cache directory; SQLite serializes their writes. The directory
-    must be on a local filesystem: the database runs in WAL mode, whose
-    shared memory does not work on a network filesystem or across hosts.
+    their unit in every wait that sends nothing, through `idle`). Two locks
+    guard what the threads share: `_db_lock` the cache connection, for every
+    read, eviction and commit, and `_pending_lock` what is held in memory,
+    the pending rows and the requests in flight. A thread that takes both
+    takes `_db_lock` first. A write that finds rows due while the connection
+    is busy leaves them to the next write, so no write waits for a read or a
+    commit. Runs in several processes on one host may share a cache
+    directory; SQLite serializes their writes. The directory must be on a
+    local filesystem: the database runs in WAL mode, whose shared memory
+    does not work on a network filesystem or across hosts.
     """
 
     backend: MockBackend | HttpBackend
@@ -441,16 +445,13 @@ class Gateway:
     _db: sqlite3.Connection | None = field(init=False, repr=False, default=None)
     _db_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
     _ahead: dict[str, str] = field(init=False, repr=False, default_factory=dict)
-    # Rows written but not yet committed, by digest, and when the oldest of
-    # them was written (None when none is); guarded by _pending_lock.
+    # Rows written but not yet committed, by digest, when the oldest of them
+    # was written (None when none is), and the request under way for each
+    # digest that missed the cache; guarded by _pending_lock.
     _pending: dict[str, str] = field(init=False, repr=False, default_factory=dict)
     _pending_since: float | None = field(init=False, repr=False, default=None)
-    _pending_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
-    _commit_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
-    # The request under way for each digest that missed the cache; guarded
-    # by _flights_lock.
     _flights: dict[str, _Flight] = field(init=False, repr=False, default_factory=dict)
-    _flights_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
+    _pending_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
 
     def __post_init__(self, max_concurrency: int | None):
         self._rng = random.Random()
@@ -461,10 +462,10 @@ class Gateway:
     def close(self) -> None:
         """Commit pending rows and close the cache; the gateway must not be used after."""
         if self._db is not None:
-            try:
-                self.commit()
-            finally:
-                with self._db_lock:
+            with self._db_lock:
+                try:
+                    self._commit_pending()
+                finally:
                     self._db.close()
 
     def commit(self) -> None:
@@ -473,11 +474,11 @@ class Gateway:
         Raises DupError, naming the cache file, when the rows cannot be stored.
         """
         if self._db is not None:
-            with self._commit_lock:
+            with self._db_lock:
                 self._commit_pending()
 
     def _commit_pending(self) -> None:
-        """Store the rows pending now in one statement; the caller holds _commit_lock.
+        """Store the rows pending now in one statement; the caller holds _db_lock.
 
         A row stays pending until it is committed, so reads keep finding it,
         and afterwards only if it was rewritten meanwhile. A failed commit
@@ -495,8 +496,7 @@ class Gateway:
                     ["(?, ?)"] * len(chunk)
                 )
                 values = [value for row in chunk for value in row]
-                with self._db_lock:
-                    self._db.execute(sql, values)
+                self._db.execute(sql, values)
         except sqlite3.Error as exc:
             path = self.cache_dir / CACHE_FILE
             raise DupError(f"cannot store {len(rows)} responses in cache {path}: {exc}") from exc
@@ -573,7 +573,7 @@ class Gateway:
         if text is None:
             return None
         try:
-            entry = json.loads(text)
+            entry = loads(text)
             return decode(ChatResponse, {**entry["response"], "cached": True})
         except (ValueError, KeyError, TypeError) as exc:
             log.warning("evicting corrupt cache entry %s: %s", digest, exc)
@@ -597,12 +597,13 @@ class Gateway:
                 len(self._pending) >= CACHE_COMMIT_ROWS
                 or now - self._pending_since >= CACHE_COMMIT_AFTER_S
             )
-        # A commit already under way leaves these rows to the next one due.
-        if due and self._commit_lock.acquire(blocking=False):
+        # A connection busy with a read, an eviction or a commit leaves these
+        # rows to the next write.
+        if due and self._db_lock.acquire(blocking=False):
             try:
                 self._commit_pending()
             finally:
-                self._commit_lock.release()
+                self._db_lock.release()
 
     def complete_cached(self, request: ChatRequest, idle: Idle | None = None) -> ChatResponse:
         """Serve from the cache when possible; otherwise complete and persist.
@@ -626,7 +627,7 @@ class Gateway:
         if hit is not None:
             return hit
         while True:
-            with self._flights_lock:
+            with self._pending_lock:
                 flight = self._flights.get(digest)
                 if flight is None:
                     flight = self._flights[digest] = _Flight()
@@ -641,7 +642,7 @@ class Gateway:
             response = self.complete(request, idle)
             self._write_cache(digest, response)
         finally:
-            with self._flights_lock:
+            with self._pending_lock:
                 if self._flights.get(digest) is flight:
                     del self._flights[digest]
                 flight.response = response

@@ -5,19 +5,21 @@ and extracted artifact in execution order. A problem thread encodes its
 transcript when the problem finishes, keeps only its report row
 (`reporting.report_row`), and hands the text to one background writer
 thread per run, which writes out_dir/transcripts/<id>.json (atomic rename)
-while the thread goes on to the next problem. At most TRANSCRIPT_BACKLOG
-writes wait at once, and the run drains them before it returns or raises,
-so an interrupted run resumes by skipping completed ids; only a crash of
-the process can lose the waiting ones. A write that fails fails its
-problem. Resume, recount and analyze-errors decode stored transcripts one
-at a time. Stage calls are independent stateless completions: every prompt
-carries all the context it needs, which keeps calls cache-friendly.
+while the thread goes on to the next problem. At most one transcript per
+problem thread waits for the writer, and the run drains them before it
+returns or raises, so an interrupted run resumes by skipping completed
+ids; only a crash of the process can lose the waiting ones, the one being
+written and those the threads were handing over. A write that fails fails
+its problem. Resume, recount and analyze-errors decode stored transcripts
+one at a time. Stage calls are independent stateless completions: every
+prompt carries all the context it needs, which keeps calls cache-friendly.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
+import math
 import os
 import queue
 import random
@@ -63,11 +65,6 @@ STAGE_ANSWER = "answer"
 # Most sample chains of one problem in flight at once: a problem sends at
 # most this many requests together, on at most this many threads.
 MAX_SAMPLE_THREADS = 8
-
-# Most transcript writes queued or under way at once; a worker that finishes
-# a problem while this many wait blocks until one is done. It bounds the
-# memory held by encoded transcripts and the finished problems a crash loses.
-TRANSCRIPT_BACKLOG = 4
 
 _TRANSCRIPT_DIR = "transcripts"
 # A problem id keeps its letters, digits, "-", "_" and "." in its file name.
@@ -139,10 +136,10 @@ class RunConfig:
             raise InvalidInputError("dataset identifier is required")
         if self.n_samples < 1:
             raise InvalidInputError("n_samples must be >= 1")
+        if not math.isfinite(self.temperature) or self.temperature < 0:
+            raise InvalidInputError(f"temperature must be a finite number >= 0: {self.temperature}")
         if self.n_samples > 1 and self.temperature <= 0:
             raise InvalidInputError("self-consistency sampling requires temperature > 0")
-        if self.temperature < 0:
-            raise InvalidInputError("temperature must be >= 0")
         if self.max_problems is not None and self.max_problems < 0:
             raise InvalidInputError("max_problems must be >= 0")
         if self.workers < 1:
@@ -719,12 +716,13 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     once the request budget has room for it (see `_Gate`); the caller waits.
     The run keeps its problem ids in order and, of a finished problem, only
     its `reporting.report_row`: a problem is held from when a thread takes
-    its turn until its transcript text and row exist. A problem fails when
-    it raises or its transcript cannot be written (DupError names the
-    file). Once one fails or the run is interrupted, no further problem
-    starts; those already under way finish and their transcripts are
-    written. Then an interrupt is raised, or else the failure of the
-    earliest problem, and no report is written.
+    its turn until its transcript text and row exist. One background thread
+    writes the transcripts; at most one per problem thread waits for it. A
+    problem fails when it raises or its transcript cannot be written
+    (DupError names the file). Once one fails or the run is interrupted, no
+    further problem starts; those already under way finish and their
+    transcripts are written. Then an interrupt is raised, or else the
+    failure of the earliest problem, and no report is written.
 
     Fully resumable: problems whose transcript file is already complete are
     skipped, so re-running with the same out_dir finishes an interrupted
@@ -769,8 +767,6 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     # problem, a lost transcript under its problem's, an interrupt under -1.
     raised: dict[int, BaseException] = {}
     ended = threading.Semaphore(0)  # released by each thread once it takes no more turns
-    backlog = threading.Semaphore(TRANSCRIPT_BACKLOG)
-    to_write = queue.SimpleQueue()  # (turn, path, text) of each transcript, then None
 
     def _run_turns() -> None:
         try:
@@ -787,7 +783,6 @@ def run_experiment(config: RunConfig, gateway: Gateway):
                     text = dumps(transcript)
                     rows[problem.id] = report_row(problem.id, transcript)
                     del transcript  # the writer needs only the text, the report only the row
-                    backlog.acquire()
                     to_write.put((turn, transcript_dir / name, text))
                 except BaseException as exc:
                     gate.close()
@@ -805,12 +800,13 @@ def run_experiment(config: RunConfig, gateway: Gateway):
                 log.error("cannot write transcript %s: %s", path, exc)
                 raised[turn] = DupError(f"cannot write transcript {path}: {exc}")
                 gate.close()
-            finally:
-                backlog.release()
 
     # The calling thread waits at `ended`, not in Thread.join: on CPython, a
     # Ctrl-C that interrupts a join can mark a thread still running as stopped.
     threads = [threading.Thread(target=_run_turns, name="dup-run") for _ in todo[:budget]]
+    # (turn, path, text) of each transcript, then None; at most one per thread
+    # waits, which bounds their memory and the finished problems a crash loses.
+    to_write = queue.Queue(len(threads))
     writer = threading.Thread(target=_write_transcripts, name="dup-transcript-writer")
     try:
         writer.start()

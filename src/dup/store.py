@@ -136,10 +136,19 @@ def dumps(obj: Any) -> str:
     return _ENCODER.encode(obj) + "\n"
 
 
+def loads(text: str) -> Any:
+    """Parse JSON text; raises ValueError, also for text nested too deeply
+    for the parser, which would otherwise raise RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def read(path: str | Path) -> Any:
-    """Parse one stored file; raises OSError or ValueError."""
+    """Parse one stored file, or any JSON file; raises OSError or ValueError."""
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        return loads(handle.read())
 
 
 def _pieces(obj: Any) -> Iterator[str]:

@@ -15,6 +15,8 @@ from dup.gateway import CACHE_FILE, Gateway, MockBackend
 
 from conftest import DATA_DIR, SYNTH_DATASET
 
+DEEP = "[" * 200_000  # deeper than the JSON parser's recursion limit
+
 
 def run_cli(*argv):
     return main([str(arg) for arg in argv])
@@ -145,6 +147,36 @@ class TestRun:
         assert blocker.read_text(encoding="utf-8") == "in the way\n"
         assert not (out_dir / "config.json").exists()
 
+    @pytest.mark.parametrize("nested", ["dataset-line", "dataset-array", "manifest", "mock-script"])
+    def test_input_nested_too_deeply_exits_2_before_writing(self, tmp_path, caplog, nested):
+        deep = tmp_path / "deep.json"
+        out_dir = tmp_path / "run"
+        if nested == "dataset-line":
+            deep.write_text(SYNTH_DATASET.read_text(encoding="utf-8") + DEEP, encoding="utf-8")
+            argv, named = dup_run_args(out_dir, **{"--dataset-path": deep}), f"{deep}:11:"
+        elif nested == "dataset-array":
+            deep.write_text(DEEP, encoding="utf-8")
+            argv, named = dup_run_args(out_dir, **{"--dataset-path": deep}), f"in {deep}"
+        elif nested == "manifest":
+            deep.write_text(DEEP, encoding="utf-8")
+            argv = [
+                "run", "--dataset", "synth10", "--manifest", deep, "--backend", "mock",
+                "--mock-script", DATA_DIR / "mock_dup.json", "--out-dir", out_dir,
+            ]
+            named = f"cannot read manifest {deep}"
+        else:
+            deep.write_text(DEEP, encoding="utf-8")
+            argv, named = dup_run_args(out_dir, script=deep), f"cannot read mock script {deep}"
+        assert run_cli(*argv) == 2
+        assert named in caplog.text and "nested too deeply" in caplog.text
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("temperature", ["nan", "inf"])
+    def test_temperature_that_is_not_finite_is_refused_before_writing(self, tmp_path, temperature):
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir), "--temperature", temperature) == 2
+        assert not out_dir.exists()
+
     def test_cached_run_over_a_lone_surrogate(self, tmp_path):
         # json.loads reads the escape \ud800 as a lone surrogate, which UTF-8 cannot encode.
         dataset = tmp_path / "odd.jsonl"
@@ -238,6 +270,35 @@ class TestResume:
         assert f"run config {path}: 'bogus' is not a valid AnswerType" in caplog.text
         after = {file: file.read_bytes() for file in out_dir.rglob("*") if file.is_file()}
         assert after == before
+
+    @pytest.mark.parametrize("command", ["run", "resume", "recount", "analyze-errors"])
+    def test_a_stored_config_nested_too_deeply_exits_2(self, tmp_path, caplog, command):
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir)) == 0
+        path = out_dir / "config.json"
+        path.write_text(DEEP, encoding="utf-8")
+        before = {file: file.read_bytes() for file in out_dir.rglob("*") if file.is_file()}
+        argv = [command, "--out-dir", out_dir]
+        if command == "run":
+            argv = dup_run_args(out_dir)
+        elif command == "analyze-errors":
+            argv += ["--backend", "mock", "--mock-script", DATA_DIR / "mock_dup.json"]
+        assert run_cli(*argv) == 2
+        assert f"cannot read stored config at {path}" in caplog.text
+        after = {file: file.read_bytes() for file in out_dir.rglob("*") if file.is_file()}
+        assert after == before
+
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+    def test_a_stored_temperature_that_is_not_finite_exits_2(self, tmp_path, caplog, temperature):
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir)) == 0
+        path = out_dir / "config.json"
+        config = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**config, "temperature": temperature}), encoding="utf-8")
+        (out_dir / "report.json").unlink()
+        assert run_cli("resume", "--out-dir", out_dir) == 2
+        assert "temperature must be a finite number" in caplog.text
+        assert not (out_dir / "report.json").exists()
 
     def test_failed_transcript_write_exits_2(self, tmp_path, monkeypatch, capsys):
         def no_space(path, text):
@@ -350,6 +411,13 @@ class TestCompare:
         )
         assert run_cli("compare", "--baseline", dup_dir, "--candidate", other) == 2
 
+    def test_report_nested_too_deeply_exits_2(self, tmp_path, caplog):
+        dup_dir, cot_dir = self.make_runs(tmp_path)
+        report = dup_dir / "report.json"
+        report.write_text(DEEP, encoding="utf-8")
+        assert run_cli("compare", "--baseline", cot_dir, "--candidate", dup_dir) == 2
+        assert f"cannot read report at {report}" in caplog.text
+
 
 class TestAnalyzeErrors:
     def test_classifies_failures(self, tmp_path, capsys):
@@ -457,6 +525,24 @@ class TestStoredTranscripts:
             alive_at_calls.clear()
             assert run_cli(*argv) == 0
             assert alive_at_calls == [0] * loads, argv[0]
+
+    def test_a_transcript_nested_too_deeply_is_unreadable(self, tmp_path, monkeypatch, caplog):
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir)) == 0
+        path = out_dir / "transcripts" / "synth10-00001.json"
+        sent = []
+        send = MockBackend.send
+        monkeypatch.setattr(MockBackend, "send", lambda self, r: sent.append(r) or send(self, r))
+        for command in (["resume", "--out-dir", out_dir], dup_run_args(out_dir)):
+            path.write_text(DEEP, encoding="utf-8")
+            caplog.clear()
+            assert run_cli("recount", "--out-dir", out_dir) == 2
+            assert "completed transcript for synth10-00001" in caplog.text
+            sent.clear()
+            assert run_cli(*command) == 0
+            assert f"ignoring unreadable transcript {path}" in caplog.text
+            assert [request.tag.split(":")[1] for request in sent] == ["synth10-00001"] * 4
+            assert json.loads(path.read_text(encoding="utf-8"))["completed"] is True
 
     def test_a_stored_number_that_does_not_parse_is_an_unreadable_transcript(
         self, tmp_path, monkeypatch, caplog, capsys

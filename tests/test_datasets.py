@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 from decimal import Decimal
 
 import pytest
@@ -25,6 +26,7 @@ from conftest import DATA_DIR, SYNTH_DATASET, SYNTH_IDS
 RECORD1 = {"question": "Q1?", "answer": "1"}
 RECORD2 = {"question": "Q2?", "answer": "2"}
 Q1, Q2 = json.dumps(RECORD1), json.dumps(RECORD2)
+DEEP = "[" * 200_000  # deeper than the JSON parser's recursion limit
 
 
 class TestSyntheticFixture:
@@ -123,6 +125,8 @@ class TestFormats:
             ("\n{broken\n", ":2: invalid JSON"),
             ("\ufeff%s\n%s\n" % (Q1, Q2), [("00001", "Q1?"), ("00002", "Q2?")]),
             ("\ufeff[%s, %s]" % (Q1, Q2), [("00001", "Q1?"), ("00002", "Q2?")]),
+            ("%s\n%s\n" % (Q1, DEEP), ":2: invalid JSON: JSON nested too deeply"),
+            (DEEP, "invalid JSON array in .*: JSON nested too deeply"),
         ],
         ids=[
             "compact-wrapper",
@@ -136,6 +140,8 @@ class TestFormats:
             "malformed-first-line",
             "jsonl-with-bom",
             "array-with-bom",
+            "line-nested-too-deeply",
+            "array-nested-too-deeply",
         ],
     )
     def test_format_matrix(self, tmp_path, text, loaded):
@@ -171,6 +177,14 @@ class TestFormats:
         with pytest.raises(DatasetFormatError) as excinfo:
             load_dataset(path, "custom", answer_type=AnswerType.NUMBER)
         assert f"{path}:2:" in str(excinfo.value)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_gold_number_that_is_not_finite_reports_its_line(self, tmp_path, token):
+        path = tmp_path / "data.jsonl"
+        path.write_text(f'{Q1}\n{{"question": "R?", "answer": {token}}}\n', encoding="utf-8")
+        with pytest.raises(DatasetFormatError) as excinfo:
+            load_dataset(path, "custom", answer_type=AnswerType.NUMBER)
+        assert str(excinfo.value).startswith(f"{path}:2: gold is not a number")
 
     def test_missing_field_reports_record(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -336,6 +350,12 @@ class TestManifest:
         with pytest.raises(DatasetFormatError) as raised:
             load_from_manifest(load_manifest(path), "mine")
         assert str(raised.value) == f"manifest {path}: {fault}"
+
+    def test_manifest_nested_too_deeply_names_itself(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(DEEP, encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=f"cannot read manifest {re.escape(str(path))}"):
+            load_manifest(path)
 
     def test_field_map_override(self, tmp_path):
         data = tmp_path / "data.jsonl"

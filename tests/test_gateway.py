@@ -249,6 +249,12 @@ class TestMockBackend:
         with pytest.raises(InvalidInputError, match="broken.json"):
             MockBackend(broken)
 
+    def test_script_nested_too_deeply_is_invalid_input(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        with pytest.raises(InvalidInputError, match="cannot read mock script .*deep.json"):
+            MockBackend(path)
+
     def test_call_counter_thread_safe(self):
         backend = MockBackend({"default": "x"})
         with ThreadPoolExecutor(max_workers=16) as pool:
@@ -407,6 +413,22 @@ class TestCache:
         gateway.commit()
         assert json.loads(cache_rows(tmp_path)[cache_key(req)])["response"]["content"] == "good"
 
+    def test_entry_nested_too_deeply_is_evicted_and_sent_again(self, tmp_path):
+        req = request()
+        Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path).close()
+        with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
+            db.execute(
+                "insert into entries (digest, entry) values (?, ?)",
+                (cache_key(req), "[" * 200_000),
+            )
+            db.commit()
+        backend = MockBackend({"default": "good"})
+        gateway = Gateway(backend=backend, cache_dir=tmp_path)
+        sent = gateway.complete_cached(req)
+        assert (sent.content, sent.cached, backend.calls) == ("good", False, 1)
+        gateway.close()
+        assert json.loads(cache_rows(tmp_path)[cache_key(req)])["response"]["content"] == "good"
+
     @staticmethod
     def send_over_a_stored_row(tmp_path, response):
         """Complete request() over a cache that holds `response` for it, as an
@@ -536,17 +558,51 @@ class TestCache:
         gateway.complete_cached(request("next"))  # pending again, not committed
         assert len(writes()) == 1
 
-    def test_commit_splits_rows_into_statements_of_at_most_499(self, tmp_path):
+    def test_commit_splits_rows_into_statements_of_at_most_499(self, tmp_path, monkeypatch):
+        # No write finds the rows due: they pile up.
+        monkeypatch.setattr(gateway_module, "CACHE_COMMIT_ROWS", 1000)
+        monkeypatch.setattr(gateway_module, "CACHE_COMMIT_AFTER_S", 1e9)
         gateway = Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
         statements = []
         gateway._db.set_trace_callback(statements.append)
-        with gateway._commit_lock:  # as while a commit is under way: rows pile up
-            for i in range(600):
-                gateway.complete_cached(request(f"q{i}"))
+        for i in range(600):
+            gateway.complete_cached(request(f"q{i}"))
         statements.clear()  # the misses' queries
         gateway.commit()
         assert [statement.count('{"response":') for statement in statements] == [499, 101]
         assert len(cache_rows(tmp_path)) == 600
+
+    def test_rows_due_while_the_connection_is_busy_wait_for_the_next_write(self, tmp_path):
+        gateway = Gateway(backend=MockBackend({"default": "x"}), cache_dir=tmp_path)
+        statements = []
+        gateway._db.set_trace_callback(statements.append)
+        response = ChatResponse(content="x")
+        for i in range(CACHE_COMMIT_ROWS - 1):
+            gateway._write_cache(f"digest-{i}", response)
+        held, done = threading.Event(), threading.Event()
+
+        def hold_the_connection():  # as a read, an eviction or a commit would
+            with gateway._db_lock:
+                held.set()
+                done.wait(2)
+
+        holder = threading.Thread(target=hold_the_connection)
+        holder.start()
+        try:
+            assert held.wait(5)
+            # Both writes find the rows due and the connection busy.
+            gateway._write_cache("digest-busy-1", response)
+            gateway._write_cache("digest-busy-2", response)
+            assert statements == [] and cache_rows(tmp_path) == {}
+            assert len(gateway._pending) == CACHE_COMMIT_ROWS + 1
+        finally:
+            done.set()
+            holder.join(5)
+        assert not holder.is_alive()
+        gateway._write_cache("digest-next", response)
+        assert len(statements) == 1 and statements[0].startswith("insert or replace")
+        assert len(cache_rows(tmp_path)) == CACHE_COMMIT_ROWS + 2
+        assert gateway._pending == {}
 
     def test_write_a_second_after_the_oldest_pending_one_commits(self, tmp_path, monkeypatch):
         clock = [100.0]

@@ -4,6 +4,7 @@ import _thread
 import gc
 import itertools
 import json
+import math
 import re
 import sqlite3
 import sys
@@ -50,7 +51,6 @@ from dup.prompts import (
 from dup.reporting import build_report, recount, report_row
 from dup.runner import (
     MAX_SAMPLE_THREADS,
-    TRANSCRIPT_BACKLOG,
     RunConfig,
     StageConfig,
     Transcript,
@@ -853,6 +853,13 @@ class TestRunConfig:
             RunConfig(dataset="d", workers=0).validate()
         RunConfig(dataset="d", n_samples=10, temperature=0.7).validate()
 
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf])
+    def test_temperature_must_be_finite(self, temperature):
+        with pytest.raises(InvalidInputError, match="temperature must be a finite number"):
+            RunConfig(dataset="d", temperature=temperature).validate()
+        with pytest.raises(InvalidInputError, match="temperature must be a finite number"):
+            RunConfig(dataset="d", n_samples=3, temperature=temperature).validate()
+
     def test_round_trip(self):
         config = RunConfig(
             dataset="synth10",
@@ -1123,9 +1130,53 @@ class TestTranscriptWriter:
             assert load_transcript(out_dir, problem.id) is not None
         assert not lost.exists()
         assert list(out_dir.rglob("*.tmp")) == []
-        # No problem starts once the failed write is seen, so at most
-        # TRANSCRIPT_BACKLOG problems ran after the one whose write failed.
-        assert gateway.backend.calls <= 4 * (4 + TRANSCRIPT_BACKLOG)
+        # No problem starts once the failed write is seen. By then at most one
+        # transcript per problem thread waits behind the lost one, and each
+        # thread holds one more problem: at most two per thread ran after it.
+        threads = runner_module._request_budget(config)
+        assert gateway.backend.calls <= 4 * (4 + 2 * threads)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_stalled_writer_holds_one_waiting_transcript_per_thread(
+        self, tmp_path, synthetic_problems, monkeypatch, workers
+    ):
+        script = correct_script(synthetic_problems)
+        config = make_run_config(tmp_path, script, workers=workers)
+        threads = runner_module._request_budget(config)
+        finished, stalled, go_on = [], threading.Event(), threading.Event()
+        real_write_text, real_run_problem = runner_module.write_text, runner_module.run_problem
+
+        def write_text(path, text):
+            stalled.set()
+            assert go_on.wait(timeout=10)
+            real_write_text(path, text)
+
+        def run_problem(problem, *args):
+            transcript = real_run_problem(problem, *args)
+            finished.append(problem.id)
+            return transcript
+
+        monkeypatch.setattr(runner_module, "write_text", write_text)
+        monkeypatch.setattr(runner_module, "run_problem", run_problem)
+        outcome = []
+        run = threading.Thread(
+            target=lambda: outcome.append(run_experiment(config, Gateway(MockBackend(script))))
+        )
+        run.start()
+        try:
+            assert stalled.wait(timeout=5)
+            deadline = time.monotonic() + 5
+            while len(finished) < 1 + 2 * threads and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)  # time for any further problem to finish
+            # The one being written, one waiting per thread, and one per thread
+            # blocked handing its transcript over.
+            assert len(finished) == 1 + 2 * threads
+        finally:
+            go_on.set()
+            run.join(timeout=10)
+        assert not run.is_alive()
+        assert outcome[0].total == outcome[0].correct == len(finished) == 10
 
     def test_lost_write_outranks_a_later_problems_exception(
         self, tmp_path, synthetic_problems, monkeypatch
