@@ -202,43 +202,50 @@ def _read_records(path: Path) -> Iterator[tuple[int, Any]]:
         handle = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise DatasetFormatError(f"cannot read dataset file {path}: {exc}") from exc
-    with handle:
-        # Text mode ends a line at "\n", "\r\n" or "\r" only, not at U+2028 and
-        # the other breaks of str.splitlines, which a JSON string may hold.
-        lines = ((no, line.rstrip("\n")) for no, line in enumerate(handle, start=1) if line.strip())
-        first_no, first = next(lines, (0, ""))
-        if not first:
-            return
-        try:
-            record, line_error = loads(first), None
-        except ValueError as exc:
-            line_error = exc
-        array = first.lstrip()[0] == "["
-        if array or line_error or (ahead := next(lines, None)) is None:
-            # One JSON value: an array, a wrapper object or one JSON Lines record.
+    try:
+        with handle:
+            # Text mode ends a line at "\n", "\r\n" or "\r" only, not at U+2028 and
+            # the other breaks of str.splitlines, which a JSON string may hold.
+            lines = ((no, line.rstrip("\n")) for no, line in enumerate(handle, 1) if line.strip())
+            first_no, first = next(lines, (0, ""))
+            if not first:
+                return
             try:
-                value = loads(f"{first}\n{handle.read()}".strip())
+                record, line_error = loads(first), None
             except ValueError as exc:
-                if array:
-                    raise DatasetFormatError(f"invalid JSON array in {path}: {exc}") from exc
-                message = f"{path}:{first_no}: invalid JSON: {line_error}"
-                raise DatasetFormatError(message) from line_error
-            if isinstance(value, dict):  # a wrapper object holds its records in a list
-                lists = [value[key] for key in _WRAPPER_KEYS if isinstance(value.get(key), list)]
-                value = lists[0] if lists else value
-            if isinstance(value, list):
-                yield from enumerate(value, start=1)
-            elif line_error is None:
-                yield first_no, value  # a file of one JSON Lines record
-            else:
-                raise DatasetFormatError(f"{path}: JSON object has no recognizable record list")
-            return
-        yield first_no, record
-        for line_no, line in itertools.chain([ahead], lines):
-            try:
-                yield line_no, loads(line)
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+                line_error = exc
+            array = first.lstrip()[0] == "["
+            if array or line_error or (ahead := next(lines, None)) is None:
+                # One JSON value: an array, a wrapper object or one JSON Lines record.
+                text = f"{first}\n{handle.read()}".strip()
+                try:
+                    value = loads(text)
+                except ValueError as exc:
+                    if array:
+                        raise DatasetFormatError(f"invalid JSON array in {path}: {exc}") from exc
+                    message = f"{path}:{first_no}: invalid JSON: {line_error}"
+                    raise DatasetFormatError(message) from line_error
+                if isinstance(value, dict):  # a wrapper object holds its records in a list
+                    lists = [value[key] for key in _WRAPPER_KEYS if isinstance(value.get(key), list)]
+                    value = lists[0] if lists else value
+                if isinstance(value, list):
+                    yield from enumerate(value, start=1)
+                elif line_error is None:
+                    yield first_no, value  # a file of one JSON Lines record
+                else:
+                    raise DatasetFormatError(f"{path}: JSON object has no recognizable record list")
+                return
+            yield first_no, record
+            for line_no, line in itertools.chain([ahead], lines):
+                try:
+                    yield line_no, loads(line)
+                except ValueError as exc:
+                    raise DatasetFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:  # text is decoded a chunk at a time: find the line
+        lines = enumerate(path.read_bytes().splitlines(), start=1)
+        bad = (no for no, line in lines if line.decode("utf-8", "ignore").encode() != line)
+        where = f"{path}:{no}" if (no := next(bad, None)) else path
+        raise DatasetFormatError(f"{where}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_dataset(
@@ -347,12 +354,14 @@ def load_manifest(path: str | Path) -> dict[str, dict]:
     return resolved
 
 
-def load_from_manifest(manifest: dict[str, dict], dataset: str) -> list[Problem]:
-    """Load one dataset through the settings `load_manifest` read."""
+def load_from_manifest(
+    manifest: dict[str, dict], dataset: str, answer_type: AnswerType | None = None
+) -> list[Problem]:
+    """Load one dataset through the settings `load_manifest` read, with
+    `answer_type` where the entry names none."""
     dataset_id = canonical_dataset_id(dataset)
     if dataset_id not in manifest:
         raise DatasetFormatError(f"dataset {dataset!r} not in manifest")
     entry = manifest[dataset_id]
-    return load_dataset(
-        entry["path"], dataset_id, answer_type=entry["answer_type"], field_map=entry["field_map"]
-    )
+    answer_type = entry["answer_type"] or answer_type
+    return load_dataset(entry["path"], dataset_id, answer_type, entry["field_map"])

@@ -130,7 +130,7 @@ class ErrorReport:
 
 def _verdict(problem, transcript, gateway: Gateway, judge_model: str, max_tokens: int):
     """(category, judge reply) for a sampled problem that failed, else None."""
-    if transcript is None or transcript.graded is None or transcript.graded.correct:
+    if transcript is None or transcript.graded.correct:
         return None
     if transcript.errors:
         return ErrorCategory.UNCLASSIFIED, f"[no response: {transcript.errors[0]}]"

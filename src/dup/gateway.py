@@ -111,8 +111,8 @@ class ChatRequest:
             raise InvalidInputError("messages must be non-empty")
         if self.messages[-1].role != "user":
             raise InvalidInputError("last message must have role 'user'")
-        if self.temperature < 0:
-            raise InvalidInputError("temperature must be >= 0")
+        if not math.isfinite(self.temperature) or self.temperature < 0:
+            raise InvalidInputError(f"temperature must be a finite number >= 0: {self.temperature}")
         if self.max_tokens <= 0:
             raise InvalidInputError("max_tokens must be positive")
         if self.sample_index < 0:

@@ -69,14 +69,13 @@ _USAGE_KEYS = ("calls", "cached_calls", "prompt_tokens", "completion_tokens")
 
 def report_row(problem_id: str, transcript) -> ReportRow:
     """The row `build_report` folds for one problem, from its graded transcript."""
-    graded = transcript.graded
     answered = [record for record in transcript.records if record.error is None]
     return ReportRow(
         per_problem={
             "problem_id": problem_id,
-            "correct": bool(graded.correct) if graded else False,
+            "correct": transcript.graded.correct,
             "predicted": encode(transcript.predicted),
-            "extraction_source": graded.extraction_source if graded else "none",
+            "extraction_source": transcript.graded.extraction_source,
             "errors": list(transcript.errors),
         },
         usage=(
@@ -88,6 +87,19 @@ def report_row(problem_id: str, transcript) -> ReportRow:
         started_at=transcript.started_at,
         finished_at=transcript.finished_at,
     )
+
+
+def stored_rows(problem_ids: list[str], stored) -> dict[str, ReportRow]:
+    """The `report_row` of each of `problem_ids` that `stored`, `runner.load_run`'s
+    reader, finds a transcript for, graded against the gold as loaded now.
+    Transcripts are decoded one at a time."""
+    rows = {}
+    for problem_id in problem_ids:
+        transcript = stored(problem_id)
+        if transcript is not None:
+            rows[problem_id] = report_row(problem_id, transcript)
+        del transcript  # before the next one is decoded
+    return rows
 
 
 def build_report(config, problem_ids: list[str], rows: dict[str, ReportRow]) -> Report:
@@ -136,29 +148,15 @@ def load_report(path: str | Path) -> Report:
 def recount(out_dir: str | Path) -> Report:
     """Regrade a finished run purely from its persisted transcripts.
 
-    Useful after grading fixes: no gateway traffic, just a fresh report
-    from what is on disk. Transcripts are decoded one at a time.
+    Useful after grading or gold fixes: no gateway traffic, just a fresh
+    report from what is on disk (see `stored_rows`). A problem without a
+    completed transcript raises DupError naming it.
     """
-    from .grading import GradedResult, grade
     from .runner import load_run
 
     config, problems, stored = load_run(out_dir)
-    rows = {}
-    for problem in problems:
-        transcript = stored(problem.id)
-        if transcript is None:
-            raise DupError(f"recount needs a completed transcript for {problem.id}")
-        predicted = transcript.predicted
-        source = transcript.graded.extraction_source if transcript.graded else "none"
-        transcript.graded = GradedResult(
-            problem_id=problem.id,
-            predicted=predicted,
-            correct=predicted is not None and grade(predicted, problem.gold),
-            extraction_source=source if predicted is not None else "none",
-        )
-        rows[problem.id] = report_row(problem.id, transcript)
-        del transcript  # before the next one is decoded
-    report = build_report(config, [problem.id for problem in problems], rows)
+    problem_ids = [problem.id for problem in problems]
+    report = build_report(config, problem_ids, stored_rows(problem_ids, stored))
     write_report(report, out_dir)
     return report
 

@@ -11,8 +11,9 @@ returns or raises, so an interrupted run resumes by skipping completed
 ids; only a crash of the process can lose the waiting ones, the one being
 written and those the threads were handing over. A write that fails fails
 its problem. Resume, recount and analyze-errors decode stored transcripts
-one at a time. Stage calls are independent stateless completions: every
-prompt carries all the context it needs, which keeps calls cache-friendly.
+one at a time and grade each as a fresh one is graded. Stage calls are
+independent stateless completions: every prompt carries all the context it
+needs, which keeps calls cache-friendly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -118,7 +119,7 @@ class RunConfig:
     out_dir: str = "runs/out"
     dataset_path: str | None = None
     manifest: str | None = None
-    answer_type: str | None = None
+    answer_type: AnswerType | None = None
     max_tokens: int = 1024
     system_message: str | None = None
     workers: int = 4
@@ -130,6 +131,10 @@ class RunConfig:
     backend: str = "http"
     base_url: str | None = None
     mock_script: str | dict | None = None
+
+    def __post_init__(self):
+        if self.answer_type is not None:  # ValueError unless it names one
+            self.answer_type = AnswerType(self.answer_type)
 
     def validate(self) -> None:
         if not self.dataset:
@@ -427,15 +432,21 @@ def run_problem(
                 if sample.vote.answer is not None and grade(sample.vote.answer, predicted)
             )
     transcript.predicted = predicted
-    transcript.graded = GradedResult(
-        problem_id=problem.id,
-        predicted=predicted,
-        correct=predicted is not None and grade(predicted, problem.gold),
-        extraction_source=source,
-    )
     transcript.completed = True
     transcript.finished_at = _utc_now()
+    _grade(transcript, problem.gold, source)
     return transcript
+
+
+def _grade(transcript: Transcript, gold: NormalizedAnswer, source: str) -> None:
+    """Grade a fresh or stored `transcript`'s prediction, from `source`, against `gold`."""
+    predicted = transcript.predicted
+    transcript.graded = GradedResult(
+        problem_id=transcript.problem_id,
+        predicted=predicted,
+        correct=predicted is not None and grade(predicted, gold),
+        extraction_source=source if predicted is not None else "none",
+    )
 
 
 def select_problems(problems: list, max_problems: int | None, seed: int) -> list:
@@ -454,31 +465,28 @@ def load_run(
 
     Returns the stored configuration, the problems the run covers in run
     order, and a function that decodes the completed transcript stored for
-    a problem id, or returns None. `config`, when given, stands in for the
-    stored configuration. The dataset comes from the explicit path first,
-    then the manifest, and is subsampled per `select_problems`. Raises
-    DupError when two selected problems would share a transcript file, since
-    one would overwrite the other and the report would count the survivor
-    twice; when the configuration's answer type is not an AnswerType; and
+    a problem id and grades it (`_grade`) against the gold as loaded now,
+    or returns None. `config`, when given, stands in for the stored
+    configuration. The dataset comes from the explicit path first, then the
+    manifest, and is subsampled per `select_problems`. Raises DupError when
+    two selected problems would share a transcript file, since one would
+    overwrite the other and the report would count the survivor twice; and
     when `out_dir` or its transcript directory is not a directory.
     """
     if config is None:
         config = stored_config(out_dir)
     if config.dataset_path:
-        try:
-            answer_type = AnswerType(config.answer_type) if config.answer_type else None
-        except ValueError as exc:
-            raise DupError(f"run config {Path(out_dir) / _CONFIG_FILE}: {exc}") from None
-        problems = load_dataset(config.dataset_path, config.dataset, answer_type=answer_type)
+        problems = load_dataset(config.dataset_path, config.dataset, answer_type=config.answer_type)
     elif config.manifest:
-        problems = load_from_manifest(load_manifest(config.manifest), config.dataset)
+        manifest = load_manifest(config.manifest)
+        problems = load_from_manifest(manifest, config.dataset, config.answer_type)
     else:
         raise DupError("config needs dataset_path or manifest to locate the dataset file")
     problems = select_problems(problems, config.max_problems, config.seed)
-    ids_by_name: dict[str, list[str]] = {}
+    by_name: dict[str, list[Problem]] = {}
     for problem in problems:
-        ids_by_name.setdefault(_transcript_name(problem.id), []).append(problem.id)
-    clashes = [", ".join(map(repr, ids)) for ids in ids_by_name.values() if len(ids) > 1]
+        by_name.setdefault(_transcript_name(problem.id), []).append(problem)
+    clashes = [", ".join(repr(p.id) for p in ps) for ps in by_name.values() if len(ps) > 1]
     if clashes:
         raise DupError(f"problem ids share a transcript file: {'; '.join(clashes)}")
     try:
@@ -487,10 +495,15 @@ def load_run(
         listed = set()
     except OSError as exc:  # a regular file in the way: out_dir or its transcripts
         raise DupError(f"cannot use run directory {out_dir}: {exc}") from None
-    present = {problem_id for name, (problem_id,) in ids_by_name.items() if name in listed}
+    # The gold of each problem with a transcript on disk: a fresh run holds none.
+    golds = {problem.id: problem.gold for name, (problem,) in by_name.items() if name in listed}
 
     def stored(problem_id: str) -> Transcript | None:
-        return load_transcript(out_dir, problem_id) if problem_id in present else None
+        transcript = load_transcript(out_dir, problem_id) if problem_id in golds else None
+        if transcript is not None:
+            source = transcript.graded.extraction_source if transcript.graded else "none"
+            _grade(transcript, golds[problem_id], source)
+        return transcript
 
     return config, problems, stored
 
@@ -522,26 +535,21 @@ def load_transcript(out_dir: str | Path, problem_id: str) -> Transcript | None:
 
 
 def _persist_config(config: RunConfig, out_dir: Path) -> None:
-    """Store `config` in `out_dir`, or check it against the one stored there.
-
-    The stored `out_dir` is left out of the check and kept as written, so a
-    run directory that was moved still resumes. A stored file that is not a
-    JSON object raises DupError naming it.
+    """Store `config` in `out_dir`, or check it against the one stored there
+    as `stored_config` reads it: a key missing there takes its default, an
+    unknown key is ignored, and a file it cannot decode raises DupError
+    naming it. The stored `out_dir` is left out of the check and kept as
+    written, so a run directory that was moved still resumes.
     """
     path = out_dir / _CONFIG_FILE
-    if path.exists():
-        expected = encode(config)
-        try:
-            stored = {**read(path), "out_dir": expected["out_dir"]}
-        except (OSError, TypeError, ValueError) as exc:
-            raise DupError(f"cannot read stored config at {path}: {exc}") from exc
-        if stored != expected:
-            raise DupError(
-                f"{path} holds a different run configuration; use a fresh --out-dir "
-                "or resume with the stored settings"
-            )
+    if not path.exists():
+        _write_json_atomic(path, config)
         return
-    _write_json_atomic(path, config)
+    if replace(stored_config(out_dir), out_dir=config.out_dir) != config:
+        raise DupError(
+            f"{path} holds a different run configuration; use a fresh --out-dir "
+            "or resume with the stored settings"
+        )
 
 
 def stored_config(out_dir: str | Path) -> RunConfig:
@@ -726,23 +734,19 @@ def run_experiment(config: RunConfig, gateway: Gateway):
 
     Fully resumable: problems whose transcript file is already complete are
     skipped, so re-running with the same out_dir finishes an interrupted
-    run without re-issuing their requests. Every problem that finished is
-    on disk, and every response the gateway cached is committed, when this
-    returns or raises. If the cached responses cannot be committed, DupError
-    names the cache file, unless a failure above is raised: then the failed
-    commit is logged.
+    run without re-issuing their requests; their rows come from
+    `reporting.stored_rows`, as `recount`'s do. Every problem that finished
+    is on disk, and every response the gateway cached is committed, when
+    this returns or raises. If the cached responses cannot be committed,
+    DupError names the cache file, unless a failure above is raised: then
+    the failed commit is logged.
     """
-    from .reporting import build_report, report_row, write_report
+    from .reporting import build_report, report_row, stored_rows, write_report
 
     config.validate()
     _, problems, stored = load_run(config.out_dir, config)
     problem_ids = [p.id for p in problems]
-    rows = {}  # a resumed run keeps only the rows of the problems it skips
-    for problem_id in problem_ids:
-        transcript = stored(problem_id)
-        if transcript is not None:
-            rows[problem_id] = report_row(problem_id, transcript)
-        del transcript  # before the next one is decoded
+    rows = stored_rows(problem_ids, stored)  # a resumed run keeps only the rows of those it skips
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _persist_config(config, out_dir)

@@ -13,7 +13,7 @@ import dup.runner as runner_module
 from dup.cli import main
 from dup.gateway import CACHE_FILE, Gateway, MockBackend
 
-from conftest import DATA_DIR, SYNTH_DATASET
+from conftest import DATA_DIR, SYNTH_DATASET, SYNTH_IDS
 
 DEEP = "[" * 200_000  # deeper than the JSON parser's recursion limit
 
@@ -36,6 +36,25 @@ def dup_run_args(out_dir, script=DATA_DIR / "mock_dup.json", **extra):
     for flag, value in extra.items():
         args.extend([flag, value])
     return args
+
+
+def copy_synth(tmp_path):
+    """A copy of the synth10 dataset that a test may edit."""
+    dataset = tmp_path / "synth10.jsonl"
+    dataset.write_bytes(SYNTH_DATASET.read_bytes())
+    return dataset
+
+
+def set_gold(dataset, number, answer):
+    """Rewrite the gold answer of record `number` (1-based) of `dataset`."""
+    rows = [json.loads(line) for line in dataset.read_text(encoding="utf-8").splitlines()]
+    rows[number - 1]["answer"] = answer
+    dataset.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def without_times(path):
+    report = json.loads(path.read_text(encoding="utf-8"))
+    return {k: v for k, v in report.items() if k not in ("started_at", "finished_at")}
 
 
 class TestRun:
@@ -202,6 +221,31 @@ class TestRun:
         assert report["correct"] == 2
         assert run_cli("recount", "--out-dir", tmp_path / "second") == 0
 
+    def test_a_dataset_that_is_not_utf8_exits_2_before_writing(self, tmp_path, caplog):
+        dataset = copy_synth(tmp_path)
+        dataset.write_bytes(dataset.read_bytes().replace(b"books", b"b\xffoks"))
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir), "--dataset-path", dataset) == 2
+        assert f"{dataset}:3: not UTF-8 text" in caplog.text
+        assert not out_dir.exists()
+
+    def test_answer_type_flag_applies_where_the_manifest_names_none(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"mine": {"path": str(SYNTH_DATASET)}}), encoding="utf-8")
+        out_dir = tmp_path / "run"
+        code = run_cli(
+            "run",
+            "--dataset", "mine",
+            "--manifest", manifest,
+            "--answer-type", "number",
+            "--backend", "mock",
+            "--mock-script", DATA_DIR / "mock_dup.json",
+            "--out-dir", out_dir,
+        )
+        assert code == 0
+        assert json.loads((out_dir / "report.json").read_text(encoding="utf-8"))["total"] == 10
+        assert run_cli("recount", "--out-dir", out_dir) == 0
+
     def test_unknown_method_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli(*dup_run_args(tmp_path / "run"), "--method", "telepathy")
@@ -255,6 +299,36 @@ class TestResume:
         assert run_cli("resume", "--out-dir", out_dir) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["resume", "run"])
+    def test_a_stored_config_without_a_key_that_has_a_default_resumes(self, tmp_path, command):
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir)) == 0
+        report = without_times(out_dir / "report.json")
+        path = out_dir / "config.json"
+        config = json.loads(path.read_text(encoding="utf-8"))
+        del config["system_message"]
+        path.write_text(json.dumps(config), encoding="utf-8")
+        (out_dir / "transcripts" / "synth10-00004.json").unlink()
+        argv = ["resume", "--out-dir", out_dir] if command == "resume" else dup_run_args(out_dir)
+        assert run_cli(*argv) == 0
+        assert without_times(out_dir / "report.json") == report
+        assert len(list((out_dir / "transcripts").glob("*.json"))) == 10
+
+    def test_resume_grades_stored_transcripts_as_recount_does(self, tmp_path):
+        dataset = copy_synth(tmp_path)
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir), "--dataset-path", dataset) == 0
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        wrong = next(row for row in report["per_problem"] if not row["correct"])
+        number = SYNTH_IDS.index(wrong["problem_id"]) + 1
+        set_gold(dataset, number, f"#### {wrong['predicted']['value']}")
+        (out_dir / "transcripts" / "synth10-00002.json").unlink()
+        assert run_cli("resume", "--out-dir", out_dir) == 0
+        resumed = (out_dir / "report.json").read_text(encoding="utf-8")
+        assert json.loads(resumed)["correct"] == 8
+        assert run_cli("recount", "--out-dir", out_dir) == 0
+        assert (out_dir / "report.json").read_text(encoding="utf-8") == resumed
+
     @pytest.mark.parametrize("command", ["resume", "recount", "analyze-errors"])
     def test_a_stored_answer_type_that_is_not_one_exits_2(self, tmp_path, caplog, command):
         out_dir = tmp_path / "run"
@@ -267,7 +341,7 @@ class TestResume:
         if command == "analyze-errors":
             argv += ["--backend", "mock", "--mock-script", DATA_DIR / "mock_dup.json"]
         assert run_cli(*argv) == 2
-        assert f"run config {path}: 'bogus' is not a valid AnswerType" in caplog.text
+        assert f"cannot read stored config at {path}: 'bogus' is not a valid AnswerType" in caplog.text
         after = {file: file.read_bytes() for file in out_dir.rglob("*") if file.is_file()}
         assert after == before
 
@@ -449,6 +523,24 @@ class TestAnalyzeErrors:
         printed = capsys.readouterr().out
         assert "Total failures" in printed
 
+    def test_a_problem_regraded_correct_is_not_judged(self, tmp_path):
+        dataset = copy_synth(tmp_path)
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir), "--dataset-path", dataset) == 0
+        stored = json.loads((out_dir / "transcripts" / "synth10-00009.json").read_text("utf-8"))
+        assert not stored["graded"]["correct"]
+        set_gold(dataset, 9, f"#### {stored['predicted']['value']}")
+        judge_path = tmp_path / "judge.json"
+        judge_path.write_text(json.dumps({"default": "2. Calculation error."}), encoding="utf-8")
+        code = run_cli(
+            "analyze-errors", "--out-dir", out_dir, "--sample-size", "10",
+            "--backend", "mock", "--mock-script", judge_path,
+        )
+        assert code == 0
+        payload = json.loads((out_dir / "error_analysis.json").read_text(encoding="utf-8"))
+        judged = {detail["problem_id"] for detail in payload["details"]}
+        assert judged == {"synth10-00008", "synth10-00010"}
+
     @pytest.mark.parametrize("flag", ["--mock-script", "--base-url"])
     def test_backend_flag_without_backend_exits_2(self, tmp_path, monkeypatch, caplog, flag):
         out_dir = tmp_path / "run"
@@ -491,6 +583,21 @@ class TestRecount:
         capsys.readouterr()
         assert run_cli("recount", "--out-dir", out_dir) == 0
         assert "accuracy       70.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["recount", "analyze-errors"])
+    def test_a_dataset_that_is_no_longer_utf8_exits_2(self, tmp_path, caplog, command):
+        dataset = copy_synth(tmp_path)
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir), "--dataset-path", dataset) == 0
+        dataset.write_bytes(dataset.read_bytes().replace(b"books", b"b\xffoks"))
+        before = {file: file.read_bytes() for file in out_dir.rglob("*") if file.is_file()}
+        argv = [command, "--out-dir", out_dir]
+        if command == "analyze-errors":
+            argv += ["--backend", "mock", "--mock-script", DATA_DIR / "mock_dup.json"]
+        assert run_cli(*argv) == 2
+        assert f"{dataset}:3: not UTF-8 text" in caplog.text
+        after = {file: file.read_bytes() for file in out_dir.rglob("*") if file.is_file()}
+        assert after == before
 
 
 class TestStoredTranscripts:
@@ -537,7 +644,7 @@ class TestStoredTranscripts:
             path.write_text(DEEP, encoding="utf-8")
             caplog.clear()
             assert run_cli("recount", "--out-dir", out_dir) == 2
-            assert "completed transcript for synth10-00001" in caplog.text
+            assert "missing transcript for problem synth10-00001" in caplog.text
             sent.clear()
             assert run_cli(*command) == 0
             assert f"ignoring unreadable transcript {path}" in caplog.text
@@ -562,7 +669,7 @@ class TestStoredTranscripts:
         assert f"ignoring unreadable transcript {path}" in caplog.text
         caplog.clear()
         assert run_cli("recount", "--out-dir", out_dir) == 2
-        assert "completed transcript for synth10-00001" in caplog.text
+        assert "missing transcript for problem synth10-00001" in caplog.text
         sent = []
         send = MockBackend.send
         monkeypatch.setattr(MockBackend, "send", lambda self, r: sent.append(r) or send(self, r))

@@ -156,6 +156,20 @@ class TestFormats:
             (f"custom-{number}", question) for number, question in loaded
         ]
 
+    @pytest.mark.parametrize(
+        "head, separator, tail, line",
+        [("", "\n", "\n", 400), ("", "\r", "", 400), ("[\n", ",\n", "\n]", 401)],
+        ids=["jsonl", "cr", "array"],
+    )
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, head, separator, tail, line):
+        # Far past the first line: the file is decoded a chunk at a time.
+        rows = [json.dumps({"question": f"Q{i}? " + "x" * 60, "answer": "1"}) for i in range(500)]
+        data = (head + separator.join(rows) + tail).encode("utf-8")
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(data.replace(b"Q399?", b"Q\xff?"))
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}:{line}: not UTF-8"):
+            load_dataset(path, "custom", answer_type=AnswerType.NUMBER)
+
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
     def test_line_separator_inside_a_question(self, tmp_path, separator):
         # JSON Lines ends a line at "\n" only; str.splitlines also breaks at these.

@@ -81,6 +81,11 @@ class TestChatRequest:
             request(temperature=0.0, sample_index=2)
         request(temperature=0.7, sample_index=2)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
+    def test_temperature_must_be_finite(self, temperature):
+        with pytest.raises(InvalidInputError, match="temperature must be a finite number >= 0"):
+            request(temperature=temperature)
+
     def test_build_messages(self):
         assert [m.role for m in build_messages("q")] == ["user"]
         assert [m.role for m in build_messages("q", "s")] == ["system", "user"]

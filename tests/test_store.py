@@ -26,7 +26,7 @@ from dup.gateway import (
 from dup.error_analysis import ErrorCategory, ErrorReport
 from dup.grading import GradedResult, NormalizedAnswer
 from dup.consistency import Vote
-from dup.prompts import MethodVariant, render_core_question_prompt
+from dup.prompts import AnswerType, MethodVariant, render_core_question_prompt
 from dup.reporting import Report, compare_runs, load_report
 from dup.runner import (
     RunConfig,
@@ -78,7 +78,7 @@ RUN_CONFIG_FIELDS = dict(
     out_dir=texts,
     dataset_path=opt_texts,
     manifest=opt_texts,
-    answer_type=opt_texts,
+    answer_type=st.none() | st.sampled_from(AnswerType),
     max_tokens=ints,
     system_message=opt_texts,
     workers=ints,
