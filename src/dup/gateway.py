@@ -95,8 +95,8 @@ class ChatRequest:
 
     `sample_index` distinguishes self-consistency samples that share
     identical content; it feeds the cache key but not the wire payload.
-    `tag` is free-form routing metadata ("stage:problem_id") used by the
-    mock backend's readable script form; it never affects the cache key.
+    `tag` is free-form routing metadata ("stage:problem_id") that the mock
+    backend's script routes by; it never affects the cache key.
     """
 
     model: str
@@ -181,19 +181,16 @@ def cache_key(request: ChatRequest) -> str:
     return _sha256(blob.encode("utf-8", "surrogatepass")).hexdigest()
 
 
-def _estimate_tokens(text: str) -> int:
-    return len(text.split())
-
-
 class MockBackend:
     """Scripted backend for offline deterministic runs.
 
-    The script maps request digests and/or routing tags to response texts:
+    The script, a JSON file or a dict, maps routing tags to reply texts and
+    may name a fallback text; both keys are optional:
 
-        {"by_tag": {"answer:p01": "... 18."}, "by_digest": {...}, "default": "..."}
+        {"by_tag": {"answer:p01": "... 18."}, "default": "..."}
 
-    A flat JSON object is accepted as shorthand for {"by_tag": ...}.
-    Lookup order: digest, tag, default; a miss is an error so tests notice
+    Any other top-level key raises InvalidInputError. A request is served
+    its tag's text, else the default; a miss is an error so tests notice
     incomplete fixtures. `calls` counts every completion served (thread-safe).
     """
 
@@ -205,40 +202,31 @@ class MockBackend:
                 raise InvalidInputError(f"cannot read mock script {script}: {exc}") from exc
         if not isinstance(script, dict):
             raise InvalidInputError("mock script must be a JSON object")
+        unknown = sorted(map(repr, script.keys() - {"by_tag", "default"}))
+        if unknown:  # a flat script of tags has thousands: name the first
+            raise InvalidInputError(f"mock script keys are 'by_tag' and 'default', not {unknown[0]}")
+        self.by_tag = script.get("by_tag", {})
+        if not isinstance(self.by_tag, dict):
+            raise InvalidInputError("mock script 'by_tag' must be a JSON object")
+        for tag, text in self.by_tag.items():
+            if not isinstance(text, str):
+                raise InvalidInputError(f"mock script reply for tag {tag!r} is not text: {text!r}")
         self.default = script.get("default")
-        if set(script) <= {"by_tag", "by_digest", "default"}:
-            for key in ("by_tag", "by_digest"):
-                if not isinstance(script.get(key, {}), dict):
-                    raise InvalidInputError(f"mock script {key!r} must be a JSON object")
-            self.by_tag = dict(script.get("by_tag", {}))
-            self.by_digest = dict(script.get("by_digest", {}))
-        else:
-            # Flat shorthand: every key is a tag, except a bare "default"
-            # entry which still acts as the fallback response.
-            self.by_tag = {k: v for k, v in script.items() if k != "default"}
-            self.by_digest = {}
+        if not isinstance(self.default, (str, type(None))):
+            raise InvalidInputError(f"mock script default is not text: {self.default!r}")
         self._lock = threading.Lock()
         self.calls = 0
 
     def send(self, request: ChatRequest) -> ChatResponse:
         with self._lock:
             self.calls += 1
-        # Only scripts that route by digest pay for hashing the request.
-        content = self.by_digest.get(cache_key(request)) if self.by_digest else None
-        if content is None and request.tag is not None:
-            content = self.by_tag.get(request.tag)
+        content = self.by_tag.get(request.tag, self.default)
         if content is None:
-            content = self.default
-        if content is None:
-            raise MalformedResponseError(
-                f"mock script has no entry for tag={request.tag!r} "
-                f"digest={cache_key(request)[:12]}"
-            )
+            raise MalformedResponseError(f"mock script has no entry for tag={request.tag!r}")
         return ChatResponse(
             content=content,
-            finish_reason="stop",
-            prompt_tokens=sum(_estimate_tokens(m.content) for m in request.messages),
-            completion_tokens=_estimate_tokens(content),
+            prompt_tokens=sum(len(m.content.split()) for m in request.messages),
+            completion_tokens=len(content.split()),
         )
 
 
@@ -273,7 +261,8 @@ class HttpBackend:
     Requests go to `base_url`/chat/completions with a DEFAULT_TIMEOUT_S
     timeout, carrying the OPENAI_API_KEY environment variable, when set, as
     a bearer token. `pool_size` HTTP connections are kept open: one per
-    request that may be in flight.
+    request that may be in flight. A run served wholly from the cache never
+    imports `requests`: the session is built at its first use.
     """
 
     RETRYABLE_STATUSES = frozenset({429} | set(range(500, 600)))
@@ -282,18 +271,26 @@ class HttpBackend:
     def __init__(self, base_url: str | None, pool_size: int = 8, session=None):
         if not base_url:
             raise InvalidInputError("http backend requires base_url")
-        if session is None:
-            import requests
-            from requests.adapters import HTTPAdapter
-
-            session = requests.Session()
-            # The default pool keeps 10 and drops the connections beyond it.
-            adapter = HTTPAdapter(pool_maxsize=pool_size)
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
-        self.session = session
+        self._session = session
+        self._session_lock = threading.Lock()
+        self._pool_size = pool_size
         self.base_url = base_url.rstrip("/")
         self.token = os.environ.get("OPENAI_API_KEY")
+
+    @property
+    def session(self):
+        """The `requests` session, built at the first use unless one was given."""
+        with self._session_lock:
+            if self._session is None:
+                import requests
+                from requests.adapters import HTTPAdapter
+
+                self._session = requests.Session()
+                # The default pool keeps 10 and drops the connections beyond it.
+                adapter = HTTPAdapter(pool_maxsize=self._pool_size)
+                for prefix in ("http://", "https://"):
+                    self._session.mount(prefix, adapter)
+            return self._session
 
     def send(self, request: ChatRequest) -> ChatResponse:
         payload = _canonical_request_payload(request)

@@ -534,22 +534,22 @@ def load_transcript(out_dir: str | Path, problem_id: str) -> Transcript | None:
     return transcript
 
 
-def _persist_config(config: RunConfig, out_dir: Path) -> None:
-    """Store `config` in `out_dir`, or check it against the one stored there
-    as `stored_config` reads it: a key missing there takes its default, an
-    unknown key is ignored, and a file it cannot decode raises DupError
-    naming it. The stored `out_dir` is left out of the check and kept as
-    written, so a run directory that was moved still resumes.
+def _check_config(config: RunConfig, out_dir: Path) -> bool:
+    """Whether `out_dir` holds a configuration, checked against `config` as
+    `stored_config` reads it: a key missing there takes its default, an
+    unknown key is ignored, and a file it cannot decode, or one that differs,
+    raises DupError naming it. The stored `out_dir` is left out of the check
+    and kept as written, so a run directory that was moved still resumes.
     """
     path = out_dir / _CONFIG_FILE
     if not path.exists():
-        _write_json_atomic(path, config)
-        return
+        return False
     if replace(stored_config(out_dir), out_dir=config.out_dir) != config:
         raise DupError(
             f"{path} holds a different run configuration; use a fresh --out-dir "
             "or resume with the stored settings"
         )
+    return True
 
 
 def stored_config(out_dir: str | Path) -> RunConfig:
@@ -744,12 +744,14 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     from .reporting import build_report, report_row, stored_rows, write_report
 
     config.validate()
-    _, problems, stored = load_run(config.out_dir, config)
+    out_dir = Path(config.out_dir)
+    resumed = _check_config(config, out_dir)  # before the dataset or a transcript is read
+    _, problems, stored = load_run(out_dir, config)
     problem_ids = [p.id for p in problems]
     rows = stored_rows(problem_ids, stored)  # a resumed run keeps only the rows of those it skips
-    out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _persist_config(config, out_dir)
+    if not resumed:  # written only once `load_run` found nothing amiss
+        _write_json_atomic(out_dir / _CONFIG_FILE, config)
     transcript_dir = out_dir / _TRANSCRIPT_DIR
     transcript_dir.mkdir(exist_ok=True)
     # Each thread pop()s its next (turn, file name, problem), atomic under the

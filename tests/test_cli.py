@@ -122,12 +122,34 @@ class TestRun:
         assert run_cli(*dup_run_args(out_dir), "--dataset-path", dataset) == 2
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("script", [{"by_tag": [1, 2]}, {"by_tag": "x"}, {"by_digest": 3}])
+    @pytest.mark.parametrize("script", [{"by_tag": [1, 2]}, {"by_tag": "x"}, {"by_tag": 3}])
     def test_mock_script_with_a_table_that_is_not_an_object_exits_2(self, tmp_path, script):
         script_path = tmp_path / "script.json"
         script_path.write_text(json.dumps(script), encoding="utf-8")
         out_dir = tmp_path / "run"
         assert run_cli(*dup_run_args(out_dir, script=script_path)) == 2
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("fault", ["by_tags", "by_digest", "flat", "reply-not-text"])
+    def test_mock_script_of_another_shape_exits_2(self, tmp_path, caplog, dup_script, fault):
+        tags, default = dup_script["by_tag"], "The answer is 1."
+        script, named = {
+            "by_tags": ({"by_tags": tags, "default": default}, "not 'by_tags'"),
+            "by_digest": ({"by_tag": tags, "by_digest": {"0" * 64: default}}, "not 'by_digest'"),
+            "flat": ({**tags, "default": default}, "not 'answer:synth10-00001'\n"),
+            "reply-not-text": ({"by_tag": tags, "default": 5}, "mock script default is not text: 5"),
+        }[fault]
+        script_path = tmp_path / "script.json"
+        script_path.write_text(json.dumps(script), encoding="utf-8")
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir, script=script_path)) == 2
+        assert named in caplog.text
+        assert not out_dir.exists()
+
+    def test_negative_max_problems_exits_2_before_writing(self, tmp_path, caplog):
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir), "--max-problems", "-1") == 2
+        assert "max_problems must be >= 0" in caplog.text
         assert not out_dir.exists()
 
     def test_malformed_manifest_exits_2_before_writing(self, tmp_path, caplog):
@@ -313,6 +335,27 @@ class TestResume:
         assert run_cli(*argv) == 0
         assert without_times(out_dir / "report.json") == report
         assert len(list((out_dir / "transcripts").glob("*.json"))) == 10
+
+    def test_a_run_over_another_configuration_reads_no_dataset_or_transcript(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir)) == 0
+        before = {file: file.read_bytes() for file in out_dir.rglob("*") if file.is_file()}
+        calls = {"load_dataset": 0, "load_transcript": 0}
+        for name in calls:
+            real = getattr(runner_module, name)
+
+            def counted(*args, name=name, real=real, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(runner_module, name, counted)
+        assert run_cli(*dup_run_args(out_dir), "--max-tokens", "512") == 2
+        assert "holds a different run configuration" in caplog.text
+        assert calls == {"load_dataset": 0, "load_transcript": 0}
+        after = {file: file.read_bytes() for file in out_dir.rglob("*") if file.is_file()}
+        assert after == before
 
     def test_resume_grades_stored_transcripts_as_recount_does(self, tmp_path):
         dataset = copy_synth(tmp_path)

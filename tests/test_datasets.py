@@ -29,6 +29,14 @@ Q1, Q2 = json.dumps(RECORD1), json.dumps(RECORD2)
 DEEP = "[" * 200_000  # deeper than the JSON parser's recursion limit
 
 
+def load_text(tmp_path, text, dataset="custom"):
+    """Load `text` as the dataset file data.jsonl; a number answer unless `dataset` is known."""
+    path = tmp_path / "data.jsonl"
+    path.write_text(text, encoding="utf-8")
+    answer_type = None if dataset in DATASET_SPECS else AnswerType.NUMBER
+    return load_dataset(path, dataset, answer_type=answer_type)
+
+
 class TestSyntheticFixture:
     def test_loads_ten_problems_in_file_order(self, synthetic_problems):
         assert [p.id for p in synthetic_problems] == SYNTH_IDS
@@ -199,6 +207,48 @@ class TestFormats:
         with pytest.raises(DatasetFormatError) as excinfo:
             load_dataset(path, "custom", answer_type=AnswerType.NUMBER)
         assert str(excinfo.value).startswith(f"{path}:2: gold is not a number")
+
+    @pytest.mark.parametrize(
+        "refused, message",
+        [
+            (lambda tmp: parse_gold_answer("", AnswerType.NUMBER), "empty gold answer"),
+            (
+                lambda tmp: parse_gold_answer("A or B", AnswerType.OPTION),
+                "gold is not a single option letter: 'A or B'",
+            ),
+            (lambda tmp: parse_gold_answer(" ", AnswerType.STRING), "empty string gold"),
+            (
+                lambda tmp: load_text(tmp, '{"question": "Q?", "answer": []}\n'),
+                "{tmp}/data.jsonl:1: missing field empty answer list",
+            ),
+            (
+                lambda tmp: load_dataset(tmp / "missing.jsonl", "custom", AnswerType.NUMBER),
+                "cannot read dataset file {tmp}/missing.jsonl",
+            ),
+            (
+                lambda tmp: load_text(tmp, f"[{Q1}, 3]"),
+                "{tmp}/data.jsonl:2: record is not an object",
+            ),
+            (
+                lambda tmp: load_text(
+                    tmp, '{"question": "Q?", "options": 5, "correct": "B"}', "aqua"
+                ),
+                "{tmp}/data.jsonl:1: bad options: 'int' object is not iterable",
+            ),
+        ],
+        ids=[
+            "empty-gold",
+            "not-one-option-letter",
+            "empty-string-gold",
+            "empty-answer-list",
+            "unreadable-file",
+            "record-not-an-object",
+            "bad-options",
+        ],
+    )
+    def test_a_refusal_names_its_fault(self, tmp_path, refused, message):
+        with pytest.raises(DatasetFormatError, match=re.escape(message.format(tmp=tmp_path))):
+            refused(tmp_path)
 
     def test_missing_field_reports_record(self, tmp_path):
         path = tmp_path / "data.jsonl"

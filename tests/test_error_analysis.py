@@ -45,7 +45,7 @@ class TestClassifyFailure:
     def test_returns_category_and_reply(self, synthetic_problems):
         problem = synthetic_problems[0]
         reply = "2. Calculation error: the multiplication was wrong."
-        gateway = Gateway(backend=MockBackend({f"error_judge:{problem.id}": reply}))
+        gateway = Gateway(backend=MockBackend({"by_tag": {f"error_judge:{problem.id}": reply}}))
         category, judge_reply = classify_failure(
             problem, "The answer is 19.", problem.gold_raw, gateway, judge_model="judge"
         )

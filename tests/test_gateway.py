@@ -29,6 +29,7 @@ from dup.gateway import (
     CACHE_COMMIT_ROWS,
     CACHE_FILE,
     MAX_RETRY_AFTER_S,
+    ChatMessage,
     ChatRequest,
     ChatResponse,
     Gateway,
@@ -85,6 +86,18 @@ class TestChatRequest:
     def test_temperature_must_be_finite(self, temperature):
         with pytest.raises(InvalidInputError, match="temperature must be a finite number >= 0"):
             request(temperature=temperature)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ChatMessage("tool", "hi"), "unknown message role 'tool'"),
+            (lambda: request(temperature=0.7, sample_index=-1), "sample_index must be >= 0"),
+        ],
+        ids=["unknown-role", "negative-sample-index"],
+    )
+    def test_a_refusal_names_its_fault(self, build, message):
+        with pytest.raises(InvalidInputError, match=message):
+            build()
 
     def test_build_messages(self):
         assert [m.role for m in build_messages("q")] == ["user"]
@@ -197,29 +210,53 @@ class TestMockBackend:
         assert backend.send(request(tag="answer:p1")).content == "42"
         assert backend.send(request(tag="other")).content == "d"
 
-    def test_by_digest_beats_tag(self):
-        req = request(tag="answer:p1")
-        backend = MockBackend(
-            {"by_digest": {cache_key(req): "specific"}, "by_tag": {"answer:p1": "general"}}
-        )
-        assert backend.send(req).content == "specific"
+    @pytest.mark.parametrize(
+        "script, key",
+        [
+            ({"by_tags": {"answer:p1": "42"}, "default": "d"}, "by_tags"),
+            ({"by_digest": {"0" * 64: "specific"}, "by_tag": {}}, "by_digest"),
+            ({"by_digest": 3}, "by_digest"),
+            ({"answer:p1": "42", "default": "fallback"}, "answer:p1"),
+        ],
+        ids=["misspelt", "by_digest", "by_digest_not_an_object", "flat"],
+    )
+    def test_refuses_a_key_other_than_by_tag_and_default(self, script, key, tmp_path):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script), encoding="utf-8")
+        message = f"mock script keys are 'by_tag' and 'default', not '{key}'"
+        for source in (script, path):
+            with pytest.raises(InvalidInputError, match=message):
+                MockBackend(source)
 
-    def test_flat_shorthand_with_default(self):
-        backend = MockBackend({"answer:p1": "42", "default": "fallback"})
-        assert backend.send(request(tag="answer:p1")).content == "42"
-        assert backend.send(request(tag="missing")).content == "fallback"
+    @pytest.mark.parametrize(
+        "script, where",
+        [
+            ({"by_tag": {"t": 5}}, "reply for tag 't'"),
+            ({"by_tag": {"t": None}, "default": "d"}, "reply for tag 't'"),
+            ({"by_tag": {"t": "x"}, "default": ["d"]}, "default"),
+        ],
+        ids=["number", "null", "list-default"],
+    )
+    def test_refuses_a_reply_that_is_not_text(self, script, where):
+        with pytest.raises(InvalidInputError, match=f"mock script {where} is not text"):
+            MockBackend(script)
+
+    def test_a_null_default_is_no_default(self):
+        backend = MockBackend({"by_tag": {"t": "x"}, "default": None})
+        assert backend.send(request(tag="t")).content == "x"
+        with pytest.raises(MalformedResponseError, match="no entry for tag='u'"):
+            backend.send(request(tag="u"))
 
     def test_miss_is_an_error(self):
-        backend = MockBackend({"by_tag": {}})
-        req = request(tag="nope")
-        with pytest.raises(MalformedResponseError, match=f"digest={cache_key(req)[:12]}"):
-            backend.send(req)
+        backend = MockBackend({"by_tag": {"other": "x"}})
+        with pytest.raises(MalformedResponseError, match="no entry for tag='nope'"):
+            backend.send(request(tag="nope"))
 
     def test_tag_routing_hashes_nothing(self, monkeypatch):
         backend = MockBackend({"by_tag": {"answer:p1": "42"}, "default": "d"})
 
         def no_hashing(request):
-            raise AssertionError("a script without by_digest entries hashed a request")
+            raise AssertionError("the mock backend hashed a request")
 
         monkeypatch.setattr(gateway_module, "cache_key", no_hashing)
         assert backend.send(request(tag="answer:p1")).content == "42"
@@ -238,11 +275,10 @@ class TestMockBackend:
             MockBackend(path)
 
     @pytest.mark.parametrize(
-        "script", [{"by_tag": [1, 2]}, {"by_tag": "x"}, {"by_digest": 3}, {"by_tag": None}]
+        "script", [{"by_tag": [1, 2]}, {"by_tag": "x"}, {"by_tag": 3}, {"by_tag": None}]
     )
     def test_rejects_a_routing_table_that_is_not_an_object(self, script):
-        (key,) = script
-        with pytest.raises(InvalidInputError, match=key):
+        with pytest.raises(InvalidInputError, match="'by_tag' must be a JSON object"):
             MockBackend(script)
 
     def test_unreadable_script_is_invalid_input(self, tmp_path):
@@ -1136,6 +1172,29 @@ class TestHttpBackend:
         session = HttpBackend("https://api.test/v1", 20).session
         for prefix in ("http://", "https://"):
             assert session.get_adapter(prefix + "api.test")._pool_maxsize == 20
+
+    def test_session_is_built_once_by_threads_that_race_for_it(self, monkeypatch):
+        import requests
+
+        built, real = [], requests.Session
+        monkeypatch.setattr(requests, "Session", lambda: built.append(1) or real())
+        backend = HttpBackend("https://api.test/v1")
+        start = threading.Barrier(16)
+
+        def first_use():
+            start.wait(timeout=10)
+            return backend.session
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                sessions = list(pool.map(lambda _: first_use(), range(16)))
+        finally:
+            sys.setswitchinterval(switch)
+        sessions[0].close()
+        assert len(built) == 1
+        assert all(session is sessions[0] for session in sessions)
 
     def test_token_read_from_environment(self, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "sk-env")

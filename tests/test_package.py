@@ -59,6 +59,39 @@ def test_a_cached_run_loads_neither_openssl_nor_datetime(tmp_path):
     assert usage["cached_calls"] == usage["calls"] > 0
 
 
+def test_a_cached_http_run_never_imports_requests(tmp_path):
+    run = [
+        *("run", "--dataset", "synth10", "--answer-type", "number"),
+        *("--dataset-path", str(DATA_DIR / "synthetic_number.jsonl")),
+        *("--cache-dir", str(tmp_path / "cache")),
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    mock = ["--backend", "mock", "--mock-script", str(DATA_DIR / "mock_dup.json")]
+    subprocess.run(
+        [sys.executable, "-m", "dup.cli", *run, *mock, "--out-dir", str(tmp_path / "mock")],
+        env=env,
+        capture_output=True,
+        check=True,
+    )
+    code = (
+        "import json, sys; from dup.cli import main; code = main(sys.argv[1:]); "
+        "print(json.dumps([code, 'requests' in sys.modules]))"
+    )
+    # Nothing listens on the discard port: a request that left the cache would fail.
+    http = ["--backend", "http", "--base-url", "http://127.0.0.1:9"]
+    result = subprocess.run(
+        [sys.executable, "-c", code, *run, *http, "--out-dir", str(tmp_path / "http")],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(result.stdout.splitlines()[-1]) == [0, False]
+    usage = json.loads((tmp_path / "http" / "report.json").read_text())["usage"]
+    assert usage["cached_calls"] == usage["calls"] > 0
+
+
 def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use", 1)[1]

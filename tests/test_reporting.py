@@ -1,6 +1,7 @@
 """Reports: rounding, determinism, comparison, offline regrading."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -143,6 +144,23 @@ class TestCompare:
         rendered = table.to_table()
         assert "average delta" in rendered
         assert "+4.0" in rendered
+
+    @pytest.mark.parametrize(
+        "baselines, candidates, message",
+        [
+            ([], [], "nothing to compare: no report pairs supplied"),
+            (["d1"], ["d2"], "no baseline run for dataset 'd2'"),
+            (["d1", "d1"], ["d1"], "duplicate baseline for dataset 'd1'"),
+            (["d1"], ["d1", "d1"], "duplicate candidate for dataset 'd1'"),
+            (["d1", "d2"], ["d1"], "baselines without candidates: ['d2']"),
+        ],
+        ids=["empty", "no-baseline", "duplicate-baseline", "duplicate-candidate", "unmatched"],
+    )
+    def test_a_report_set_refusal_names_its_fault(self, baselines, candidates, message):
+        with pytest.raises(RunComparisonError, match=re.escape(message)):
+            compare_report_sets(
+                [self.make_report(d) for d in baselines], [self.make_report(d) for d in candidates]
+            )
 
     def test_report_sets_validation(self):
         with pytest.raises(RunComparisonError):

@@ -284,7 +284,7 @@ class TestMethodResolution:
             f"answer:{problems[0].id}": 'Taking each last letter gives "ae". The answer is "ae".',
             f"extraction:{problems[0].id}": '"ae"',
         }
-        gateway = Gateway(backend=MockBackend(script))
+        gateway = Gateway(backend=MockBackend({"by_tag": script}))
         transcript = run_problem(problems[0], RunConfig(dataset="last_letters"), gateway)
         assert transcript.method == "last-letter"
         answer_prompt = [r for r in transcript.records if r.stage == "answer"][0].prompt
@@ -897,6 +897,31 @@ class TestPersistenceAndResume:
         report = run_experiment(config, resumed)
         assert resumed.backend.calls == 4 * 3
         assert report.total == 10 and report.correct == 10
+
+    @pytest.mark.parametrize(
+        "case",
+        ["negative-max-problems", "no-dataset-source", "missing", "other-problem", "not-completed"],
+    )
+    def test_a_refused_input_is_named_or_read_as_nothing(self, tmp_path, case):
+        if case == "negative-max-problems":
+            with pytest.raises(InvalidInputError, match="max_problems must be >= 0"):
+                RunConfig(dataset="d", max_problems=-1).validate()
+            return
+        if case == "no-dataset-source":
+            with pytest.raises(DupError, match="config needs dataset_path or manifest"):
+                load_run(tmp_path, RunConfig(dataset="synth10", answer_type="number"))
+            return
+        transcript = Transcript(
+            problem_id="p1", dataset="d", method="dup", stages={}, completed=case != "not-completed"
+        )
+        path = transcript_path(tmp_path, "p1")
+        path.parent.mkdir()
+        path.write_text(dumps(transcript), encoding="utf-8")
+        if case == "other-problem":  # p1's transcript where p2's belongs
+            assert load_transcript(tmp_path, "p1") == transcript
+            path.rename(transcript_path(tmp_path, "p2"))
+        read_as = "p1" if case == "not-completed" else "p2"
+        assert load_transcript(tmp_path, read_as) is None
 
     def test_incomplete_transcripts_are_rerun(self, tmp_path, synthetic_problems):
         script = correct_script(synthetic_problems)
