@@ -171,7 +171,7 @@ def _resolve_path(record: dict, path: str) -> Any:
 def _raw_to_text(value: Any) -> str:
     if isinstance(value, list):
         if not value:
-            raise ValueError("empty answer list")
+            raise DatasetFormatError("empty answer list")
         value = value[0]
     if isinstance(value, bool):
         return "yes" if value else "no"
@@ -277,8 +277,8 @@ def load_dataset(
         try:
             question_parts = [str(_resolve_path(record, p)).strip() for p in resolved_map.question]
             question = " ".join(part for part in question_parts if part)
-            gold_raw = _raw_to_text(_resolve_path(record, resolved_map.answer))
-        except (KeyError, ValueError) as exc:
+            gold_field = _resolve_path(record, resolved_map.answer)
+        except KeyError as exc:
             raise DatasetFormatError(f"{path}:{record_no}: missing field {exc}") from exc
         options = None
         if resolved_map.options is not None:
@@ -295,6 +295,7 @@ def load_dataset(
             except KeyError:
                 pass
         try:
+            gold_raw = _raw_to_text(gold_field)
             gold = parse_gold_answer(gold_raw, resolved_type)
         except DatasetFormatError as exc:
             raise DatasetFormatError(f"{path}:{record_no}: {exc}") from exc

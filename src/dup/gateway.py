@@ -17,7 +17,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import InitVar, dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -379,20 +379,6 @@ def _open_cache(cache_dir: Path) -> sqlite3.Connection:
     return db
 
 
-class _Flight:
-    """A request sent for a digest that missed the cache.
-
-    Requests for the same digest wait on `done`, made by the first of them,
-    and then find `response`: None if the request failed.
-    """
-
-    __slots__ = ("done", "response")
-
-    def __init__(self):
-        self.done: threading.Event | None = None
-        self.response: ChatResponse | None = None
-
-
 @dataclass
 class Gateway:
     """Retry loop and response cache around a backend.
@@ -421,12 +407,14 @@ class Gateway:
 
     Shareable across threads, with no bound of its own on the requests in
     flight (a run bounds them at `runner._Gate`, whose tickets give back
-    their unit in every wait that sends nothing, through `idle`). Two locks
-    guard what the threads share: `_db_lock` the cache connection, for every
-    read, eviction and commit, and `_pending_lock` what is held in memory,
-    the pending rows and the requests in flight. A thread that takes both
-    takes `_db_lock` first. A write that finds rows due while the connection
-    is busy leaves them to the next write, so no write waits for a read or a
+    their unit in every wait that sends nothing, through `idle`). Identical
+    requests in flight together are each sent, and the last write stays;
+    a run sends one problem's identical requests once, in sample order
+    (`runner._ExtractionOrder`). Two locks guard what the threads share:
+    `_db_lock` the cache connection, for every read, eviction and commit,
+    and `_pending_lock` the pending rows. A thread that takes both takes
+    `_db_lock` first. A write that finds rows due while the connection is
+    busy leaves them to the next write, so no write waits for a read or a
     commit. Runs in several processes on one host may share a cache
     directory; SQLite serializes their writes. The directory must be on a
     local filesystem: the database runs in WAL mode, whose shared memory
@@ -442,12 +430,10 @@ class Gateway:
     _db: sqlite3.Connection | None = field(init=False, repr=False, default=None)
     _db_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
     _ahead: dict[str, str] = field(init=False, repr=False, default_factory=dict)
-    # Rows written but not yet committed, by digest, when the oldest of them
-    # was written (None when none is), and the request under way for each
-    # digest that missed the cache; guarded by _pending_lock.
+    # Rows written but not yet committed, by digest, and when the oldest of
+    # them was written (None when none is); guarded by _pending_lock.
     _pending: dict[str, str] = field(init=False, repr=False, default_factory=dict)
     _pending_since: float | None = field(init=False, repr=False, default=None)
-    _flights: dict[str, _Flight] = field(init=False, repr=False, default_factory=dict)
     _pending_lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
 
     def __post_init__(self, max_concurrency: int | None):
@@ -544,31 +530,25 @@ class Gateway:
             last_status=last_exc.status,
         ) from last_exc
 
-    def _cached_text(self, digest: str) -> str | None:
-        """The row text stored for `digest`, or None when it has no row."""
+    def _read_cache(self, digest: str) -> ChatResponse | None:
+        """The response stored for `digest`, or None when it has no readable row."""
         text = self._pending.get(digest)  # one dict lookup: atomic without the lock
         if text is None:
             text = self._ahead.pop(digest, None)
-        if text is not None:
-            return text
-        with self._db_lock:
-            rows = self._db.execute(
-                "select digest, entry from entries"
-                " where rowid >= (select rowid from entries where digest = ?)"
-                " order by rowid limit ?",
-                (digest, CACHE_READ_AHEAD_ROWS),
-            ).fetchall()
-            if not rows:
-                return None
-            if len(self._ahead) >= CACHE_READ_AHEAD_ROWS:
-                self._ahead.clear()  # rows that were not asked for
-            self._ahead.update(rows[1:])
-        return rows[0][1]
-
-    def _read_cache(self, digest: str) -> ChatResponse | None:
-        text = self._cached_text(digest)
         if text is None:
-            return None
+            with self._db_lock:
+                rows = self._db.execute(
+                    "select digest, entry from entries"
+                    " where rowid >= (select rowid from entries where digest = ?)"
+                    " order by rowid limit ?",
+                    (digest, CACHE_READ_AHEAD_ROWS),
+                ).fetchall()
+                if not rows:
+                    return None
+                if len(self._ahead) >= CACHE_READ_AHEAD_ROWS:
+                    self._ahead.clear()  # rows that were not asked for
+                self._ahead.update(rows[1:])
+            text = rows[0][1]
         try:
             entry = loads(text)
             return decode(ChatResponse, {**entry["response"], "cached": True})
@@ -607,42 +587,15 @@ class Gateway:
 
         Without a cache_dir this is plain `complete`. Each response is
         stored as one row keyed by `cache_key(request)`, committed in a batch
-        (see the class docstring); the last write of a digest wins. Corrupt
-        entries are evicted and treated as misses.
-
-        A miss whose digest is already being requested waits for that
-        request, also through its backoffs, and is served its response as a
-        cache hit, as it would be once the response is stored. If that
-        request fails, the waiter sends its own. The wait runs as
-        `idle(wait)`, like a backoff (see `complete`). A request that misses
-        just as an identical one finishes may still reach the backend.
+        (see the class docstring); the last write of a digest wins, as each
+        of several identical requests that miss is sent. Corrupt entries
+        are evicted and treated as misses. `idle` runs the backoffs.
         """
         if self.cache_dir is None:
             return self.complete(request, idle)
         digest = cache_key(request)
-        hit = self._read_cache(digest)
-        if hit is not None:
-            return hit
-        while True:
-            with self._pending_lock:
-                flight = self._flights.get(digest)
-                if flight is None:
-                    flight = self._flights[digest] = _Flight()
-                    break
-                if flight.done is None:
-                    flight.done = threading.Event()
-            idle(flight.done.wait) if idle else flight.done.wait()
-            if flight.response is not None:
-                return replace(flight.response, cached=True)
-        response = None
-        try:
+        response = self._read_cache(digest)
+        if response is None:
             response = self.complete(request, idle)
             self._write_cache(digest, response)
-        finally:
-            with self._pending_lock:
-                if self._flights.get(digest) is flight:
-                    del self._flights[digest]
-                flight.response = response
-            if flight.done is not None:
-                flight.done.set()
         return response

@@ -225,8 +225,9 @@ def _request(
     Stages 1-2 ask the extractor model, the others the run's model. Only the
     answer stage samples, at the run's temperature, and carries `index`:
     greedy requests carry 0, so with a cache the extraction calls of samples
-    that read the same text share one entry and one flight. Answer and
-    extraction tags end in "#index" when the run takes N > 1 samples."""
+    that read the same text share one entry, sent by the lowest of them
+    (`_ExtractionOrder`). Answer and extraction tags end in "#index" when
+    the run takes N > 1 samples."""
     understanding = stage in (STAGE_CORE, STAGE_INFO)
     temperature = config.temperature if stage == STAGE_ANSWER else 0.0
     suffix = f"#{index}" if config.n_samples > 1 and not understanding else ""
@@ -315,18 +316,56 @@ class _Sample:
     source: str = "none"
 
 
+class _ExtractionOrder:
+    """Shares one problem's identical extraction requests, in sample order.
+
+    Sample i's extraction waits until every lower sample has answered, and
+    every lower sample asking the same prompt has ended; its lookup then
+    finds the row of the first of them with a reply. So whatever the timing,
+    the lowest sample whose request succeeds sends it, and the others record
+    its reply as cached. A sample that ends early frees those waiting on it.
+    """
+
+    def __init__(self, n_samples: int):
+        self._prompts: list[str | None] = [None] * n_samples
+        self._answered = [threading.Event() for _ in range(n_samples)]
+        self._ended = [threading.Event() for _ in range(n_samples)]
+
+    def wait(self, ticket: _Ticket, index: int, prompt: str) -> None:
+        """Record sample `index`'s extraction prompt and wait for its turn to send it."""
+        self._prompts[index] = prompt
+        self._answered[index].set()
+        self._wait_all(ticket, self._answered[:index])
+        self._wait_all(ticket, [self._ended[j] for j in range(index) if self._prompts[j] == prompt])
+
+    @staticmethod
+    def _wait_all(ticket: _Ticket, events: list[threading.Event]) -> None:
+        """Wait until every one of `events` is set, through `ticket.idle` if any is not."""
+        if not all(event.is_set() for event in events):
+            ticket.idle(lambda: [event.wait() for event in events])
+
+    def end(self, index: int) -> None:
+        """Sample `index` has ended, whether or not it answered or extracted."""
+        self._answered[index].set()
+        self._ended[index].set()
+
+
 def _run_sample(
     problem,
     config: RunConfig,
     method: MethodVariant,
     ticket: _Ticket,
     answer_prompt: str,
+    order: _ExtractionOrder | None,
     index: int,
 ) -> _Sample:
-    """Sample one reasoning path and extract its answer; gateway errors end the chain."""
+    """Sample one reasoning path and extract its answer, in turn under `order`
+    if given; gateway errors end the chain."""
     sample = _Sample()
 
     def ask(prompt: str) -> str:
+        if order is not None:
+            order.wait(ticket, index, prompt)
         return _call(ticket, sample, config, problem.id, STAGE_EXTRACTION, prompt, index)
 
     try:
@@ -356,22 +395,33 @@ def _run_samples(
     `ticket`; each other thread waits for the first unit of a ticket that
     `_Ticket.fan_out` queued, then runs its samples in order. Every thread
     gives its unit back when it stops. The first exception a thread raises
-    is raised once every thread is done.
+    is raised once every thread is done. With a cache and N > 1, the
+    extractions go in sample order (`_ExtractionOrder`).
     """
     samples: list[_Sample] = [None] * config.n_samples
     threads = min(config.n_samples, MAX_SAMPLE_THREADS)
     errors: list[BaseException] = []
+    cached = ticket.gateway.cache_dir is not None
+    order = _ExtractionOrder(config.n_samples) if cached and threads > 1 else None
 
     def chain(ticket: _Ticket, first: int) -> None:
+        mine = range(first, config.n_samples, threads)
         try:
             if first:
                 ticket.granted.acquire()  # a helper's first unit
-            for index in range(first, config.n_samples, threads):
-                samples[index] = _run_sample(problem, config, method, ticket, answer_prompt, index)
+            for index in mine:
+                samples[index] = _run_sample(
+                    problem, config, method, ticket, answer_prompt, order, index
+                )
+                if order is not None:
+                    order.end(index)
         except BaseException as exc:
             errors.append(exc)
         finally:
             ticket.release()
+            if order is not None:
+                for index in mine:  # a raise leaves samples unrun: free their waiters
+                    order.end(index)
 
     helpers = [
         threading.Thread(target=chain, args=(own, k), name=f"dup-sample-{problem.id}")
@@ -657,10 +707,11 @@ class _Ticket:
         self.granted.acquire()
 
     def idle(self, wait: Callable[[], object]) -> None:
-        """Run `wait`, a wait of the gateway's that sends nothing, holding
-        neither the unit nor the understanding place. The place comes back
-        after it whatever the count, as the `workers` cap holds back only new
-        problems; the unit comes at this problem's turn."""
+        """Run `wait`, a wait that sends nothing (a gateway backoff, or a
+        sample's wait for its extraction's turn), holding neither the unit
+        nor the understanding place. The place comes back after it whatever
+        the count, as the `workers` cap holds back only new problems; the
+        unit comes at this problem's turn."""
         place = self.understanding
         self.release()
         wait()

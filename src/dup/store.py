@@ -76,14 +76,6 @@ def encode(obj: Any) -> Any:
 _Decoder = Callable[[Any], Any]
 
 
-def _optional(inner: _Decoder) -> _Decoder:
-    return lambda value: None if value is None else inner(value)
-
-
-def _list_of(item: _Decoder) -> _Decoder:
-    return lambda value: [item(x) for x in value]
-
-
 def _dataclass_decoder(cls: type) -> _Decoder:
     hints = typing.get_type_hints(cls)
     fields = [(f.name, _decoder(hints[f.name])) for f in dataclasses.fields(cls) if f.init]
@@ -112,10 +104,10 @@ def _decoder(hint: Any) -> _Decoder | None:
     if origin in (typing.Union, types.UnionType):
         present = [a for a in typing.get_args(hint) if a is not type(None)]
         inner = _decoder(present[0]) if len(present) == 1 else None
-        return None if inner is None else _optional(inner)
+        return None if inner is None else lambda value: None if value is None else inner(value)
     if origin is list:
         item = _decoder(typing.get_args(hint)[0])
-        return None if item is None else _list_of(item)
+        return None if item is None else lambda value: [item(x) for x in value]
     if dataclasses.is_dataclass(hint):
         return _dataclass_decoder(hint)
     if isinstance(hint, EnumMeta):

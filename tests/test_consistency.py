@@ -175,7 +175,7 @@ class TestFanOut:
         self, tmp_path, synthetic_problems, monkeypatch
     ):
         # Both samples of each problem reason alike, so their extraction
-        # requests are identical; the backend sees them in flight together.
+        # requests are identical; their answer calls are in flight together.
         script = {}
         for problem in synthetic_problems:
             script[f"core_question:{problem.id}"] = "core"
@@ -191,7 +191,7 @@ class TestFanOut:
                 if request.tag.startswith("answer:"):
                     barrier.wait()  # raises unless both answer calls are in flight
                 elif request.tag.startswith("extraction:"):
-                    time.sleep(0.05)  # the other sample's request arrives meanwhile
+                    time.sleep(0.05)  # sample 1's identical request waits for sample 0's
                 return super().send(request)
 
         def run(name, backend):

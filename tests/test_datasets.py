@@ -219,7 +219,7 @@ class TestFormats:
             (lambda tmp: parse_gold_answer(" ", AnswerType.STRING), "empty string gold"),
             (
                 lambda tmp: load_text(tmp, '{"question": "Q?", "answer": []}\n'),
-                "{tmp}/data.jsonl:1: missing field empty answer list",
+                "{tmp}/data.jsonl:1: empty answer list",
             ),
             (
                 lambda tmp: load_dataset(tmp / "missing.jsonl", "custom", AnswerType.NUMBER),

@@ -725,120 +725,6 @@ class TestCache:
         gateway.close()
         assert len(cache_rows(tmp_path)) == threads * per_thread
 
-    def test_identical_requests_in_flight_share_one_send(self, tmp_path):
-        sending, release = threading.Event(), threading.Event()
-
-        class GatedBackend(MockBackend):
-            def send(self, req):
-                sending.set()
-                release.wait(5)
-                return super().send(req)
-
-        backend = GatedBackend({"default": "x"})
-        gateway = Gateway(backend=backend, cache_dir=tmp_path)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            first = pool.submit(gateway.complete_cached, request())
-            assert sending.wait(5)
-            others = [pool.submit(gateway.complete_cached, request()) for _ in range(2)]
-            threading.Event().wait(0.1)  # the others find the first under way
-            release.set()
-            responses = [first.result(5)] + [future.result(5) for future in others]
-        assert backend.calls == 1
-        assert [(r.content, r.cached) for r in responses] == [
-            ("x", False),
-            ("x", True),
-            ("x", True),
-        ]
-
-    def test_failed_request_in_flight_is_not_shared(self, tmp_path):
-        sending, release = threading.Event(), threading.Event()
-
-        class FailFirstBackend(MockBackend):
-            def send(self, req):
-                response = super().send(req)
-                if self.calls == 1:
-                    sending.set()
-                    release.wait(5)
-                    raise MalformedResponseError("first send fails")
-                return response
-
-        backend = FailFirstBackend({"default": "x"})
-        gateway = Gateway(backend=backend, cache_dir=tmp_path)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            first = pool.submit(gateway.complete_cached, request())
-            assert sending.wait(5)
-            second = pool.submit(gateway.complete_cached, request())
-            threading.Event().wait(0.1)  # the second finds the first under way
-            release.set()
-            with pytest.raises(MalformedResponseError):
-                first.result(5)
-            response = second.result(5)
-        assert (response.content, response.cached) == ("x", False)
-        assert gateway.complete_cached(request()).cached
-
-    def test_a_request_waits_for_its_twin_in_backoff(self, tmp_path):
-        # An identical request that misses while the first one backs off waits
-        # for it, in its own `idle`, and is served the retry's response: one
-        # send per attempt.
-        backend = FlakyBackend(failures=1)
-        gateway = Gateway(backend=backend, cache_dir=tmp_path)
-        waiting, served = threading.Event(), []
-
-        def twin_idle(wait):
-            waiting.set()
-            wait()
-
-        twin = threading.Thread(
-            target=lambda: served.append(gateway.complete_cached(request(), twin_idle)), daemon=True
-        )
-
-        def idle(wait):
-            twin.start()
-            assert waiting.wait(5)
-            wait()
-
-        first = gateway.complete_cached(request(), idle)
-        twin.join(5)
-        assert not twin.is_alive()
-        assert backend.sends == 2
-        assert [(r.content, r.cached) for r in (first, *served)] == [("ok", False), ("ok", True)]
-
-    def test_a_wait_for_an_identical_request_runs_through_idle(self, tmp_path, no_sleep):
-        sending, release = threading.Event(), threading.Event()
-
-        class FailFirstBackend(MockBackend):
-            def send(self, req):
-                response = super().send(req)
-                if self.calls == 1:
-                    sending.set()
-                    release.wait(5)
-                    raise TransientBackendError("first send fails", status=503)
-                return response
-
-        backend = FailFirstBackend({"default": "x"})
-        gateway = Gateway(backend=backend, cache_dir=tmp_path)
-        idled = {"first": [], "second": []}
-
-        def idle_of(name):
-            def idle(wait):
-                idled[name].append(wait)
-                wait()
-
-            return idle
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            first = pool.submit(gateway.complete_cached, request(), idle_of("first"))
-            assert sending.wait(5)
-            second = pool.submit(gateway.complete_cached, request(), idle_of("second"))
-            threading.Event().wait(0.1)  # the second waits for the first
-            release.set()
-            responses = [first.result(5), second.result(5)]
-        # The first's backoff and the second's wait for the first each ran in
-        # their caller's `idle`, so neither held what the caller gives back.
-        assert len(idled["first"]) == len(idled["second"]) == len(no_sleep) == 1
-        assert backend.calls == 2
-        assert [(r.content, r.cached) for r in responses] == [("x", False), ("x", True)]
-
     def test_row_echoing_its_request_is_served(self, tmp_path, synthetic_problems):
         # Older versions stored the request beside the response in each row.
         prompt = render_core_question_prompt(synthetic_problems[0].question)

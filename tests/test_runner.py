@@ -5,6 +5,7 @@ import gc
 import itertools
 import json
 import math
+import random
 import re
 import sqlite3
 import sys
@@ -63,9 +64,16 @@ from dup.runner import (
     select_problems,
     transcript_path,
 )
-from dup.store import decode, dumps
+from dup.store import decode, dumps, read
 
-from conftest import SYNTH_DATASET, SYNTH_IDS, cache_rows, comparable, make_run_config
+from conftest import (
+    DATA_DIR,
+    SYNTH_DATASET,
+    SYNTH_IDS,
+    cache_rows,
+    comparable,
+    make_run_config,
+)
 
 
 def correct_script(problems):
@@ -114,6 +122,31 @@ class SleepingMock(MockBackend):
             self.in_flight -= 1
         if fail:
             raise TransientBackendError(f"{request.tag} fails once", status=503)
+        return super().send(request)
+
+
+def agreeing_sc3_script():
+    """tests/data/mock_dup_sc3.json with every sample answering as sample 0
+    does; each extraction tag keeps its own reply."""
+    script = json.loads((DATA_DIR / "mock_dup_sc3.json").read_text(encoding="utf-8"))
+    by_tag = script["by_tag"]
+    for tag in by_tag:
+        if tag.startswith("answer:"):
+            by_tag[tag] = by_tag[tag.rsplit("#", 1)[0] + "#0"]
+    return script
+
+
+class JitteryMock(MockBackend):
+    """A mock that takes 0-2 ms per send, drawn from a generator seeded by `seed`."""
+
+    def __init__(self, script, seed):
+        super().__init__(script)
+        self._rng = random.Random(seed)
+
+    def send(self, request):
+        with self._lock:
+            delay = self._rng.uniform(0, 0.002)
+        time.sleep(delay)
         return super().send(request)
 
 
@@ -516,24 +549,29 @@ class TestRunGateway:
             assert http.cache_dir == tmp_path
 
 
-def run_bounded(config, gateway, timeout_s=30.0):
-    """`run_experiment` on a thread of its own; fails the test if it outlasts `timeout_s`.
+def call_bounded(fn, *args, timeout_s=30.0):
+    """`fn(*args)` on a thread of its own; fails the test if it outlasts `timeout_s`.
 
-    Returns the report, or the exception the run raised.
+    Returns what it returns, or the exception it raised.
     """
     outcome = []
 
     def target():
         try:
-            outcome.append(run_experiment(config, gateway))
+            outcome.append(fn(*args))
         except BaseException as exc:
             outcome.append(exc)
 
     thread = threading.Thread(target=target, daemon=True)
     thread.start()
     thread.join(timeout_s)
-    assert not thread.is_alive(), f"run still going after {timeout_s} s"
+    assert not thread.is_alive(), f"{fn.__name__} still going after {timeout_s} s"
     return outcome[0]
+
+
+def run_bounded(config, gateway, timeout_s=30.0):
+    """`run_experiment`, as `call_bounded` runs it."""
+    return call_bounded(run_experiment, config, gateway, timeout_s=timeout_s)
 
 
 class PeakCounter:
@@ -839,6 +877,155 @@ class TestAdmissionGate:
         assert written == {transcript_path("", pid).name for pid in started if pid != stop}
 
 
+class TestExtractionOrder:
+    """With a cache, the lowest sample asking an extraction prompt sends it."""
+
+    def test_agreeing_samples_give_the_same_transcripts_every_run(self, tmp_path):
+        # The samples of a problem answer alike, so their extraction requests
+        # are identical: sample 0 sends, and samples 1 and 2 read its row,
+        # whatever the send jitter.
+        script = agreeing_sc3_script()
+        outcomes = set()
+        for run in range(10):
+            run_dir = tmp_path / str(run)
+            config = make_run_config(
+                run_dir,
+                script,
+                workers=2,
+                n_samples=3,
+                temperature=0.7,
+                cache_dir=str(run_dir / "cache"),
+            )
+            gateway = Gateway(backend=JitteryMock(script, run), cache_dir=run_dir / "cache")
+            report = run_bounded(config, gateway)
+            assert gateway.backend.calls == 10 * (2 + 3 + 1)
+            assert (report.usage["cached_calls"], report.usage["calls"]) == (20, 80)
+            transcripts = {
+                path.name: comparable(read(path))
+                for path in sorted((run_dir / "out" / "transcripts").iterdir())
+            }
+            outcomes.add(json.dumps([transcripts, report.per_problem], sort_keys=True))
+        assert len(outcomes) == 1
+        for transcript in transcripts.values():
+            extractions = [r for r in transcript["records"] if r["stage"] == "extraction"]
+            assert [(r["sample_index"], r["cached"]) for r in extractions] == [
+                (0, False),
+                (1, True),
+                (2, True),
+            ]
+
+    def test_a_failed_lower_extraction_leaves_the_next_sample_to_send(
+        self, tmp_path, synthetic_problems
+    ):
+        problem = synthetic_problems[0]
+        script = agreeing_sc3_script()
+        del script["by_tag"][f"extraction:{problem.id}#0"]
+        config = make_run_config(tmp_path, script, n_samples=3, temperature=0.7)
+        gateway = Gateway(backend=MockBackend(script), cache_dir=tmp_path / "cache")
+        transcript = run_problem(problem, config, gateway)
+        extractions = [
+            (r.sample_index, r.error is not None, r.cached)
+            for r in transcript.records
+            if r.stage == "extraction"
+        ]
+        # Sample 1 sends its own request once sample 0's has failed; sample 2
+        # waits for both and reads sample 1's row.
+        assert extractions == [(0, True, False), (1, False, False), (2, False, True)]
+        assert gateway.backend.calls == 2 + 3 + 2
+
+    def test_a_sample_waits_for_a_lower_one_in_backoff(self, tmp_path, synthetic_problems):
+        # Sample 0's extraction backs off once: samples 1 and 2 wait for its
+        # retry and are served its reply, so the request is sent once per attempt.
+        problem = synthetic_problems[0]
+        script = agreeing_sc3_script()
+        config = make_run_config(tmp_path, script, n_samples=3, temperature=0.7)
+        retried = f"extraction:{problem.id}#0"
+        backend = SleepingMock(script, 0.001, fail_once=[retried])
+        gateway = Gateway(backend=backend, cache_dir=tmp_path / "cache", retry_base_delay_s=0.05)
+        transcript = call_bounded(run_problem, problem, config, gateway)
+        assert len(transcript.votes) == 3 and not transcript.errors
+        assert backend.sent.count(retried) == 2
+        assert not [tag for tag in backend.sent if tag.startswith("extraction:") and tag != retried]
+        extractions = [
+            (r.sample_index, r.cached, r.response)
+            for r in transcript.records
+            if r.stage == "extraction"
+        ]
+        reply = script["by_tag"][retried]
+        assert extractions == [(0, False, reply), (1, True, reply), (2, True, reply)]
+
+    def test_waiting_samples_hold_no_unit(self, tmp_path, synthetic_problems):
+        # A budget of one unit, and sample 0's answer backs off once: samples
+        # 1 and 2 answer meanwhile, then wait for sample 0 without the unit,
+        # which sample 0 needs to send again.
+        problem = synthetic_problems[0]
+        script = agreeing_sc3_script()
+        config = make_run_config(tmp_path, script, n_samples=3, temperature=0.7)
+        retried = f"answer:{problem.id}#0"
+        backend = SleepingMock(script, 0.001, fail_once=[retried])
+        gateway = Gateway(backend=backend, cache_dir=tmp_path / "cache", retry_base_delay_s=0.05)
+        gate = runner_module._Gate(workers=1, budget=1, gateway=gateway)
+        transcript = call_bounded(run_problem, problem, config, gateway, gate.enter(0))
+        assert len(transcript.votes) == 3 and not transcript.errors
+        assert backend.sent[2:] == [
+            retried,
+            f"answer:{problem.id}#1",
+            f"answer:{problem.id}#2",
+            retried,
+            f"extraction:{problem.id}#0",
+        ]
+        cached = [r.cached for r in transcript.records if r.stage == "extraction"]
+        assert cached == [False, True, True]
+        assert (gate._free, gate._understanding, gate._waiting) == (1, 0, [])
+
+    def test_samples_past_the_thread_count_take_their_turn(self, tmp_path, synthetic_problems):
+        # N = 10 on 8 threads: samples 8 and 9 follow samples 0 and 1 on
+        # their threads, and wait for samples that other threads run.
+        problem = synthetic_problems[0]
+        n_samples = MAX_SAMPLE_THREADS + 2
+        script = sc_correct_script([problem], n_samples)
+        config = make_run_config(tmp_path, script, n_samples=n_samples, temperature=0.7)
+        gateway = Gateway(backend=MockBackend(script), cache_dir=tmp_path / "cache")
+        transcript = call_bounded(run_problem, problem, config, gateway)
+        assert transcript.graded.correct
+        cached = [r.cached for r in transcript.records if r.stage == "extraction"]
+        assert cached == [False] + [True] * (n_samples - 1)
+        assert gateway.backend.calls == 2 + n_samples + 1
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["own-thread", "helper-thread"])
+    def test_a_sample_that_raises_fails_its_problem_once_and_frees_its_waiters(
+        self, tmp_path, synthetic_problems, monkeypatch, failing
+    ):
+        # Samples above the one that raises wait for it before their
+        # extraction; its chain's end releases them, and no thread is left.
+        class Broken(Exception):
+            pass
+
+        problem = synthetic_problems[0]
+        script = agreeing_sc3_script()
+        config = make_run_config(tmp_path, script, n_samples=3, temperature=0.7)
+        ended = []
+        real_run_sample = runner_module._run_sample
+
+        def run_sample(*args):
+            if args[-1] == failing:
+                time.sleep(0.05)  # the others reach their extraction first
+                raise Broken(f"sample {failing}")
+            sample = real_run_sample(*args)
+            ended.append(args[-1])
+            return sample
+
+        monkeypatch.setattr(runner_module, "_run_sample", run_sample)
+        gateway = Gateway(backend=MockBackend(script), cache_dir=tmp_path / "cache")
+        gate = runner_module._Gate(workers=1, budget=3, gateway=gateway)
+        before = threading.active_count()
+        outcome = call_bounded(run_problem, problem, config, gateway, gate.enter(0))
+        assert isinstance(outcome, Broken)
+        assert sorted(ended) == sorted({0, 1, 2} - {failing})
+        assert threading.active_count() == before
+        assert (gate._free, gate._understanding, gate._waiting) == (3, 0, [])
+
+
 class TestRunConfig:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -1094,6 +1281,91 @@ class FaultyMock(MockBackend):
 
 def _same_report(a, b) -> bool:
     return (a.total, a.correct, a.per_problem) == (b.total, b.correct, b.per_problem)
+
+
+class SeededFaults(MockBackend):
+    """A mock whose outcome for a request is a pure function of (seed, tag,
+    attempt of that tag), as in bench/faults.py, so a concurrent run meets
+    the faults a serial one does. Each tag draws one plan: its reply, a
+    transient error that recovers after one or two attempts, transient
+    errors that exhaust the retries, or a malformed reply."""
+
+    def __init__(self, script, seed: int):
+        super().__init__(script)
+        self._seed = seed
+        self._attempts: dict[str, int] = {}  # by tag; guarded by _lock
+
+    def send(self, request):
+        with self._lock:
+            attempt = self._attempts.get(request.tag, 0)
+            self._attempts[request.tag] = attempt + 1
+        plan = random.Random(f"{self._seed}:{request.tag}")
+        draw = plan.random()
+        if draw < 0.1:  # recovers
+            transient = attempt < plan.randint(1, 2)
+        else:  # exhausts the retries
+            transient = draw < 0.15
+        if transient:
+            raise TransientBackendError(f"{request.tag} attempt {attempt}", status=503)
+        if 0.15 <= draw < 0.2:
+            raise MalformedResponseError(f"{request.tag} garbled")
+        return super().send(request)
+
+
+def oracle_script(problems, n_samples: int) -> dict:
+    """Correct replies, each answer naming its problem: the samples of every
+    other problem answer in two ways, the others alike, and each extraction
+    tag has its own text.
+
+    A reply text shared by two problems would make their extraction requests
+    identical, and which of them sends first depends on timing."""
+    script = sc_correct_script(problems, n_samples) if n_samples > 1 else correct_script(problems)
+    suffixes = [f"#{i}" for i in range(n_samples)] if n_samples > 1 else [""]
+    for number, p in enumerate(problems):
+        for i, suffix in enumerate(suffixes):
+            way = "another way" if number % 2 == 0 and i % 2 == 1 else "one way"
+            answer = f"{p.id}, {way}: the answer is {p.gold.value}."
+            script["by_tag"][f"answer:{p.id}{suffix}"] = answer
+            script["by_tag"][f"extraction:{p.id}{suffix}"] = f"Sample {i}: {p.gold.value}"
+    return script
+
+
+class TestSerialOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        workers=st.integers(1, 3),
+        n_samples=st.integers(1, 4),
+        cached=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_run_equals_its_problems_run_one_sample_at_a_time(
+        self, workers, n_samples, cached, seed
+    ):
+        # The same transcripts, `cached` flags included, as each problem run
+        # alone with one sample thread, under the same seeded faults.
+        problems = load_dataset(SYNTH_DATASET, "synth10", answer_type=AnswerType.NUMBER)
+        script = oracle_script(problems, n_samples)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+
+            def gateway(name):
+                cache_dir = tmp / name if cached else None
+                return Gateway(SeededFaults(script, seed), cache_dir, retry_base_delay_s=0)
+
+            config = make_run_config(
+                tmp, script, workers=workers, n_samples=n_samples, temperature=0.7
+            )
+            run_experiment(config, gateway("cache"))
+            serial_gateway = gateway("serial-cache")
+            with patch.object(runner_module, "MAX_SAMPLE_THREADS", 1):
+                serial = [run_problem(p, config, serial_gateway) for p in problems]
+            for transcript in serial:
+                path = transcript_path(config.out_dir, transcript.problem_id)
+                assert comparable(read(path)) == comparable(json.loads(dumps(transcript)))
+            report_path = Path(config.out_dir) / "report.json"
+            written = report_path.read_text(encoding="utf-8")
+            recount(config.out_dir)
+            assert report_path.read_text(encoding="utf-8") == written
 
 
 class TestTranscriptWriter:
