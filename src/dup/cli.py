@@ -8,6 +8,7 @@ import logging
 import os
 import sys
 from contextlib import closing
+from dataclasses import replace
 from pathlib import Path
 
 from .error_analysis import sample_and_analyze
@@ -178,7 +179,6 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _run(config: RunConfig) -> int:
-    config.validate()  # before the gateway is built
     with closing(build_run_gateway(config)) as gateway:
         report = run_experiment(config, gateway)
     print(report.to_table(), end="")
@@ -192,8 +192,8 @@ def cmd_run(args) -> int:
 
 def cmd_resume(args) -> int:
     config = stored_config(args.out_dir)
-    if _absolute(config.out_dir) != _absolute(args.out_dir):
-        config.out_dir = _absolute(args.out_dir)  # the run directory was moved
+    if _absolute(config.out_dir) != _absolute(args.out_dir):  # the run directory was moved
+        config = replace(config, out_dir=_absolute(args.out_dir))
     return _run(config)
 
 
@@ -213,12 +213,11 @@ def cmd_analyze_errors(args) -> int:
         if value and not args.backend:
             raise InvalidInputError(f"{flag} takes effect only with --backend")
     config, problems, stored = load_run(args.out_dir)
+    changes = {"cache_dir": args.cache_dir} if args.cache_dir else {}
     if args.backend:
-        config.backend = args.backend
-        config.base_url = args.base_url or (DEFAULT_BASE_URL if args.backend == "http" else None)
-        config.mock_script = args.mock_script
-    if args.cache_dir:
-        config.cache_dir = args.cache_dir
+        base_url = args.base_url or (DEFAULT_BASE_URL if args.backend == "http" else None)
+        changes.update(backend=args.backend, base_url=base_url, mock_script=args.mock_script)
+    config = replace(config, **changes)
     sample_size = args.sample_size
     if sample_size > len(problems):
         log.info(

@@ -75,8 +75,8 @@ _CONFIG_FILE = "config.json"
 
 def _utc_now() -> str:
     """The time in UTC, as `datetime.now(timezone.utc).isoformat(timespec="seconds")`
-    writes it, without loading `datetime`."""
-    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
+    writes it, without loading `datetime` (a bare `gmtime()` may read a clock a tick behind)."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime(time.time()))
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,10 @@ class StageConfig:
         return cls(1 in enabled, 2 in enabled, 3 in enabled)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything one experiment run needs, serializable for resume."""
+    """Everything one experiment run needs, serializable for resume. Checked when
+    made, also by `decode` and `dataclasses.replace`; never changed after."""
 
     dataset: str
     method: MethodVariant = MethodVariant.DUP
@@ -134,9 +135,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.answer_type is not None:  # ValueError unless it names one
-            self.answer_type = AnswerType(self.answer_type)
-
-    def validate(self) -> None:
+            object.__setattr__(self, "answer_type", AnswerType(self.answer_type))
         if not self.dataset:
             raise InvalidInputError("dataset identifier is required")
         if self.n_samples < 1:
@@ -450,7 +449,6 @@ def run_problem(
     around `gateway`; a direct call starts the problem at a gate of its own,
     with min(N, MAX_SAMPLE_THREADS) units.
     """
-    config.validate()
     if ticket is None:
         ticket = _Gate(1, min(config.n_samples, MAX_SAMPLE_THREADS), gateway).enter(0)
     method = resolve_method(config, problem.dataset)
@@ -603,7 +601,7 @@ def _check_config(config: RunConfig, out_dir: Path) -> bool:
 
 
 def stored_config(out_dir: str | Path) -> RunConfig:
-    """Load the configuration persisted by a previous run (for resume)."""
+    """The configuration a run stored; DupError names the file if unreadable or invalid."""
     path = Path(out_dir) / _CONFIG_FILE
     try:
         return decode(RunConfig, read(path))
@@ -794,7 +792,6 @@ def run_experiment(config: RunConfig, gateway: Gateway):
     """
     from .reporting import build_report, report_row, stored_rows, write_report
 
-    config.validate()
     out_dir = Path(config.out_dir)
     resumed = _check_config(config, out_dir)  # before the dataset or a transcript is read
     _, problems, stored = load_run(out_dir, config)

@@ -1,6 +1,8 @@
 """Command line surface: every subcommand driven through main()."""
 
+import dataclasses
 import json
+import logging
 import os
 import sqlite3
 import weakref
@@ -417,6 +419,30 @@ class TestResume:
         assert "temperature must be a finite number" in caplog.text
         assert not (out_dir / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["recount", "resume", "analyze-errors"])
+    def test_a_stored_config_that_fails_a_check_exits_2(self, tmp_path, caplog, command):
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir)) == 0
+        path = out_dir / "config.json"
+        config = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**config, "workers": 0}), encoding="utf-8")
+        before = {file: file.read_bytes() for file in out_dir.rglob("*") if file.is_file()}
+        argv = [command, "--out-dir", out_dir]
+        if command == "analyze-errors":
+            argv += ["--backend", "mock", "--mock-script", DATA_DIR / "mock_dup.json"]
+        assert run_cli(*argv) == 2
+        assert f"cannot read stored config at {path}: workers must be >= 1" in caplog.text
+        after = {file: file.read_bytes() for file in out_dir.rglob("*") if file.is_file()}
+        assert after == before
+
+    def test_a_run_config_cannot_be_changed(self, tmp_path):
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir)) == 0
+        config = runner_module.stored_config(out_dir)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.workers = 2
+        assert runner_module.stored_config(out_dir) == config
+
     def test_failed_transcript_write_exits_2(self, tmp_path, monkeypatch, capsys):
         def no_space(path, text):
             raise OSError(28, "No space left on device")
@@ -604,6 +630,40 @@ class TestAnalyzeErrors:
         assert f"{flag} takes effect only with --backend" in caplog.text
         assert sends == []
         assert not (out_dir / "error_analysis.json").exists()
+
+    def test_a_sample_larger_than_the_run_takes_every_problem(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="dup.cli")
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir)) == 0
+        judge_path = tmp_path / "judge.json"
+        judge_path.write_text(json.dumps({"default": "2. Calculation error."}), encoding="utf-8")
+        code = run_cli(
+            "analyze-errors", "--out-dir", out_dir, "--sample-size", "50",
+            "--backend", "mock", "--mock-script", judge_path,
+        )
+        assert code == 0
+        assert "sample size 50 exceeds run size 10; using every problem" in caplog.text
+        payload = json.loads((out_dir / "error_analysis.json").read_text(encoding="utf-8"))
+        assert (payload["sample_size"], payload["total_failures"]) == (10, 3)
+
+    def test_the_judge_reads_the_cache_dir_given(self, tmp_path):
+        out_dir = tmp_path / "run"
+        assert run_cli(*dup_run_args(out_dir)) == 0  # a run without a cache
+        cache_dir = tmp_path / "judge-cache"
+        categories = []
+        for reply in ("1. Semantic Misunderstanding.", "2. Calculation error."):
+            judge_path = tmp_path / "judge.json"
+            judge_path.write_text(json.dumps({"default": reply}), encoding="utf-8")
+            code = run_cli(
+                "analyze-errors", "--out-dir", out_dir, "--sample-size", "10",
+                "--backend", "mock", "--mock-script", judge_path, "--cache-dir", cache_dir,
+            )
+            assert code == 0
+            payload = json.loads((out_dir / "error_analysis.json").read_text(encoding="utf-8"))
+            categories.append({detail["category"] for detail in payload["details"]})
+        # The second judge's script is never read: its replies come from the first's cache.
+        assert categories == [{"semantic_misunderstanding"}] * 2
+        assert (cache_dir / CACHE_FILE).is_file()
 
     def test_negative_sample_size_exits_2(self, tmp_path):
         out_dir = tmp_path / "run"

@@ -94,12 +94,10 @@ class TestAggregate:
 
 class TestRunSc:
     def test_preconditions(self):
-        config = RunConfig(dataset="d", n_samples=0)
-        with pytest.raises(InvalidInputError):
-            run_problem(object(), config, object())
-        config = RunConfig(dataset="d", n_samples=3, temperature=0.0)
-        with pytest.raises(InvalidInputError):
-            run_problem(object(), config, object())
+        with pytest.raises(InvalidInputError, match="n_samples must be >= 1"):
+            RunConfig(dataset="d", n_samples=0)
+        with pytest.raises(InvalidInputError, match="requires temperature > 0"):
+            RunConfig(dataset="d", n_samples=3, temperature=0.0)
 
     def test_returns_votes_and_majority(self, synthetic_problems):
         problem = synthetic_problems[0]  # gold 18

@@ -421,6 +421,14 @@ class TestManifest:
         with pytest.raises(DatasetFormatError, match=f"cannot read manifest {re.escape(str(path))}"):
             load_manifest(path)
 
+    def test_a_record_without_its_id_field_keeps_its_number(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        rows = [{"q": "Q1?", "a": "1", "key": "k1"}, {"q": "Q2?", "a": "2"}]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        field_map = FieldMap(question=("q",), answer="a", id="key")
+        problems = load_dataset(path, "mine", AnswerType.NUMBER, field_map)
+        assert [problem.id for problem in problems] == ["k1", "mine-00002"]
+
     def test_field_map_override(self, tmp_path):
         data = tmp_path / "data.jsonl"
         data.write_text(json.dumps({"q": "Q?", "a": "9", "key": "k1"}) + "\n", encoding="utf-8")

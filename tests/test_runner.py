@@ -34,6 +34,7 @@ from dup.exceptions import (
 )
 from dup.gateway import (
     CACHE_FILE,
+    MAX_RETRY_AFTER_S,
     ChatResponse,
     Gateway,
     HttpBackend,
@@ -1028,24 +1029,28 @@ class TestExtractionOrder:
 
 class TestRunConfig:
     def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            RunConfig(dataset="").validate()
-        with pytest.raises(InvalidInputError):
-            RunConfig(dataset="d", n_samples=0).validate()
-        with pytest.raises(InvalidInputError):
-            RunConfig(dataset="d", n_samples=2, temperature=0.0).validate()
-        with pytest.raises(InvalidInputError):
-            RunConfig(dataset="d", temperature=-1.0).validate()
-        with pytest.raises(InvalidInputError):
-            RunConfig(dataset="d", workers=0).validate()
-        RunConfig(dataset="d", n_samples=10, temperature=0.7).validate()
+        # Refused when made, and when derived by `replace` from a valid config.
+        valid = RunConfig(dataset="d", n_samples=10, temperature=0.7)
+        for fields, message in [
+            ({"dataset": ""}, "dataset identifier is required"),
+            ({"n_samples": 0}, "n_samples must be >= 1"),
+            ({"n_samples": 2, "temperature": 0.0}, "requires temperature > 0"),
+            ({"temperature": -1.0}, "temperature must be a finite number >= 0"),
+            ({"max_problems": -1}, "max_problems must be >= 0"),
+            ({"workers": 0}, "workers must be >= 1"),
+            ({"max_tokens": 0}, "max_tokens must be >= 1"),
+        ]:
+            with pytest.raises(InvalidInputError, match=message):
+                RunConfig(**{"dataset": "d", **fields})
+            with pytest.raises(InvalidInputError, match=message):
+                replace(valid, **fields)
 
     @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf])
     def test_temperature_must_be_finite(self, temperature):
         with pytest.raises(InvalidInputError, match="temperature must be a finite number"):
-            RunConfig(dataset="d", temperature=temperature).validate()
+            RunConfig(dataset="d", temperature=temperature)
         with pytest.raises(InvalidInputError, match="temperature must be a finite number"):
-            RunConfig(dataset="d", n_samples=3, temperature=temperature).validate()
+            RunConfig(dataset="d", n_samples=3, temperature=temperature)
 
     def test_round_trip(self):
         config = RunConfig(
@@ -1092,7 +1097,7 @@ class TestPersistenceAndResume:
     def test_a_refused_input_is_named_or_read_as_nothing(self, tmp_path, case):
         if case == "negative-max-problems":
             with pytest.raises(InvalidInputError, match="max_problems must be >= 0"):
-                RunConfig(dataset="d", max_problems=-1).validate()
+                RunConfig(dataset="d", max_problems=-1)
             return
         if case == "no-dataset-source":
             with pytest.raises(DupError, match="config needs dataset_path or manifest"):
@@ -1286,30 +1291,50 @@ def _same_report(a, b) -> bool:
 class SeededFaults(MockBackend):
     """A mock whose outcome for a request is a pure function of (seed, tag,
     attempt of that tag), as in bench/faults.py, so a concurrent run meets
-    the faults a serial one does. Each tag draws one plan: its reply, a
-    transient error that recovers after one or two attempts, transient
-    errors that exhaust the retries, or a malformed reply."""
+    the faults a serial one does. Each tag draws one plan: its reply; its
+    reply cut short at finish_reason="length"; transient errors that recover
+    after one or two attempts, with or without a Retry-After of 0-2 ms;
+    transient errors that exhaust the retries; a Retry-After above
+    MAX_RETRY_AFTER_S, which fails the call at once; a malformed reply; or a
+    blank one. One tag in five waits 0-2 ms before each attempt's outcome.
+    `sends` counts every attempt."""
 
     def __init__(self, script, seed: int):
         super().__init__(script)
         self._seed = seed
         self._attempts: dict[str, int] = {}  # by tag; guarded by _lock
 
+    @property
+    def sends(self) -> int:
+        return sum(self._attempts.values())
+
     def send(self, request):
         with self._lock:
             attempt = self._attempts.get(request.tag, 0)
             self._attempts[request.tag] = attempt + 1
         plan = random.Random(f"{self._seed}:{request.tag}")
-        draw = plan.random()
-        if draw < 0.1:  # recovers
-            transient = attempt < plan.randint(1, 2)
-        else:  # exhausts the retries
-            transient = draw < 0.15
-        if transient:
-            raise TransientBackendError(f"{request.tag} attempt {attempt}", status=503)
-        if 0.15 <= draw < 0.2:
+        draw, delay, failures = plan.random(), plan.random(), plan.randint(1, 2)
+        if delay < 0.2:
+            time.sleep(delay / 100)  # 0-2 ms
+        fault = f"{request.tag} attempt {attempt}"
+        if draw < 0.13:  # recovers; from 0.08 on, each failure names a Retry-After of 0-2 ms
+            if attempt < failures:
+                if draw < 0.08:
+                    raise TransientBackendError(fault, status=503)
+                raise TransientBackendError(fault, status=429, retry_after_s=(draw - 0.08) / 25)
+        elif draw < 0.17:  # exhausts the retries
+            raise TransientBackendError(fault, status=503)
+        elif draw < 0.2:
+            raise TransientBackendError(fault, status=429, retry_after_s=MAX_RETRY_AFTER_S + 1)
+        elif draw < 0.23:
             raise MalformedResponseError(f"{request.tag} garbled")
-        return super().send(request)
+        elif draw < 0.26:
+            return ChatResponse(content=" \n")  # raises, as the HTTP backend's reply would
+        reply = super().send(request)
+        if draw < 0.3:
+            cut = reply.content[: len(reply.content) // 2 + 1]
+            return replace(reply, content=cut, finish_reason="length")
+        return reply
 
 
 def oracle_script(problems, n_samples: int) -> dict:
@@ -1333,18 +1358,32 @@ def oracle_script(problems, n_samples: int) -> dict:
 class TestSerialOracle:
     @settings(max_examples=25, deadline=None)
     @given(
-        workers=st.integers(1, 3),
-        n_samples=st.integers(1, 4),
+        workers=st.integers(1, 4),
+        n_samples=st.integers(1, MAX_SAMPLE_THREADS + 2),
+        max_problems=st.none() | st.integers(0, 10),
         cached=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_a_run_equals_its_problems_run_one_sample_at_a_time(
-        self, workers, n_samples, cached, seed
+        self, workers, n_samples, max_problems, cached, seed
     ):
         # The same transcripts, `cached` flags included, as each problem run
         # alone with one sample thread, under the same seeded faults.
         problems = load_dataset(SYNTH_DATASET, "synth10", answer_type=AnswerType.NUMBER)
         script = oracle_script(problems, n_samples)
+        ran, gates = {}, []
+        real_run_problem = runner_module.run_problem
+
+        def run_once(problem, *args):
+            assert problem.id not in ran
+            ran[problem.id] = real_run_problem(problem, *args)
+            return ran[problem.id]
+
+        class RecordingGate(runner_module._Gate):
+            def __init__(self, *args):
+                super().__init__(*args)
+                gates.append(self)
+
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
 
@@ -1353,15 +1392,37 @@ class TestSerialOracle:
                 return Gateway(SeededFaults(script, seed), cache_dir, retry_base_delay_s=0)
 
             config = make_run_config(
-                tmp, script, workers=workers, n_samples=n_samples, temperature=0.7
+                tmp,
+                script,
+                workers=workers,
+                n_samples=n_samples,
+                temperature=0.7,
+                max_problems=max_problems,
             )
-            run_experiment(config, gateway("cache"))
+            run_gateway = gateway("cache")
+            with patch.multiple(runner_module, run_problem=run_once, _Gate=RecordingGate):
+                report = run_experiment(config, run_gateway)
+            # Every unit was given back, and nothing waits.
+            (gate,) = gates
+            assert gate._free == runner_module._request_budget(config)
+            assert (gate._understanding, gate._waiting) == (0, [])
+
+            selected = select_problems(problems, max_problems, config.seed)
             serial_gateway = gateway("serial-cache")
             with patch.object(runner_module, "MAX_SAMPLE_THREADS", 1):
-                serial = [run_problem(p, config, serial_gateway) for p in problems]
+                serial = [run_problem(p, config, serial_gateway) for p in selected]
+            if not cached:
+                assert run_gateway.backend.sends == serial_gateway.backend.sends
+            assert report.total == len(ran) == len(selected) == gate._turn
+            files = {path.name for path in (Path(config.out_dir) / "transcripts").iterdir()}
+            assert files == {transcript_path("", p.id).name for p in selected}
             for transcript in serial:
                 path = transcript_path(config.out_dir, transcript.problem_id)
                 assert comparable(read(path)) == comparable(json.loads(dumps(transcript)))
+                # What the run wrote is what its problem returned.
+                assert load_transcript(config.out_dir, transcript.problem_id) == ran[
+                    transcript.problem_id
+                ]
             report_path = Path(config.out_dir) / "report.json"
             written = report_path.read_text(encoding="utf-8")
             recount(config.out_dir)
@@ -1405,6 +1466,7 @@ class TestTranscriptWriter:
             for problem_id in selected:
                 assert load_transcript(config.out_dir, problem_id) == ran[problem_id]
             assert _same_report(recount(config.out_dir), report)
+
 
     def test_failed_write_stops_the_run(self, tmp_path, synthetic_problems, monkeypatch):
         script = correct_script(synthetic_problems)
@@ -1784,10 +1846,7 @@ class TestTranscript:
 
 @pytest.mark.parametrize("instant", [0.0, 951782400.0, 1792567650.75, 4102444799.0])
 def test_utc_now_writes_what_isoformat_wrote(monkeypatch, instant):
-    gmtime = time.gmtime
-    monkeypatch.setattr(
-        runner_module.time, "gmtime", lambda secs=None: gmtime(instant if secs is None else secs)
-    )
+    monkeypatch.setattr(runner_module.time, "time", lambda: instant)
     text = runner_module._utc_now()
     when = datetime.fromtimestamp(instant, timezone.utc)
     assert text == when.isoformat(timespec="seconds")

@@ -5,6 +5,7 @@ synthetic_number.jsonl with mock_dup.json and a cache directory)."""
 import ast
 import dataclasses
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -24,6 +25,7 @@ from dup.gateway import (
     cache_key,
 )
 from dup.error_analysis import ErrorCategory, ErrorReport
+from dup.exceptions import InvalidInputError
 from dup.grading import GradedResult, NormalizedAnswer
 from dup.consistency import Vote
 from dup.prompts import AnswerType, MethodVariant, render_core_question_prompt
@@ -64,28 +66,46 @@ answers = st.one_of(
     texts.map(NormalizedAnswer.of_string),
 )
 
+positive_ints = st.integers(min_value=1, max_value=10**9)
+# The fields of a valid RunConfig, each drawn on its own; `run_configs`
+# drops the draws that sample at temperature 0.
 RUN_CONFIG_FIELDS = dict(
-    dataset=texts,
+    dataset=st.text(min_size=1, max_size=12),
     method=st.sampled_from(MethodVariant),
     stages=st.builds(StageConfig, st.booleans(), st.booleans(), st.booleans()),
     model=texts,
     extractor_model=opt_texts,
-    temperature=floats,
-    n_samples=ints,
-    max_problems=st.none() | ints,
+    temperature=st.floats(min_value=0, allow_infinity=False),
+    n_samples=positive_ints,
+    max_problems=st.none() | st.integers(min_value=0, max_value=10**9),
     seed=ints,
     cache_dir=opt_texts,
     out_dir=texts,
     dataset_path=opt_texts,
     manifest=opt_texts,
     answer_type=st.none() | st.sampled_from(AnswerType),
-    max_tokens=ints,
+    max_tokens=positive_ints,
     system_message=opt_texts,
-    workers=ints,
+    workers=positive_ints,
     last_letter_simplified=st.none() | st.booleans(),
     backend=texts,
     base_url=opt_texts,
     mock_script=st.none() | texts | json_objects,
+)
+run_config_fields = st.fixed_dictionaries(RUN_CONFIG_FIELDS).filter(
+    lambda fields: fields["n_samples"] == 1 or fields["temperature"] > 0
+)
+run_configs = run_config_fields.map(lambda fields: RunConfig(**fields))
+# One field of an otherwise valid configuration set out of its range.
+RUN_CONFIG_FAULTS = st.one_of(
+    st.just({"dataset": ""}),
+    st.integers(max_value=0).map(lambda n: {"n_samples": n}),
+    st.sampled_from([math.nan, math.inf, -math.inf]).map(lambda t: {"temperature": t}),
+    st.floats(max_value=0, exclude_max=True).map(lambda t: {"temperature": t}),
+    positive_ints.map(lambda n: {"n_samples": n + 1, "temperature": 0.0}),
+    st.integers(max_value=-1).map(lambda n: {"max_problems": n}),
+    st.integers(max_value=0).map(lambda n: {"workers": n}),
+    st.integers(max_value=0).map(lambda n: {"max_tokens": n}),
 )
 
 records = st.builds(
@@ -155,7 +175,7 @@ responses = st.builds(
     cached=st.booleans(),
 )
 stored_values = st.one_of(
-    st.builds(RunConfig, **RUN_CONFIG_FIELDS).map(lambda v: (RunConfig, v)),
+    run_configs.map(lambda v: (RunConfig, v)),
     transcripts.map(lambda v: (Transcript, v)),
     reports.map(lambda v: (Report, v)),
     responses.map(lambda v: (ChatResponse, v)),
@@ -170,9 +190,18 @@ class TestRoundTrip:
     def test_run_config_strategy_covers_every_field(self):
         assert set(RUN_CONFIG_FIELDS) == {f.name for f in dataclasses.fields(RunConfig)}
 
-    @given(st.builds(RunConfig, **RUN_CONFIG_FIELDS))
+    @given(run_configs)
     def test_run_config(self, config):
         assert round_trip(RunConfig, config) == config
+
+    @given(run_config_fields, RUN_CONFIG_FAULTS)
+    def test_an_out_of_range_config_is_refused_made_or_read(self, fields, fault):
+        fields = {**fields, **fault}
+        with pytest.raises(InvalidInputError) as made:
+            RunConfig(**fields)
+        with pytest.raises(InvalidInputError) as read_back:
+            decode(RunConfig, json.loads(dumps(fields)))
+        assert str(read_back.value) == str(made.value)
 
     @given(transcripts)
     def test_transcript(self, transcript):
